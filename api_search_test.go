@@ -45,11 +45,12 @@ func TestStateIndexWithSND(t *testing.T) {
 	// Metric-space applications want a large bank distance: with the
 	// default gamma=1, vanishing mass into a local bank and recreating
 	// it elsewhere is cheaper than transporting it (the triangle
-	// discussion in DESIGN.md), which collapses cross-family contrast.
+	// discussion in docs/ARCHITECTURE.md), which collapses cross-family
+	// contrast.
 	// gamma of the order of the ground-distance diameter restores it.
 	opts := DefaultOptions()
 	opts.Gamma = 24
-	ix := NewStateIndex(states, SNDMeasure(g, opts))
+	ix := NewStateIndex(states, openNetwork(t, g, opts).Measure())
 	if ix.Len() != 8 {
 		t.Fatalf("Len = %d", ix.Len())
 	}
@@ -82,27 +83,6 @@ func TestStateIndexWithSND(t *testing.T) {
 	}
 	if res.Assign[0] == res.Assign[4] {
 		t.Errorf("families merged: %v", res.Assign)
-	}
-}
-
-func TestEngineAndSolverConstants(t *testing.T) {
-	opts := DefaultOptions()
-	opts.Engine = EngineNetwork
-	opts.Solver = FlowCostScaling
-	g := ScaleFreeGraph(ScaleFreeConfig{N: 60, OutDeg: 3, Exponent: -2.3, Seed: 5})
-	ev := NewEvolution(g, 10, 6)
-	a := ev.Step(0.3, 0.05)
-	b := ev.Step(0.3, 0.05)
-	res, err := Distance(g, a, b, opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ref, err := Distance(g, a, b, DefaultOptions())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.SND != ref.SND {
-		t.Errorf("engine/solver override changed the value: %v vs %v", res.SND, ref.SND)
 	}
 }
 
@@ -152,7 +132,7 @@ func TestClusterLabelFacades(t *testing.T) {
 	ev := NewEvolution(g, 15, 11)
 	a := ev.Step(0.3, 0.02)
 	b := ev.Step(0.3, 0.02)
-	if _, err := Distance(g, a, b, opts); err != nil {
+	if _, err := freshDistance(g, a, b, opts); err != nil {
 		t.Fatal(err)
 	}
 }

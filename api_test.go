@@ -5,9 +5,26 @@ import (
 	"context"
 	"math"
 	"math/rand"
+	"reflect"
 	"strings"
 	"testing"
 )
+
+// freshDistance computes SND(a, b) on a one-shot handle with the
+// ground cache disabled: fresh cost materialization and fresh SSSP for
+// every term.
+func freshDistance(g *Graph, a, b State, opts Options) (Result, error) {
+	nw := NewNetwork(g, opts, EngineConfig{GroundCacheBytes: -1})
+	defer nw.Close()
+	return nw.Distance(context.Background(), a, b)
+}
+
+// openNetwork returns a handle over g that is closed when the test ends.
+func openNetwork(t testing.TB, g *Graph, opts Options) *Network {
+	nw := NewNetwork(g, opts, EngineConfig{})
+	t.Cleanup(func() { nw.Close() })
+	return nw
+}
 
 func lineNetwork() *Graph {
 	b := NewGraphBuilder(4)
@@ -23,14 +40,16 @@ func TestQuickstartFlow(t *testing.T) {
 	before[0] = Positive
 	after := before.Clone()
 	after[1] = Positive
-	d, err := DistanceValue(g, before, after)
+	nw := openNetwork(t, g, DefaultOptions())
+	ctx := context.Background()
+	d, err := nw.DistanceValue(ctx, before, after)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if d <= 0 {
 		t.Errorf("distance = %v, want > 0", d)
 	}
-	same, err := DistanceValue(g, before, before)
+	same, err := nw.DistanceValue(ctx, before, before)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -44,7 +63,7 @@ func TestDistanceMatchesDirect(t *testing.T) {
 	ev := NewEvolution(g, 10, 2)
 	a := ev.State()
 	b := ev.Step(0.3, 0.05)
-	fast, err := Distance(g, a, b, DefaultOptions())
+	fast, err := freshDistance(g, a, b, DefaultOptions())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -64,15 +83,22 @@ func TestSeriesAndAnomalies(t *testing.T) {
 	for i := 0; i < 5; i++ {
 		states = append(states, ev.Step(0.15, 0.02))
 	}
-	dists, err := Series(g, states, DefaultOptions())
+	nw := openNetwork(t, g, DefaultOptions())
+	dists, err := nw.Series(context.Background(), states)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(dists) != 5 {
 		t.Fatalf("series length %d", len(dists))
 	}
+	// The free pipeline over the handle's measure and the handle method
+	// must agree to the bit.
+	want, err := nw.DetectAnomalies(context.Background(), states)
+	if err != nil {
+		t.Fatal(err)
+	}
 	for _, m := range []Measure{
-		SNDMeasure(g, DefaultOptions()),
+		nw.Measure(),
 		HammingMeasure(g.N()),
 		L1Measure(g.N()),
 		QuadFormMeasure(g),
@@ -84,6 +110,9 @@ func TestSeriesAndAnomalies(t *testing.T) {
 		}
 		if len(rep.Distances) != 5 || len(rep.Scores) != 5 {
 			t.Fatalf("%s: report lengths %d/%d", m.Name(), len(rep.Distances), len(rep.Scores))
+		}
+		if m.Name() == want.Name && !reflect.DeepEqual(rep, want) {
+			t.Errorf("DetectAnomalies over the measure %+v != handle %+v", rep, want)
 		}
 	}
 }

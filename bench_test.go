@@ -3,16 +3,14 @@ package snd
 // Benchmarks, one per table and figure of the paper's evaluation
 // section, at bench-friendly sizes (cmd/sndbench regenerates the full
 // tables; the committed BENCH_*.json snapshots record the runs).
-// Ablation benchmarks cover
-// the design choices DESIGN.md calls out: computation engine, flow
-// solver, Dijkstra heap, ground-cost model, and bank allocation.
+// Ablation benchmarks cover the design choices that change the cost or
+// the value: Dijkstra heap, ground-cost model, and bank allocation.
 
 import (
 	"context"
 	"math/rand"
 	"testing"
 
-	"snd/internal/core"
 	"snd/internal/dynamics"
 	"snd/internal/opinion"
 	"snd/internal/pqueue"
@@ -47,7 +45,7 @@ func benchDistance(b *testing.B, g *Graph, x, y State, opts Options) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := Distance(g, x, y, opts); err != nil {
+		if _, err := freshDistance(g, x, y, opts); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -163,35 +161,6 @@ func BenchmarkFig12ScaleNDelta(b *testing.B) {
 
 // --- Ablations ---
 
-// BenchmarkAblationEngine compares the three SND computation engines on
-// the same instance.
-func BenchmarkAblationEngine(b *testing.B) {
-	g := benchGraph(b, 500)
-	x, y := benchStatePair(b, g, 40)
-	for _, engine := range []core.ComputeEngine{core.EngineBipartite, core.EngineNetwork, core.EngineDense} {
-		opts := DefaultOptions()
-		opts.Engine = engine
-		b.Run(engine.String(), func(b *testing.B) {
-			benchDistance(b, g, x, y, opts)
-		})
-	}
-}
-
-// BenchmarkAblationSolver compares SSP and cost-scaling within the
-// bipartite engine.
-func BenchmarkAblationSolver(b *testing.B) {
-	g := benchGraph(b, 2000)
-	x, y := benchStatePair(b, g, 150)
-	for _, solver := range []core.FlowSolver{core.FlowSSP, core.FlowCostScaling} {
-		opts := DefaultOptions()
-		opts.Engine = core.EngineBipartite
-		opts.Solver = solver
-		b.Run(solver.String(), func(b *testing.B) {
-			benchDistance(b, g, x, y, opts)
-		})
-	}
-}
-
 // BenchmarkAblationHeap compares the Dijkstra priority queues inside
 // the Theorem 4 pipeline.
 func BenchmarkAblationHeap(b *testing.B) {
@@ -254,7 +223,7 @@ func benchSeriesStates(b *testing.B, g *Graph, count int) []State {
 }
 
 // BenchmarkSeriesSequential is the pre-engine baseline: one sequential
-// Distance call per adjacent pair.
+// one-shot Distance per adjacent pair.
 func BenchmarkSeriesSequential(b *testing.B) {
 	g := benchGraph(b, 2000)
 	states := benchSeriesStates(b, g, 10)
@@ -263,7 +232,7 @@ func BenchmarkSeriesSequential(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		for j := 0; j+1 < len(states); j++ {
-			if _, err := Distance(g, states[j], states[j+1], opts); err != nil {
+			if _, err := freshDistance(g, states[j], states[j+1], opts); err != nil {
 				b.Fatal(err)
 			}
 		}

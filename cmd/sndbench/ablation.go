@@ -9,12 +9,12 @@ import (
 	"snd/internal/pqueue"
 )
 
-// runAblation times and values the design choices DESIGN.md calls out,
-// on one fixed instance: computation engine, flow solver, Dijkstra
-// heap, ground-cost model, bank allocation, and bank distance gamma.
-// Values must agree within a configuration family wherever DESIGN.md
-// claims exactness (engines, solvers, heaps); models, banks and gamma
-// legitimately change the measure.
+// runAblation times and values the configuration choices on one fixed
+// instance: Dijkstra heap, ground-cost model, bank allocation, and bank
+// distance gamma. Values must agree across heaps (the choice is exact);
+// models, banks and gamma legitimately change the measure. The engine
+// picks its route and flow solver itself (docs/PERFORMANCE.md,
+// "Strategy selection"); the routes column shows which it took.
 func runAblation(sc scale, seed int64) {
 	n := sc.fig10N
 	g := snd.ScaleFreeGraph(snd.ScaleFreeConfig{
@@ -27,37 +27,17 @@ func runAblation(sc scale, seed int64) {
 
 	run := func(group, name string, opts snd.Options) {
 		start := time.Now()
-		res, err := snd.Distance(g, a, b, opts)
+		res, err := distanceOnce(g, a, b, opts)
 		if err != nil {
 			fatalf("ablation %s/%s: %v", group, name, err)
 		}
-		fmt.Printf("%-10s %-16s snd=%-12.1f %-10v sssp=%d\n",
-			group, name, res.SND, time.Since(start).Round(time.Millisecond), res.SSSPRuns)
+		fmt.Printf("%-10s %-16s snd=%-12.1f %-10v sssp=%-6d routes=%v\n",
+			group, name, res.SND, time.Since(start).Round(time.Millisecond), res.SSSPRuns, res.EnginesUsed)
 	}
 
-	for _, engine := range []snd.ComputeEngine{snd.EngineBipartite, snd.EngineNetwork} {
-		opts := snd.DefaultOptions()
-		opts.Engine = engine
-		run("engine", engine.String(), opts)
-	}
-	if n <= 2000 {
-		opts := snd.DefaultOptions()
-		opts.Engine = snd.EngineDense
-		run("engine", "dense", opts)
-	}
-	fmt.Println()
-	for _, solver := range []snd.FlowSolver{snd.FlowSSP, snd.FlowCostScaling} {
-		opts := snd.DefaultOptions()
-		opts.Engine = snd.EngineNetwork
-		opts.Solver = solver
-		run("solver", solver.String(), opts)
-	}
-	fmt.Println()
 	for _, heap := range []pqueue.Kind{pqueue.KindBinary, pqueue.KindDial, pqueue.KindRadix} {
 		opts := snd.DefaultOptions()
 		opts.Heap = heap
-		opts.Engine = snd.EngineBipartite
-		opts.Solver = snd.FlowCostScaling
 		run("heap", heap.String(), opts)
 	}
 	fmt.Println()

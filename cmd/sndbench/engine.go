@@ -59,7 +59,7 @@ func runEngine(sc scale, seed int64) {
 	start := time.Now()
 	seq := make([]float64, 0, count-1)
 	for i := 0; i+1 < count; i++ {
-		r, err := snd.Distance(g, states[i], states[i+1], opts)
+		r, err := distanceOnce(g, states[i], states[i+1], opts)
 		if err != nil {
 			fatalf("engine sequential step %d: %v", i, err)
 		}

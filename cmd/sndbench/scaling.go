@@ -129,18 +129,28 @@ func statePairWithNDelta(g *snd.Graph, nDelta int, seed int64) (snd.State, snd.S
 }
 
 // timedDistance evaluates one distance on a transient handle and
-// returns the wall time plus the engine's phase split: SSSP fan-out,
-// transportation solve, and bound-computation time. The phases are
-// per-worker sums, so on multicore they can total more than the wall
-// clock.
-func timedDistance(g *snd.Graph, a, b snd.State, opts snd.Options) (time.Duration, snd.EngineStats) {
+// returns the wall time, the result, and the engine's phase split: SSSP
+// fan-out, transportation solve, and bound-computation time. The phases
+// are per-worker sums, so on multicore they can total more than the
+// wall clock.
+func timedDistance(g *snd.Graph, a, b snd.State, opts snd.Options) (time.Duration, snd.Result, snd.EngineStats) {
 	nw := snd.NewNetwork(g, opts, snd.EngineConfig{GroundCacheBytes: -1})
 	defer nw.Close()
 	start := time.Now()
-	if _, err := nw.Distance(context.Background(), a, b); err != nil {
+	res, err := nw.Distance(context.Background(), a, b)
+	if err != nil {
 		fatalf("distance: %v", err)
 	}
-	return time.Since(start), nw.Engine().Stats()
+	return time.Since(start), res, nw.Engine().Stats()
+}
+
+// distanceOnce computes one distance on a transient handle with the
+// ground cache disabled (a single pair can never hit it): the
+// one-shot cost a caller without a long-lived Network pays.
+func distanceOnce(g *snd.Graph, a, b snd.State, opts snd.Options) (snd.Result, error) {
+	nw := snd.NewNetwork(g, opts, snd.EngineConfig{GroundCacheBytes: -1})
+	defer nw.Close()
+	return nw.Distance(context.Background(), a, b)
 }
 
 func phaseSplit(st snd.EngineStats) string {
@@ -163,7 +173,7 @@ func runFig11(sc scale, seed int64) {
 			N: n, OutDeg: 6, Exponent: -2.3, Reciprocity: 0.2, Seed: seed + 50,
 		})
 		a, b := statePairWithNDelta(g, sc.fig11NDelta, seed+51)
-		fast, stats := timedDistance(g, a, b, snd.DefaultOptions())
+		fast, _, stats := timedDistance(g, a, b, snd.DefaultOptions())
 		directCol := "-"
 		if n <= sc.fig11DirectCap {
 			start := time.Now()
@@ -177,31 +187,20 @@ func runFig11(sc scale, seed int64) {
 }
 
 // runFig12 reproduces Fig. 12: wall time computing SND as n-delta grows
-// with the network size fixed.
+// with the network size fixed. The routes column shows the strategy the
+// engine picked per term: the bipartite route's cost grows superlinearly
+// in n-delta (the paper's Theorem 4 pipeline), and the engine moves a
+// term to the network route once its reduced instance outgrows the
+// bipartite limit, flattening the curve.
 func runFig12(sc scale, seed int64) {
 	fmt.Printf("Fig. 12: time computing SND, n = %d fixed, n-delta growing\n\n", sc.fig12N)
 	g := snd.ScaleFreeGraph(snd.ScaleFreeConfig{
 		N: sc.fig12N, OutDeg: 6, Exponent: -2.3, Reciprocity: 0.2, Seed: seed + 60,
 	})
-	fmt.Printf("%-9s %-14s %-14s %s\n", "ndelta", "auto engine", "bipartite", "sssp/flow/bound")
+	fmt.Printf("%-9s %-14s %-18s %s\n", "ndelta", "time", "sssp/flow/bound", "routes")
 	for _, nd := range sc.fig12Deltas {
 		a, b := statePairWithNDelta(g, nd, seed+61)
-		auto, stats := timedDistance(g, a, b, snd.DefaultOptions())
-		// The forced-bipartite column exhibits the paper's superlinear
-		// growth in n-delta (its Theorem 4 pipeline); the auto engine
-		// switches to network-routed cost-scaling once the reduced
-		// instance outgrows the bipartite sweet spot, flattening the
-		// curve.
-		bip := "-"
-		if nd <= 800 {
-			opts := snd.DefaultOptions()
-			opts.Engine = snd.EngineBipartite
-			start := time.Now()
-			if _, err := snd.Distance(g, a, b, opts); err != nil {
-				fatalf("fig12 bipartite ndelta=%d: %v", nd, err)
-			}
-			bip = time.Since(start).Round(time.Millisecond).String()
-		}
-		fmt.Printf("%-9d %-14v %-14s %s\n", nd, auto.Round(time.Millisecond), bip, phaseSplit(stats))
+		dur, res, stats := timedDistance(g, a, b, snd.DefaultOptions())
+		fmt.Printf("%-9d %-14v %-18s %v\n", nd, dur.Round(time.Millisecond), phaseSplit(stats), res.EnginesUsed)
 	}
 }

@@ -17,7 +17,6 @@ import (
 	"os"
 
 	"snd"
-	"snd/internal/core"
 	"snd/internal/pqueue"
 )
 
@@ -25,7 +24,7 @@ func main() {
 	graphPath := flag.String("graph", "", "edge-list graph file (required)")
 	aPath := flag.String("a", "", "first state file (required)")
 	bPath := flag.String("b", "", "second state file (required)")
-	engine := flag.String("engine", "auto", "computation engine: auto, bipartite, network, dense, direct")
+	engine := flag.String("engine", "auto", "computation engine: auto (the engine picks its route per term) or direct (dense simplex baseline)")
 	heap := flag.String("heap", "dial", "Dijkstra heap: binary, dial, radix")
 	gamma := flag.Int64("gamma", 0, "bank-bin ground distance (0 = default)")
 	clusters := flag.Int("clusters", 0, "bank clusters (0 = one bank per user)")
@@ -35,6 +34,9 @@ func main() {
 	if *graphPath == "" || *aPath == "" || *bPath == "" {
 		flag.Usage()
 		os.Exit(2)
+	}
+	if *engine != "auto" && *engine != "direct" {
+		exitOn(fmt.Errorf("unknown engine %q (want auto or direct)", *engine))
 	}
 
 	g, err := readGraph(*graphPath)
@@ -46,17 +48,6 @@ func main() {
 
 	opts := snd.DefaultOptions()
 	opts.Gamma = *gamma
-	switch *engine {
-	case "auto", "direct":
-	case "bipartite":
-		opts.Engine = core.EngineBipartite
-	case "network":
-		opts.Engine = core.EngineNetwork
-	case "dense":
-		opts.Engine = core.EngineDense
-	default:
-		exitOn(fmt.Errorf("unknown engine %q", *engine))
-	}
 	switch *heap {
 	case "binary":
 		opts.Heap = pqueue.KindBinary
@@ -96,6 +87,7 @@ func main() {
 		fmt.Printf("n-delta:    %d\n", res.NDelta)
 		fmt.Printf("sssp runs:  %d\n", res.SSSPRuns)
 		fmt.Printf("terms:      %+v\n", res.Terms)
+		fmt.Printf("engines:    %v\n", res.EnginesUsed)
 	}
 	fmt.Printf("%g\n", res.SND)
 }

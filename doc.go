@@ -174,8 +174,8 @@
 // (the saturation moved more than half the supply) it falls back to a
 // cold solve on the spot. The transportation optimum is unique, so
 // distances are bit-identical either way; Options.NoWarmStart pins the
-// cold pipeline (as does forcing FlowCostScaling), and Engine.Stats
-// reports exact hits, transplants, and phase timings.
+// cold pipeline, and Engine.Stats reports exact hits, transplants, and
+// phase timings.
 //
 // # Lower-bound screening
 //
@@ -253,13 +253,14 @@
 //
 //   - Network / Engine: the handle and its concurrent batch compute
 //     layer. Engine remains available (Network.Engine) for callers
-//     that want the lower level; the free functions Distance /
-//     DistanceValue / Series / Explain are deprecated thin wrappers
-//     over a per-call handle, kept so existing code migrates
-//     gradually.
+//     that want the lower level.
 //   - SND itself (eq. 3), computed exactly in time near-linear in the
-//     number of users via the Theorem 4 reduction (Options selects
-//     engines, solvers, ground-cost models, and Dijkstra heaps).
+//     number of users via the Theorem 4 reduction. The engine picks
+//     each term's route — the reduced bipartite instance, or a flow
+//     through the graph itself once that instance outgrows
+//     max(n/4, 1000) nodes or 4e6 arcs — and its min-cost-flow solver
+//     from the input; Result.EnginesUsed reports the choice. Options
+//     selects ground-cost models, bank clustering, and Dijkstra heaps.
 //   - EMDStar: the generalized Earth Mover's Distance EMD* (eq. 4)
 //     with local bank bins, plus the classic EMD, EMD-hat and
 //     EMD-alpha variants for comparison.

@@ -4,6 +4,10 @@ import (
 	"go/ast"
 	"go/parser"
 	"go/token"
+	"io/fs"
+	"os"
+	"path/filepath"
+	"regexp"
 	"strings"
 	"testing"
 )
@@ -90,4 +94,52 @@ func exportedRecv(recv *ast.FieldList) bool {
 			return false
 		}
 	}
+}
+
+// TestCommentCitationsExist fails when a Go comment anywhere in the
+// repository cites a Markdown file that does not exist. A citation
+// resolves against the repository root or the citing file's directory;
+// hidden directories (build caches) are skipped.
+func TestCommentCitationsExist(t *testing.T) {
+	cite := regexp.MustCompile(`[\w./-]+\.md\b`)
+	fset := token.NewFileSet()
+	err := filepath.WalkDir(".", func(path string, d fs.DirEntry, err error) error {
+		if err != nil {
+			return err
+		}
+		if d.IsDir() {
+			if path != "." && strings.HasPrefix(d.Name(), ".") {
+				return filepath.SkipDir
+			}
+			return nil
+		}
+		if !strings.HasSuffix(path, ".go") {
+			return nil
+		}
+		file, err := parser.ParseFile(fset, path, nil, parser.ParseComments)
+		if err != nil {
+			return err
+		}
+		for _, group := range file.Comments {
+			for _, c := range group.List {
+				for _, ref := range cite.FindAllString(c.Text, -1) {
+					if strings.Contains(ref, "//") {
+						continue // a URL, not a repository path
+					}
+					if !exists(ref) && !exists(filepath.Join(filepath.Dir(path), ref)) {
+						t.Errorf("%s: comment cites %s, which does not exist", fset.Position(c.Pos()), ref)
+					}
+				}
+			}
+		}
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+}
+
+func exists(path string) bool {
+	_, err := os.Stat(path)
+	return err == nil
 }

@@ -270,7 +270,7 @@ func termApproxMultilevel(g *graph.Digraph, spec termSpec, red reduction, o Opti
 		}
 	}
 	solveStart := time.Now()
-	cost, _, err := solveNetwork(tc.ctx, nw, o, inf+o.Gamma, true)
+	cost, _, err := solveBipartite(tc.ctx, nw, o.Heap, inf+o.Gamma)
 	if tc.stats != nil {
 		addPhase(&tc.stats.flowNanos, solveStart)
 		if err == nil {

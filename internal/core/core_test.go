@@ -4,6 +4,7 @@ import (
 	"context"
 	"math"
 	"math/rand"
+	"reflect"
 	"testing"
 
 	"snd/internal/graph"
@@ -46,18 +47,16 @@ func TestDistanceIdentity(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
 	g := graph.ErdosRenyi(40, 240, 1)
 	st := randState(40, 0.4, rng)
-	for _, engine := range []ComputeEngine{EngineBipartite, EngineNetwork, EngineDense} {
-		opts := DefaultOptions()
-		opts.Engine = engine
-		res, err := Distance(g, st, st, opts)
+	for _, s := range strategies {
+		res, err := distanceVia(g, st, st, DefaultOptions(), s.term)
 		if err != nil {
-			t.Fatalf("%v: %v", engine, err)
+			t.Fatalf("%s: %v", s.name, err)
 		}
 		if res.SND != 0 {
-			t.Errorf("%v: SND(s,s) = %v, want 0", engine, res.SND)
+			t.Errorf("%s: SND(s,s) = %v, want 0", s.name, res.SND)
 		}
 		if res.NDelta != 0 {
-			t.Errorf("%v: NDelta = %d", engine, res.NDelta)
+			t.Errorf("%s: NDelta = %d", s.name, res.NDelta)
 		}
 	}
 }
@@ -84,7 +83,7 @@ func TestDistanceSymmetry(t *testing.T) {
 }
 
 // TestEnginesAgree is the heart of the Theorem 4 claim: the reduced
-// bipartite pipeline and the network-routed flow compute exactly the
+// bipartite route and the network route compute exactly the
 // dense-oracle value (singleton banks).
 func TestEnginesAgree(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
@@ -94,12 +93,10 @@ func TestEnginesAgree(t *testing.T) {
 		a := randState(n, 0.3+0.3*rng.Float64(), rng)
 		b := perturb(a, 1+rng.Intn(8), rng)
 		var values [3]float64
-		for i, engine := range []ComputeEngine{EngineBipartite, EngineNetwork, EngineDense} {
-			opts := DefaultOptions()
-			opts.Engine = engine
-			res, err := Distance(g, a, b, opts)
+		for i, s := range strategies {
+			res, err := distanceVia(g, a, b, DefaultOptions(), s.term)
 			if err != nil {
-				t.Fatalf("trial %d %v: %v", trial, engine, err)
+				t.Fatalf("trial %d %s: %v", trial, s.name, err)
 			}
 			values[i] = res.SND
 		}
@@ -112,8 +109,8 @@ func TestEnginesAgree(t *testing.T) {
 	}
 }
 
-// TestDirectMatchesFast: the un-reduced simplex baseline equals the
-// fast engines (Lemmas 1 and 2 are exact).
+// TestDirectMatchesFast: the un-reduced simplex baseline equals
+// Distance (Lemmas 1 and 2 are exact).
 func TestDirectMatchesFast(t *testing.T) {
 	rng := rand.New(rand.NewSource(4))
 	for trial := 0; trial < 8; trial++ {
@@ -137,29 +134,29 @@ func TestDirectMatchesFast(t *testing.T) {
 	}
 }
 
+// TestSolversAgreeWithinEngines runs both min-cost-flow solvers on
+// both routes' instances and pins every combination to the dense
+// oracle.
 func TestSolversAgreeWithinEngines(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
 	g := graph.ErdosRenyi(25, 150, 9)
 	a := randState(25, 0.5, rng)
 	b := perturb(a, 6, rng)
-	var ref float64
-	first := true
-	for _, engine := range []ComputeEngine{EngineBipartite, EngineNetwork} {
-		for _, solver := range []FlowSolver{FlowSSP, FlowCostScaling} {
-			opts := DefaultOptions()
-			opts.Engine = engine
-			opts.Solver = solver
-			res, err := Distance(g, a, b, opts)
+	ref, err := distanceVia(g, a, b, DefaultOptions(), viaDense)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, route := range []struct {
+		name   string
+		solver func(costScaling bool) termFn
+	}{{"bipartite", viaBipartiteSolver}, {"network", viaNetworkSolver}} {
+		for _, costScaling := range []bool{false, true} {
+			res, err := distanceVia(g, a, b, DefaultOptions(), route.solver(costScaling))
 			if err != nil {
-				t.Fatalf("%v/%v: %v", engine, solver, err)
+				t.Fatalf("%s/cost-scaling=%v: %v", route.name, costScaling, err)
 			}
-			if first {
-				ref = res.SND
-				first = false
-				continue
-			}
-			if math.Abs(res.SND-ref) > 1e-9*math.Max(1, ref) {
-				t.Errorf("%v/%v: SND %v != ref %v", engine, solver, res.SND, ref)
+			if math.Abs(res.SND-ref.SND) > 1e-9*math.Max(1, ref.SND) {
+				t.Errorf("%s/cost-scaling=%v: SND %v != dense %v", route.name, costScaling, res.SND, ref.SND)
 			}
 		}
 	}
@@ -174,7 +171,6 @@ func TestHeapsAgree(t *testing.T) {
 	for i, heap := range []pqueue.Kind{pqueue.KindBinary, pqueue.KindDial, pqueue.KindRadix} {
 		opts := DefaultOptions()
 		opts.Heap = heap
-		opts.Engine = EngineBipartite
 		res, err := Distance(g, a, b, opts)
 		if err != nil {
 			t.Fatalf("heap %v: %v", heap, err)
@@ -189,7 +185,7 @@ func TestHeapsAgree(t *testing.T) {
 
 func TestDisconnectedGraph(t *testing.T) {
 	// Two components; opinion moves across require the escape hatch and
-	// both fast engines must agree on the saturated cost.
+	// both routes and the oracle must agree on the saturated cost.
 	b := graph.NewBuilder(6)
 	b.AddEdge(0, 1)
 	b.AddEdge(1, 0)
@@ -200,12 +196,10 @@ func TestDisconnectedGraph(t *testing.T) {
 	a := opinion.State{opinion.Positive, opinion.Neutral, opinion.Neutral, opinion.Neutral, opinion.Neutral, opinion.Neutral}
 	c := opinion.State{opinion.Neutral, opinion.Neutral, opinion.Neutral, opinion.Neutral, opinion.Positive, opinion.Neutral}
 	var vals []float64
-	for _, engine := range []ComputeEngine{EngineBipartite, EngineNetwork, EngineDense} {
-		opts := DefaultOptions()
-		opts.Engine = engine
-		res, err := Distance(g, a, c, opts)
+	for _, s := range strategies {
+		res, err := distanceVia(g, a, c, DefaultOptions(), s.term)
 		if err != nil {
-			t.Fatalf("%v: %v", engine, err)
+			t.Fatalf("%s: %v", s.name, err)
 		}
 		vals = append(vals, res.SND)
 	}
@@ -331,8 +325,10 @@ func TestSeries(t *testing.T) {
 }
 
 func TestClusteredBanksUpperBoundDense(t *testing.T) {
-	// With coarse clusters the fast engines approximate the
-	// inter-cluster bank distance from above (DESIGN.md).
+	// With coarse clusters both routes charge bank transport at user
+	// grain, which differs from eq. 4's cluster grain in either
+	// direction (docs/ARCHITECTURE.md, "Design notes"); the two routes
+	// must still agree with each other.
 	rng := rand.New(rand.NewSource(8))
 	g := graph.ErdosRenyi(24, 140, 5)
 	clusters := make([]int, 24)
@@ -341,16 +337,13 @@ func TestClusteredBanksUpperBoundDense(t *testing.T) {
 	}
 	a := randState(24, 0.5, rng)
 	b := perturb(a, 6, rng)
-	optsF := DefaultOptions()
-	optsF.Clusters = clusters
-	optsF.Engine = EngineBipartite
-	fast, err := Distance(g, a, b, optsF)
+	opts := DefaultOptions()
+	opts.Clusters = clusters
+	fast, err := distanceVia(g, a, b, opts, viaBipartite)
 	if err != nil {
 		t.Fatal(err)
 	}
-	optsN := optsF
-	optsN.Engine = EngineNetwork
-	net, err := Distance(g, a, b, optsN)
+	net, err := distanceVia(g, a, b, opts, viaNetwork)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -359,6 +352,10 @@ func TestClusteredBanksUpperBoundDense(t *testing.T) {
 	}
 }
 
+// TestEngineAutoSwitches pins the input-driven route choice: a small
+// reduced instance takes the bipartite route, and one past the
+// reduced-node limit max(n/4, 1000) takes the network route, through an
+// Engine bit-identical to the standalone path.
 func TestEngineAutoSwitches(t *testing.T) {
 	g := graph.ErdosRenyi(30, 180, 7)
 	// Crafted churn so every term's reduced instance has multiple
@@ -371,19 +368,7 @@ func TestEngineAutoSwitches(t *testing.T) {
 		a[8+i] = opinion.Negative
 		b[12+i] = opinion.Negative
 	}
-	opts := DefaultOptions()
-	opts.BipartiteArcLimit = 1 // force the network engine
-	res, err := Distance(g, a, b, opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i, e := range res.EnginesUsed {
-		if res.Terms[i] > 0 && e != EngineNetwork {
-			t.Errorf("term %d used %v, want network under tiny arc limit", i, e)
-		}
-	}
-	opts.BipartiteArcLimit = 0 // default: large, bipartite
-	res, err = Distance(g, a, b, opts)
+	res, err := Distance(g, a, b, DefaultOptions())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -395,6 +380,33 @@ func TestEngineAutoSwitches(t *testing.T) {
 	if res.SSSPRuns == 0 {
 		t.Error("bipartite engine should report SSSP runs")
 	}
+
+	// 600 suppliers and 600 consumers with equal mass: 1200 reduced
+	// nodes on the two positive terms, past max(1200/4, 1000).
+	const n = 1200
+	g = graph.ErdosRenyi(n, 6*n, 7)
+	a, b = opinion.NewState(n), opinion.NewState(n)
+	for i := 0; i < n/2; i++ {
+		a[i] = opinion.Positive
+		b[n/2+i] = opinion.Positive
+	}
+	res, err = Distance(g, a, b, DefaultOptions())
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := [4]ComputeEngine{EngineNetwork, EngineAuto, EngineNetwork, EngineAuto}
+	if res.EnginesUsed != want {
+		t.Errorf("engines used %v, want %v", res.EnginesUsed, want)
+	}
+	e := NewEngine(g, DefaultOptions(), EngineConfig{Workers: 2})
+	defer e.Close()
+	got, err := e.Distance(context.Background(), a, b)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(got, res) {
+		t.Errorf("engine %+v != standalone %+v", got, res)
+	}
 }
 
 func TestEngineNames(t *testing.T) {
@@ -404,10 +416,5 @@ func TestEngineNames(t *testing.T) {
 	}
 	if len(names) != 4 {
 		t.Errorf("engine names collide: %v", names)
-	}
-	for _, s := range []FlowSolver{FlowAuto, FlowSSP, FlowCostScaling} {
-		if s.String() == "" {
-			t.Error("empty solver name")
-		}
 	}
 }

@@ -103,13 +103,11 @@ func NewEngine(g *graph.Digraph, opts Options, cfg EngineConfig) *Engine {
 		prov = newGroundProvider(g, dopts.Costs, dopts.Heap, budget,
 			infCost(g.N(), dopts.Costs.MaxCost(), dopts.EscapeHops))
 	}
-	// Build the transpose up front for the strategies that read it, so
-	// the first batch doesn't pay the O(N+M) build inside a worker
-	// (concurrent first use is safe — Reverse is sync.Once-guarded —
-	// but serializes the pool behind one builder).
-	if dopts.Engine == EngineAuto || dopts.Engine == EngineBipartite {
-		g.Reverse()
-	}
+	// Build the transpose up front for the bipartite route's reverse
+	// runs, so the first batch doesn't pay the O(N+M) build inside a
+	// worker (concurrent first use is safe — Reverse is
+	// sync.Once-guarded — but serializes the pool behind one builder).
+	g.Reverse()
 	// The per-worker share respects the configured total exactly (a
 	// floor would silently overshoot a deliberately small cap by up to
 	// workers * floor); an explicit budget below the worker count
@@ -258,9 +256,6 @@ func (e *Engine) PairsEps(ctx context.Context, pairs []StatePair, eps float64) (
 		todo, todoHash = nil, nil
 		for i := range pairs {
 			if hashes[i][0] == hashes[i][1] && pairs[i].A.DiffCount(pairs[i].B) == 0 {
-				for t := 0; t < 4; t++ {
-					results[i].EnginesUsed[t] = e.opts.Engine
-				}
 				e.stats.pairsDecided.Add(1)
 				continue
 			}

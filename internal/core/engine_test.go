@@ -30,22 +30,18 @@ func engineTestStates(n, count, flips int, seed int64) []opinion.State {
 
 func engineTestOptions(g *graph.Digraph) []Options {
 	def := DefaultOptions()
-	bip := DefaultOptions()
-	bip.Engine = EngineBipartite
-	net := DefaultOptions()
-	net.Engine = EngineNetwork
 	clustered := DefaultOptions()
 	labels := make([]int, g.N())
 	for i := range labels {
 		labels[i] = i % 16
 	}
 	clustered.Clusters = labels
-	return []Options{def, bip, net, clustered}
+	return []Options{def, clustered}
 }
 
 // TestEnginePairsMatchesSequential pins the engine's core contract:
 // batch results are bit-identical to a sequential Distance loop, for
-// every engine strategy and bank clustering.
+// singleton and clustered banks.
 func TestEnginePairsMatchesSequential(t *testing.T) {
 	g := engineTestGraph(300, 7)
 	states := engineTestStates(g.N(), 6, 25, 8)

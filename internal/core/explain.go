@@ -36,14 +36,13 @@ type TermPlan struct {
 
 // Explain computes SND and returns, alongside the Result, the four
 // terms' transport plans — which users' opinion mass covered which
-// opinion changes, and what each unit cost. The bipartite engine is
-// used for every term (it is the one that materializes user-level
-// arcs), so Explain costs about as much as Distance with
-// Engine == EngineBipartite. Cancellation via ctx is observed between
-// SSSP runs and flow pushes, like the Engine batch paths.
+// opinion changes, and what each unit cost. Every term takes the
+// bipartite route (it is the one that materializes user-level arcs),
+// whatever route Distance would choose. Cancellation via ctx is
+// observed between SSSP runs and flow pushes, like the Engine batch
+// paths.
 func Explain(ctx context.Context, g *graph.Digraph, a, b opinion.State, opts Options) (Result, [4]TermPlan, error) {
 	opts = opts.withDefaults()
-	opts.Engine = EngineBipartite
 	if err := opts.validate(g, a, b); err != nil {
 		return Result{}, [4]TermPlan{}, err
 	}

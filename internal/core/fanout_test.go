@@ -11,9 +11,8 @@ import (
 
 // TestGoalPruningMatchesFullRows pins the tentpole's exactness claim at
 // the engine level: distances with the goal-pruned fan-out are
-// bit-identical to the pre-pruning full-row pipeline, across engine
-// strategies, clusterings, cache configurations, and randomized state
-// sequences.
+// bit-identical to the pre-pruning full-row pipeline, across
+// clusterings, cache configurations, and randomized state sequences.
 func TestGoalPruningMatchesFullRows(t *testing.T) {
 	g := engineTestGraph(250, 31)
 	for _, cacheBytes := range []int64{-1, 0} {

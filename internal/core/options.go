@@ -9,32 +9,38 @@
 // D(Gi,op) is the shortest-path ground distance over the opinion-
 // dependent integer edge costs of eq. 2 (package opinion).
 //
-// Three computation engines are provided:
+// Every term runs one reduction pipeline: Lemmas 1 and 2 reduce the
+// transportation problem to the n-delta users whose opinion changed,
+// plus bank bins on the lighter histogram's active users. The reduced
+// instance then takes one of two exact routes, chosen from the input
+// alone (computeTerm):
 //
-//   - EngineBipartite — the Theorem 4 pipeline: Lemma 1/2 reduce the
-//     transportation problem to the n-delta users whose opinion
-//     changed (plus bank bins on the lighter histogram's active
-//     users), one single-source shortest path run per residual
-//     supplier (or per residual consumer, on the reversed graph, when
-//     the banks sit on the supplier side), then an integer min-cost
-//     flow on the reduced bipartite instance.
+//   - Bipartite — the Theorem 4 pipeline: one single-source shortest
+//     path run per residual supplier (or per residual consumer, on the
+//     reversed graph, when the banks sit on the supplier side), then
+//     an integer min-cost flow on the reduced bipartite instance,
+//     solved by successive shortest paths on small instances and by
+//     cost-scaling beyond. Taken while the reduced instance has at
+//     most max(n/4, 1000) nodes and 4e6 arcs.
 //
-//   - EngineNetwork — routes opinion mass through the social network
+//   - Network — routes opinion mass through the social network
 //     itself: graph edges become flow arcs with the eq. 2 costs and
-//     bank bins become satellite nodes. Optimal flow cost equals the
-//     bipartite optimum by path decomposition, with no shortest-path
-//     precomputation and no quadratic cost materialization, which is
-//     what scales to large n-delta.
+//     bank bins become satellite nodes, solved by cost-scaling. The
+//     optimal flow cost equals the bipartite optimum by path
+//     decomposition, with no shortest-path precomputation and no
+//     quadratic cost materialization, so memory stays linear in the
+//     graph at large n-delta.
 //
-//   - EngineDense — the oracle: full Johnson all-pairs ground distance
-//     plus the dense EMD* of package emd. Exponentially clearer,
-//     polynomially slower; used for cross-validation and as the
-//     "direct solver" baseline of Fig. 11 (see Direct).
+// The oracle — full Johnson all-pairs ground distance plus the dense
+// EMD* of package emd — lives in the package tests, where it
+// cross-validates both routes and both solvers. Direct is the
+// un-reduced simplex baseline of Fig. 11.
 //
-// All engines compute the same value exactly (tests pin this) as long
-// as the default singleton bank clustering is used; coarse clusterings
-// are honored exactly by EngineDense and approximated from above by
-// the fast engines (see DESIGN.md).
+// Both routes compute the oracle's value exactly (tests pin this) under
+// the default singleton bank clustering. Under coarse clusterings they
+// charge bank transport at user grain where eq. 4 charges cluster
+// grain, so their value differs from the oracle's, in either direction
+// (docs/ARCHITECTURE.md, "Design notes"); the two routes still agree.
 package core
 
 import (
@@ -45,19 +51,20 @@ import (
 	"snd/internal/pqueue"
 )
 
-// ComputeEngine selects the SND computation strategy (the Engine field
-// of Options).
+// ComputeEngine labels the strategy that produced a term
+// (Result.EnginesUsed). It is a report, not a setting: the routes are
+// chosen from the input.
 type ComputeEngine int
 
 const (
-	// EngineAuto picks EngineBipartite when the reduced instance is
-	// small enough and EngineNetwork otherwise.
+	// EngineAuto labels a term that took no route: its reduced
+	// instance is empty, or its pair was screened as identical.
 	EngineAuto ComputeEngine = iota
-	// EngineBipartite is the Theorem 4 SSSP + reduced-flow pipeline.
+	// EngineBipartite is the Theorem 4 SSSP + reduced-flow route.
 	EngineBipartite
-	// EngineNetwork routes mass through the graph directly.
+	// EngineNetwork is the route through the graph itself.
 	EngineNetwork
-	// EngineDense is the all-pairs + dense EMD* oracle.
+	// EngineDense is the all-pairs + dense EMD* baseline (Direct).
 	EngineDense
 )
 
@@ -70,31 +77,6 @@ func (e ComputeEngine) String() string {
 		return "network"
 	case EngineDense:
 		return "dense"
-	default:
-		return "auto"
-	}
-}
-
-// FlowSolver selects the min-cost-flow algorithm for the fast engines.
-type FlowSolver int
-
-const (
-	// FlowAuto uses SSP for bipartite instances and cost-scaling for
-	// network-routed instances.
-	FlowAuto FlowSolver = iota
-	// FlowSSP forces successive shortest paths.
-	FlowSSP
-	// FlowCostScaling forces Goldberg-Tarjan cost-scaling (CS2).
-	FlowCostScaling
-)
-
-// String names the solver.
-func (s FlowSolver) String() string {
-	switch s {
-	case FlowSSP:
-		return "ssp"
-	case FlowCostScaling:
-		return "cost-scaling"
 	default:
 		return "auto"
 	}
@@ -113,10 +95,6 @@ type Options struct {
 	// Larger values weight pure activation-volume change more heavily
 	// relative to placement.
 	Gamma int64
-	// Engine selects the computation strategy.
-	Engine ComputeEngine
-	// Solver selects the min-cost-flow algorithm for fast engines.
-	Solver FlowSolver
 	// Heap selects the Dijkstra priority queue for the SSSP runs.
 	// pqueue.KindAuto (HeapAuto) resolves against the cost model's
 	// MaxCost when the options are applied: Dial's bucket queue while
@@ -155,10 +133,6 @@ type Options struct {
 	// Clusters optionally groups users for bank allocation (nil =
 	// one bank per user, the Theorem 4 setting).
 	Clusters []int
-	// BipartiteArcLimit bounds the supplier x consumer arc count at
-	// which EngineAuto still picks the bipartite pipeline. 0 selects
-	// 4e6.
-	BipartiteArcLimit int
 	// Epsilon is the default certified error budget for the
 	// approximation tier, in SND units: every distance an engine batch
 	// returns is accompanied by an envelope [LB, UB] with
@@ -196,8 +170,7 @@ const HeapAuto = pqueue.KindAuto
 
 // DefaultOptions returns the configuration used by the paper's
 // experiments: agnostic ground costs, automatic queue selection (Dial's
-// bucket queue under Assumption 2's small cost bound), automatic engine
-// choice.
+// bucket queue under Assumption 2's small cost bound).
 func DefaultOptions() Options {
 	return Options{
 		Costs: opinion.DefaultGroundCosts(opinion.DefaultAgnostic),
@@ -215,9 +188,6 @@ func (o Options) withDefaults() Options {
 	o.Heap = pqueue.Resolve(o.Heap, o.Costs.MaxCost())
 	if o.Gamma <= 0 {
 		o.Gamma = 1
-	}
-	if o.BipartiteArcLimit <= 0 {
-		o.BipartiteArcLimit = 4_000_000
 	}
 	if o.EscapeHops <= 0 {
 		o.EscapeHops = 32

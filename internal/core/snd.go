@@ -57,7 +57,7 @@ func refName(term int) string {
 // "CPLEX" baseline of Fig. 11): full Johnson all-pairs ground
 // distances and the un-reduced dense EMD* transportation problem
 // solved with the transportation simplex. Exact but super-cubic;
-// intended for small n and for validating the fast engines.
+// intended for small n and for validating the routes.
 func Direct(g *graph.Digraph, a, b opinion.State, opts Options) (Result, error) {
 	opts = opts.withDefaults()
 	if err := opts.validate(g, a, b); err != nil {

@@ -2,15 +2,13 @@ package core
 
 import (
 	"context"
-	"fmt"
 	"math"
 	"time"
 
-	"snd/internal/cluster"
-	"snd/internal/emd"
 	"snd/internal/flow"
 	"snd/internal/graph"
 	"snd/internal/opinion"
+	"snd/internal/pqueue"
 	"snd/internal/sssp"
 )
 
@@ -198,76 +196,72 @@ func exactVal(v float64, runs int) termVal {
 	return termVal{val: v, lb: v, ub: v, runs: runs}
 }
 
+// Strategy thresholds, fixed by measurement (the BENCH_sssp.json
+// crossover probe; docs/PERFORMANCE.md, "Strategy selection").
+const (
+	// bipartiteArcLimit caps the supplier x consumer arc count of a
+	// bipartite-routed instance; past it the network route keeps the
+	// flow arrays linear in the graph.
+	bipartiteArcLimit = 4_000_000
+	// bipartiteMinNodes floors the reduced-node limit max(n/4, 1000)
+	// of the bipartite route.
+	bipartiteMinNodes = 1000
+	// sspNodeLimit is the largest bipartite flow instance solved cold
+	// by successive shortest paths; cost-scaling solves larger ones.
+	sspNodeLimit = 600
+)
+
 // computeTerm evaluates one EMD* term. With tc.epsTerm == 0 every
 // branch below is the exact pipeline, bit-identical to the
 // pre-approximation engine; a positive budget admits the certified
-// approximation tier on the bipartite path.
+// approximation tier on the bipartite route.
 func computeTerm(g *graph.Digraph, spec termSpec, o Options, tc termCtx) (termVal, error) {
-	n := g.N()
-	red := reduce(spec, o.Clusters, n)
+	red := reduce(spec, o.Clusters, g.N())
 	if len(red.S) == 0 && len(red.C) == 0 && len(red.banks) == 0 {
-		return termVal{used: o.Engine}, nil
+		return termVal{}, nil
 	}
-	engine := o.Engine
-	if engine == EngineAuto {
-		var arcs int
-		if red.banksOnSupplier {
-			arcs = (len(red.S) + len(red.banks)) * len(red.C)
-		} else {
-			arcs = len(red.S) * (len(red.C) + len(red.banks))
-		}
-		// The bipartite pipeline wins while the reduced instance is
-		// small *relative to the network*: its cost is n-delta SSSP
-		// runs plus a flow over nS*(nC+banks) arcs, while the network
-		// engine pays for cost-scaling over the whole graph. Re-measured
-		// on the goal-pruned pipeline (BENCH_sssp.json crossover probe,
-		// |V| = 10000, uniformly scattered flips — the fan-out's worst
-		// case): bipartite wins at ~1900 reduced nodes (2.0s vs 3.1s)
-		// and loses at ~3300 (5.1s vs 3.2s), bracketing the crossover
-		// at roughly n/4; the pre-pruning constant still stands.
-		limit := n / 4
-		if limit < 1000 {
-			limit = 1000
-		}
-		if arcs <= o.BipartiteArcLimit && len(red.S)+len(red.C)+len(red.banks) <= limit {
-			engine = EngineBipartite
-		} else {
-			engine = EngineNetwork
-		}
-	}
-	switch engine {
-	case EngineBipartite:
-		// The approximation tier serves only the bipartite pipeline (its
-		// rows and reduced instance are what the bounds and the entropic
-		// solver consume); budget 0 — or NoBounds, which pins unscreened
-		// exact solves — keeps every gate closed.
-		var budget int64
-		if tc.epsTerm > 0 && !o.NoBounds {
-			budget = int64(tc.epsTerm * float64(red.scale))
-		}
-		if budget > 0 {
-			tv, ok, err := termApproxMultilevel(g, spec, red, o, tc, budget)
-			if err != nil || ok {
-				tv.used = engine
-				return tv, err
-			}
-		}
-		tv, err := termBipartite(g, spec, red, o, tc, budget)
-		tv.used = engine
-		return tv, err
-	case EngineNetwork:
+	if !bipartiteRoute(red, g.N()) {
 		v, err := termNetwork(g, spec, red, o, tc)
 		tv := exactVal(v, 0)
-		tv.used = engine
+		tv.used = EngineNetwork
 		return tv, err
-	case EngineDense:
-		v, err := termDense(g, spec, o, tc)
-		tv := exactVal(v, n)
-		tv.used = engine
-		return tv, err
-	default:
-		return termVal{used: engine}, fmt.Errorf("core: unknown engine %d", engine)
 	}
+	// The approximation tier serves only the bipartite route (its rows
+	// and reduced instance are what the bounds and the entropic solver
+	// consume); budget 0 — or NoBounds, which pins unscreened exact
+	// solves — keeps every gate closed.
+	var budget int64
+	if tc.epsTerm > 0 && !o.NoBounds {
+		budget = int64(tc.epsTerm * float64(red.scale))
+	}
+	if budget > 0 {
+		tv, ok, err := termApproxMultilevel(g, spec, red, o, tc, budget)
+		if err != nil || ok {
+			tv.used = EngineBipartite
+			return tv, err
+		}
+	}
+	tv, err := termBipartite(g, spec, red, o, tc, budget)
+	tv.used = EngineBipartite
+	return tv, err
+}
+
+// bipartiteRoute reports whether the reduced instance red, over a graph
+// of n users, takes the bipartite route. That route wins while the
+// instance is small relative to the network: its cost is n-delta SSSP
+// runs plus a flow over nS*(nC+banks) arcs, while the network route
+// pays for cost-scaling over the whole graph. Measured on the
+// goal-pruned pipeline (BENCH_sssp.json crossover probe, |V| = 10000,
+// uniformly scattered flips — the fan-out's worst case): bipartite
+// wins at ~1900 reduced nodes (2.1s vs 3.3s) and loses at ~3300 (5.1s
+// vs 3.3s), bracketing the crossover at roughly n/4.
+func bipartiteRoute(red reduction, n int) bool {
+	arcs := len(red.S) * (len(red.C) + len(red.banks))
+	if red.banksOnSupplier {
+		arcs = (len(red.S) + len(red.banks)) * len(red.C)
+	}
+	nodes := len(red.S) + len(red.C) + len(red.banks)
+	return arcs <= bipartiteArcLimit && nodes <= max(n/4, bipartiteMinNodes)
 }
 
 // termBipartite is the Theorem 4 pipeline: one SSSP per residual
@@ -309,12 +303,9 @@ func termBipartiteNetwork(g *graph.Digraph, spec termSpec, red reduction, o Opti
 	// cost is the term value, before any shortest-path or assembly
 	// work (the SSSP charge is reported as always, so Results stay
 	// identical). Failing that, the best-overlapping basis becomes a
-	// transplant donor for the solve below. A forced cost-scaling
-	// solver opts out: pinning a solver is a benchmarking lever, and
-	// the warm path would bypass it.
+	// transplant donor for the solve below.
 	var donor *warmBasis
-	warmable := tc.sc != nil && tc.sc.warm != nil && !o.NoWarmStart &&
-		!collectArcs && o.Solver != FlowCostScaling
+	warmable := tc.sc != nil && tc.sc.warm != nil && !o.NoWarmStart && !collectArcs
 	if warmable {
 		tc.sc.markInstance(g.N(), red)
 		exact, d := tc.sc.findWarm(tc.refHash, spec, red)
@@ -537,7 +528,7 @@ func termBipartiteNetwork(g *graph.Digraph, spec termSpec, red reduction, o Opti
 			tc.stats.termsWarmSolved.Add(1)
 		}
 	} else {
-		cost, usedCostScaling, err = solveNetwork(tc.ctx, nw, o, inf+o.Gamma, true)
+		cost, usedCostScaling, err = solveBipartite(tc.ctx, nw, o.Heap, inf+o.Gamma)
 		if tc.stats != nil && err == nil {
 			tc.stats.flowSolves.Add(1)
 		}
@@ -640,14 +631,31 @@ func (tc termCtx) fanOutRows(srcGraph *graph.Digraph, srcW []int32, spec termSpe
 }
 
 // termNetwork routes the reduced instance through the social network
-// itself: graph arcs carry the eq. 2 costs, bank nodes attach to their
-// member users with gamma-cost arcs, and an escape node guarantees
-// feasibility on disconnected graphs at the same saturated cost the
-// bipartite engine uses for unreachable pairs.
+// itself and solves it by cost-scaling.
 func termNetwork(g *graph.Digraph, spec termSpec, red reduction, o Options, tc termCtx) (float64, error) {
+	nw := networkInstance(g, spec, red, o, tc)
+	solveStart := time.Now()
+	cost, err := nw.SolveCostScaling(tc.ctx)
+	if tc.stats != nil {
+		addPhase(&tc.stats.flowNanos, solveStart)
+		if err == nil {
+			tc.stats.flowSolves.Add(1)
+		}
+	}
+	if err != nil {
+		return 0, err
+	}
+	return float64(cost) / float64(red.scale), nil
+}
+
+// networkInstance assembles the network route's flow instance: graph
+// arcs carry the eq. 2 costs, bank nodes attach to their member users
+// with gamma-cost arcs, and an escape node guarantees feasibility on
+// disconnected graphs at the same saturated cost the bipartite route
+// uses for unreachable pairs.
+func networkInstance(g *graph.Digraph, spec termSpec, red reduction, o Options, tc termCtx) *flow.Network {
 	w := tc.groundWeights(g, spec, o, false)
-	maxCost := o.Costs.MaxCost()
-	inf := infCost(g.N(), maxCost, o.EscapeHops)
+	inf := infCost(g.N(), o.Costs.MaxCost(), o.EscapeHops)
 	n := g.N()
 	nB := len(red.banks)
 	escape := n + nB
@@ -671,7 +679,7 @@ func termNetwork(g *graph.Digraph, spec termSpec, red reduction, o Options, tc t
 		}
 	}
 	// Escape hatch: any stranded unit can travel x -> escape -> y at
-	// exactly infCost, matching the bipartite engine's saturated cost.
+	// exactly infCost, matching the bipartite route's saturated cost.
 	// Only graph nodes connect to the escape: bank nodes must keep
 	// their gamma arc as the sole entrance/exit, exactly as in the
 	// bipartite ground distance (gamma + capped member distance).
@@ -693,18 +701,7 @@ func termNetwork(g *graph.Digraph, spec termSpec, red reduction, o Options, tc t
 			nw.SetExcess(n+b, -red.banks[b].units)
 		}
 	}
-	solveStart := time.Now()
-	cost, _, err := solveNetwork(tc.ctx, nw, o, maxCost, false)
-	if tc.stats != nil {
-		addPhase(&tc.stats.flowNanos, solveStart)
-		if err == nil {
-			tc.stats.flowSolves.Add(1)
-		}
-	}
-	if err != nil {
-		return 0, err
-	}
-	return float64(cost) / float64(red.scale), nil
+	return nw
 }
 
 func bankUnits(red reduction) int64 {
@@ -718,61 +715,21 @@ func bankUnits(red reduction) int64 {
 	return total
 }
 
-// solveNetwork dispatches to the configured min-cost-flow solver.
-// Small bipartite instances default to SSP (few augmentations); large
-// instances and network-routed ones to cost-scaling. Re-measured on the
-// pruned pipeline (BENCH_sssp.json crossover probe): cost-scaling beats
-// SSP 6x at ~1900 reduced nodes and 14x at ~3300, and is already level
-// by ~600 — the threshold below. Note that with singleton banks a
+// solveBipartite solves a cold bipartite instance: successive shortest
+// paths up to sspNodeLimit nodes (few augmentations), cost-scaling
+// beyond. Measured on the pruned pipeline (BENCH_sssp.json crossover
+// probe): cost-scaling beats SSP 6x at ~1900 reduced nodes and 14x at
+// ~3300, and is already level by ~600. With singleton banks a
 // realistic active fraction pushes the instance past 600 nodes, so SSP
-// effectively serves only clustered-bank reductions. ctx (which may be
-// nil) lets the solvers abandon a cancelled request between flow
-// pushes. usedCostScaling reports which solver ran — warm-basis
-// retention needs it to renormalize cost-scaling's scaled potentials.
-func solveNetwork(ctx context.Context, nw *flow.Network, o Options, maxArcCost int64, bipartite bool) (cost int64, usedCostScaling bool, err error) {
-	solver := o.Solver
-	if solver == FlowAuto {
-		if bipartite && nw.N() <= 600 {
-			solver = FlowSSP
-		} else {
-			solver = FlowCostScaling
-		}
-	}
-	if solver == FlowSSP {
-		cost, err = nw.SolveSSP(ctx, o.Heap, maxArcCost)
+// effectively serves clustered-bank reductions. ctx (which may be nil)
+// lets the solvers abandon a cancelled request between flow pushes.
+// usedCostScaling reports which solver ran — warm-basis retention
+// needs it to renormalize cost-scaling's scaled potentials.
+func solveBipartite(ctx context.Context, nw *flow.Network, heap pqueue.Kind, maxArcCost int64) (cost int64, usedCostScaling bool, err error) {
+	if nw.N() <= sspNodeLimit {
+		cost, err = nw.SolveSSP(ctx, heap, maxArcCost)
 		return cost, false, err
 	}
 	cost, err = nw.SolveCostScaling(ctx)
 	return cost, true, err
-}
-
-// termDense is the oracle engine: full Johnson all-pairs ground
-// distance plus dense EMD*. The all-pairs run dominates, so the one
-// cancellation check before it (plus the engine's term-boundary check)
-// bounds wasted work to a single dense term.
-func termDense(g *graph.Digraph, spec termSpec, o Options, tc termCtx) (float64, error) {
-	if err := tc.cancelled(); err != nil {
-		return 0, err
-	}
-	w := o.Costs.EdgeCosts(g, spec.ref, spec.op)
-	maxCost := o.Costs.MaxCost()
-	inf := infCost(g.N(), maxCost, o.EscapeHops)
-	d := sssp.Johnson(g, w, o.Heap, maxCost)
-	distFn := func(i, j int) float64 {
-		v := d[i][j]
-		if v >= sssp.Unreachable || v > inf {
-			return float64(inf)
-		}
-		return float64(v)
-	}
-	clusters := o.Clusters
-	if clusters == nil {
-		clusters = cluster.Singleton(g.N())
-	}
-	p := spec.p.Histogram(spec.op)
-	q := spec.q.Histogram(spec.op)
-	return emd.Star(p, q, distFn, emd.StarConfig{
-		Clusters:   clusters,
-		GammaFloor: float64(o.Gamma),
-	})
 }

@@ -73,7 +73,7 @@ type warmBasis struct {
 	red                   reduction // reduce() output; slices are owned (fresh per reduce)
 	arcs                  int       // forward-arc count of the instance
 	cost                  int64     // optimal scaled cost
-	priceDiv              int64     // divide retained prices by this (cost-scaling bases)
+	priceDiv              int64     // divide retained prices by this: 1, or n+1 for cost-scaling bases
 	nw                    *flow.Network
 	netBytes, structBytes int64
 }
@@ -372,9 +372,6 @@ func (sc *scratch) transplant(nw *flow.Network, red reduction, wb *warmBasis) {
 	nS, nC, nB := len(red.S), len(red.C), len(red.banks)
 	dnS, dnC, dnB := len(wb.red.S), len(wb.red.C), len(wb.red.banks)
 	div := wb.priceDiv
-	if div <= 0 {
-		div = 1
-	}
 
 	// Map donor slots to new slots once.
 	supMap := sc.takeMap(&sc.mapSup, dnS)

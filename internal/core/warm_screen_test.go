@@ -2,6 +2,7 @@ package core
 
 import (
 	"context"
+	"math"
 	"math/rand"
 	"reflect"
 	"testing"
@@ -13,7 +14,7 @@ import (
 // engine level: repeated Series and Matrix traffic (the workloads whose
 // second pass exact-hits retained bases, and whose overlapping
 // instances transplant) is bit-identical with and without warm
-// starting, across engine strategies, clusterings, and worker counts.
+// starting, across clusterings and worker counts.
 func TestWarmStartMatchesCold(t *testing.T) {
 	g := engineTestGraph(250, 71)
 	for oi, opts := range engineTestOptions(g) {
@@ -331,5 +332,67 @@ func TestMatrixValidatesDuplicateInvalidStates(t *testing.T) {
 		if _, err := e.Matrix(context.Background(), states); err == nil {
 			t.Fatalf("NoBounds=%v: invalid duplicate states accepted", noBounds)
 		}
+	}
+}
+
+// TestWarmStartCostScaledBasis drives a transplant whose donor was
+// solved cold by cost-scaling: both positive terms reduce to 602-node
+// bipartite instances, past sspNodeLimit, so the first batch retains
+// bases with cost-scaled potentials, and the second batch — one
+// consumer swapped for another — must renormalize them on transplant.
+// Results are pinned bit-identical to a cold engine, and the
+// transplanted pair to the dense oracle.
+func TestWarmStartCostScaledBasis(t *testing.T) {
+	const n, k = 700, 301
+	g := engineTestGraph(n, 77)
+	a, b := opinion.NewState(n), opinion.NewState(n)
+	for i := 0; i < k; i++ {
+		a[i] = opinion.Positive
+		b[k+i] = opinion.Positive
+	}
+	b2 := b.Clone()
+	b2[2*k-1], b2[2*k] = opinion.Neutral, opinion.Positive
+	for _, spec := range eqSpecs(a, b2) {
+		red := reduce(spec, nil, n)
+		nodes := len(red.S) + len(red.C) + len(red.banks)
+		if nodes > 0 && (nodes <= sspNodeLimit || !bipartiteRoute(red, n)) {
+			t.Fatalf("%s term: %d reduced nodes, want a bipartite instance past %d", spec.op, nodes, sspNodeLimit)
+		}
+	}
+
+	ctx := context.Background()
+	cold := DefaultOptions()
+	cold.NoWarmStart = true
+	we := NewEngine(g, DefaultOptions(), EngineConfig{Workers: 1})
+	defer we.Close()
+	ce := NewEngine(g, cold, EngineConfig{Workers: 1})
+	defer ce.Close()
+	pairs := [][2]opinion.State{{a, b}, {a, b2}}
+	var got []Result
+	for _, p := range pairs {
+		res, err := we.Distance(ctx, p[0], p[1])
+		if err != nil {
+			t.Fatal(err)
+		}
+		got = append(got, res)
+	}
+	if s := we.Stats(); s.TermsWarmSolved == 0 {
+		t.Fatalf("second batch never transplanted a basis: %+v", s)
+	}
+	for i, p := range pairs {
+		want, err := ce.Distance(ctx, p[0], p[1])
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(got[i], want) {
+			t.Errorf("pair %d: warm %+v != cold %+v", i, got[i], want)
+		}
+	}
+	dense, err := distanceVia(g, a, b2, DefaultOptions(), viaDense)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if math.Abs(got[1].SND-dense.SND) > 1e-9*math.Max(1, dense.SND) {
+		t.Errorf("transplanted pair: %v != dense %v", got[1].SND, dense.SND)
 	}
 }

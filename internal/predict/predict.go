@@ -39,34 +39,16 @@ type StateDistance interface {
 // set, every call runs on its worker pool (with scratch reuse and
 // ground-distance caching) and the batch entry points Series and
 // DistancePairs parallelize across all requested pairs; otherwise each
-// call falls back to sequential core.Distance.
-//
-// An SNDMeasure with an attached Engine holds that engine's cache and
-// scratch memory. Close releases the engine only when the measure owns
-// it (OwnsEngine): measures borrowed from a snd.Network share the
-// handle's engine, and closing them must not kill the handle.
+// call falls back to sequential core.Distance. The Engine is borrowed:
+// its owner (a snd.Network) releases it.
 type SNDMeasure struct {
 	G      *graph.Digraph
 	Opts   core.Options
 	Engine *core.Engine
-	// OwnsEngine marks the engine as private to this measure, making
-	// Close release it. Constructors that lend a shared engine leave
-	// it false.
-	OwnsEngine bool
 }
 
 // Name implements StateDistance.
 func (SNDMeasure) Name() string { return "snd" }
-
-// Close releases the attached engine when this measure owns it; for a
-// borrowed (shared) engine it is a no-op — close the owner instead. It
-// satisfies io.Closer.
-func (m SNDMeasure) Close() error {
-	if m.Engine != nil && m.OwnsEngine {
-		return m.Engine.Close()
-	}
-	return nil
-}
 
 // Distance implements StateDistance.
 func (m SNDMeasure) Distance(a, b opinion.State) (float64, error) {

@@ -5,9 +5,10 @@
 //
 // All routines work with any state distance (the Measure interface of
 // package predict); plugging SND in gives the paper's intended use.
-// Distances are cached per (i, j) pair, and the triangle-inequality
-// pruning of NearestNeighbors can be enabled for measures known to be
-// metric (see DESIGN.md on when SND configurations are metric).
+// Distances are cached per (i, j) pair. Nothing here assumes the
+// triangle inequality, which SND satisfies only in some configurations
+// (docs/ARCHITECTURE.md, "Design notes"): NearestNeighbors screens
+// candidates with admissible per-pair lower bounds instead.
 package search
 
 import (

@@ -3,7 +3,6 @@ package snd
 import (
 	"context"
 	"fmt"
-	"io"
 	"sync"
 
 	"snd/internal/anomaly"
@@ -221,8 +220,7 @@ func (nw *Network) Explain(ctx context.Context, a, b State) (Result, [4]TermPlan
 // Measure adapts the handle to the Measure interface for the anomaly,
 // prediction, and search pipelines. The returned measure runs on the
 // handle's engine (batch entry points parallelize) and shares its
-// lifetime: it fails once the handle is closed, and CloseMeasure on it
-// is a no-op — the engine is borrowed, not owned. Like the handle, the
+// lifetime: it fails once the handle is closed. Like the handle, the
 // returned measure is safe for concurrent use.
 func (nw *Network) Measure() Measure {
 	return predict.SNDMeasure{G: nw.g, Opts: nw.opts, Engine: nw.eng}
@@ -478,18 +476,4 @@ func anomalyReport(name string, states []State, dists []float64) (AnomalyReport,
 		Distances: norm,
 		Scores:    anomaly.Scores(norm),
 	}, nil
-}
-
-// CloseMeasure releases the resources behind a Measure when it owns
-// any (the engine-backed measure returned by the deprecated SNDMeasure
-// constructor implements io.Closer and owns its engine). Measures
-// returned by Network.Measure borrow their handle's engine, so
-// CloseMeasure on them is a safe no-op — close the handle to release
-// it. Safe to call concurrently with in-flight work on the measure:
-// closing is idempotent and in-flight batches run to completion.
-func CloseMeasure(m Measure) error {
-	if c, ok := m.(io.Closer); ok {
-		return c.Close()
-	}
-	return nil
 }
