@@ -3,6 +3,7 @@ package snd
 import (
 	"context"
 	"math/rand"
+	"sort"
 	"testing"
 )
 
@@ -139,7 +140,10 @@ func TestClusterLabelFacades(t *testing.T) {
 
 // TestScreenedSearchMatchesExhaustiveAPI pins the bounds-first public
 // surface — screened NearestNeighbors and the deduplicating Matrix —
-// bit-identical to the NoBounds/NoWarmStart (exhaustive) pipeline.
+// bit-identical to brute force: Pairs over every (query, state) and
+// every (i, j) pair on a handle without warm starts. A repeated scan,
+// whose bounds are refined by the rows the first scan cached, must
+// return the same neighbors.
 func TestScreenedSearchMatchesExhaustiveAPI(t *testing.T) {
 	g := ScaleFreeGraph(ScaleFreeConfig{N: 300, OutDeg: 4, Exponent: -2.3, Reciprocity: 0.3, Seed: 5})
 	rng := rand.New(rand.NewSource(6))
@@ -160,10 +164,7 @@ func TestScreenedSearchMatchesExhaustiveAPI(t *testing.T) {
 	}
 	states = append(states, states[2].Clone()) // duplicate snapshot
 
-	exOpts := DefaultOptions()
-	exOpts.NoBounds = true
-	exOpts.NoWarmStart = true
-	exNet := NewNetwork(g, exOpts, EngineConfig{})
+	exNet := NewNetwork(g, DefaultOptions(), EngineConfig{WarmCacheBytes: -1})
 	defer exNet.Close()
 	scNet := NewNetwork(g, DefaultOptions(), EngineConfig{})
 	defer scNet.Close()
@@ -173,33 +174,57 @@ func TestScreenedSearchMatchesExhaustiveAPI(t *testing.T) {
 	for f := 0; f < 10; f++ {
 		query[rng.Intn(g.N())] = Opinion(rng.Intn(3) - 1)
 	}
-	for _, k := range []int{1, 3} {
-		want, err := exNet.Index(states).NearestNeighbors(ctx, query, k)
-		if err != nil {
-			t.Fatal(err)
-		}
-		got, err := scNet.Index(states).NearestNeighbors(ctx, query, k)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for i := range want {
-			if got[i] != want[i] {
-				t.Fatalf("k=%d neighbor %d: screened %+v != exhaustive %+v", k, i, got[i], want[i])
-			}
-		}
+	var qPairs []StatePair
+	for _, st := range states {
+		qPairs = append(qPairs, StatePair{A: query, B: st})
 	}
-	wantM, err := exNet.Matrix(ctx, states)
+	qRes, err := exNet.Pairs(ctx, qPairs)
 	if err != nil {
 		t.Fatal(err)
+	}
+	all := make([]StateNeighbor, len(qRes))
+	for i, r := range qRes {
+		all[i] = StateNeighbor{Index: i, Dist: r.SND}
+	}
+	sort.Slice(all, func(a, b int) bool {
+		if all[a].Dist != all[b].Dist {
+			return all[a].Dist < all[b].Dist
+		}
+		return all[a].Index < all[b].Index
+	})
+	ix := scNet.Index(states)
+	for _, k := range []int{1, 3} {
+		want := all[:k]
+		for scan := 0; scan < 2; scan++ {
+			got, err := ix.NearestNeighbors(ctx, query, k)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if len(got) != k {
+				t.Fatalf("k=%d scan %d: %d neighbors", k, scan, len(got))
+			}
+			for i := range want {
+				if got[i] != want[i] {
+					t.Fatalf("k=%d scan %d neighbor %d: screened %+v != exhaustive %+v", k, scan, i, got[i], want[i])
+				}
+			}
+		}
 	}
 	gotM, err := scNet.Matrix(ctx, states)
 	if err != nil {
 		t.Fatal(err)
 	}
-	for i := range wantM {
-		for j := range wantM[i] {
-			if gotM[i][j] != wantM[i][j] {
-				t.Fatalf("matrix (%d,%d): screened %v != exhaustive %v", i, j, gotM[i][j], wantM[i][j])
+	for i := range states {
+		if gotM[i][i] != 0 {
+			t.Fatalf("matrix (%d,%d) = %v, want 0", i, i, gotM[i][i])
+		}
+		for j := i + 1; j < len(states); j++ {
+			want, err := exNet.Pairs(ctx, []StatePair{{A: states[i], B: states[j]}})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if gotM[i][j] != want[0].SND || gotM[j][i] != want[0].SND {
+				t.Fatalf("matrix (%d,%d): screened %v/%v != exhaustive %v", i, j, gotM[i][j], gotM[j][i], want[0].SND)
 			}
 		}
 	}

@@ -23,6 +23,11 @@ import (
 	"time"
 )
 
+// benchJSONPath, when non-empty (-benchjson), receives a machine-
+// readable snapshot of the selected experiment (scalingcores: the
+// committed BENCH_scaling.json; approx: BENCH_approx.json).
+var benchJSONPath string
+
 type scale struct {
 	fig7N, fig7States                 int
 	fig8N, fig8States                 int
@@ -38,7 +43,6 @@ type scale struct {
 	fig11DirectCap                    int
 	fig12N                            int
 	fig12Deltas                       []int
-	ssspN, ssspStates                 int
 
 	// scalingcores: the cores-axis experiment (BENCH_scaling.json).
 	scalingN, scalingStates, scalingTicks int
@@ -71,9 +75,6 @@ var presets = map[string]scale{
 		fig11DirectCap: 300,
 		fig12N:         5000,
 		fig12Deltas:    []int{50, 100, 200, 400, 800, 1500},
-		// The sssp experiment pins n = 20000 even at the small preset:
-		// it is the committed BENCH_sssp.json acceptance workload.
-		ssspN: 20000, ssspStates: 6,
 		// Small scalingcores doubles as the CI smoke: fast enough per
 		// worker count that the whole axis fits a CI job.
 		scalingN: 4000, scalingStates: 8, scalingTicks: 12,
@@ -95,8 +96,6 @@ var presets = map[string]scale{
 		fig11DirectCap: 400,
 		fig12N:         20000,
 		fig12Deltas:    []int{100, 500, 1000, 2000, 4000},
-		ssspN:          20000,
-		ssspStates:     10,
 		// Medium scalingcores is the committed BENCH_scaling.json
 		// workload: the n = 20000 acceptance graph.
 		scalingN: 20000, scalingStates: 10, scalingTicks: 24,
@@ -117,8 +116,6 @@ var presets = map[string]scale{
 		fig11DirectCap: 500,
 		fig12N:         20000,
 		fig12Deltas:    []int{500, 1000, 2000, 4000, 6000, 8000, 10000},
-		ssspN:          50000,
-		ssspStates:     12,
 		scalingN:       50000, scalingStates: 12, scalingTicks: 32,
 		scalingMatrix: 10, scalingNNQueries: 8, scalingNNK: 4,
 		// Paper approx is the committed BENCH_approx.json workload: the
@@ -129,7 +126,7 @@ var presets = map[string]scale{
 }
 
 func main() {
-	exp := flag.String("exp", "all", "experiment id: fig7, fig8, fig9, table1, fig10, fig11, fig12, ablation, engine, delta, sssp, flow, scalingcores, approx, or all")
+	exp := flag.String("exp", "all", "experiment id: fig7, fig8, fig9, table1, fig10, fig11, fig12, ablation, scalingcores, approx, or all")
 	preset := flag.String("preset", "small", "size preset: small, medium, paper")
 	seed := flag.Int64("seed", 42, "master random seed")
 	flag.StringVar(&benchJSONPath, "benchjson", "", "write the selected experiment's snapshot to this JSON file")
@@ -162,14 +159,10 @@ func main() {
 		"fig11":        runFig11,
 		"fig12":        runFig12,
 		"ablation":     runAblation,
-		"engine":       runEngine,
-		"delta":        runDelta,
-		"sssp":         runSSSP,
-		"flow":         runFlow,
 		"scalingcores": runScalingCores,
 		"approx":       runApprox,
 	}
-	order := []string{"fig7", "fig8", "fig9", "table1", "fig10", "fig11", "fig12", "ablation", "engine", "delta", "sssp", "flow", "scalingcores", "approx"}
+	order := []string{"fig7", "fig8", "fig9", "table1", "fig10", "fig11", "fig12", "ablation", "scalingcores", "approx"}
 	selected := strings.Split(*exp, ",")
 	if *exp == "all" {
 		selected = order

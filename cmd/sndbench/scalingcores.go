@@ -95,8 +95,9 @@ func runScalingCores(sc scale, seed int64) {
 	opts.Clusters = snd.BFSClusterLabels(g, 64)
 
 	// The Step workload's delta stream is precomputed so every worker
-	// count replays the identical tick sequence (volatile-pool flips,
-	// as in the delta experiment).
+	// count replays the identical tick sequence (flips drawn from a
+	// small volatile pool, the contested users that flip repeatedly in
+	// polar dynamics).
 	rng := rand.New(rand.NewSource(seed + 122))
 	base := states[0].Clone()
 	volatile := make([]int, 32)

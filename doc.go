@@ -129,8 +129,7 @@
 // every distance is charged the same escape cost), and rows are stored
 // target-indexed — proportional to the reduced instance, not the
 // graph. Pruning is exact on the queried columns, so distances are
-// bit-identical to the full-row pipeline (pinned by property tests;
-// Options.NoGoalPrune pins the old behavior for comparison).
+// bit-identical to the full-row pipeline (pinned by property tests).
 //
 // Retention differs by reference-state kind. Tracked states (the
 // delta-monitoring window) keep exact full rows with parent trees —
@@ -173,9 +172,9 @@
 // paths from the retained potentials; past an invalidation threshold
 // (the saturation moved more than half the supply) it falls back to a
 // cold solve on the spot. The transportation optimum is unique, so
-// distances are bit-identical either way; Options.NoWarmStart pins the
-// cold pipeline, and Engine.Stats reports exact hits, transplants, and
-// phase timings.
+// distances are bit-identical either way; a negative
+// EngineConfig.WarmCacheBytes pins the cold pipeline, and Engine.Stats
+// reports exact hits, transplants, and phase timings.
 //
 // # Lower-bound screening
 //
@@ -191,8 +190,6 @@
 // evaluates candidates bounds-first, stopping once the next bound
 // exceeds the k-th best exact distance. Pairs decides identical-state
 // pairs up front and Matrix elides duplicate states entirely.
-// Options.NoBounds disables all of it, pinning the exhaustive
-// pipeline.
 //
 // The same bounds are exposed over raw histograms as emd.Bounds (in
 // the internal emd package, for the dense oracle path): admissibility
@@ -234,9 +231,7 @@
 // bit-identical to the exact entry points, for any worker count.
 // Exact results carry the degenerate envelope LB = UB = SND.
 // Engine.Stats reports how many terms each stage decided
-// (TermsApproxCoarse, TermsApproxGap, TermsApproxSinkhorn);
-// Options.NoBounds pins the exhaustive pipeline and disables the
-// approximation gates along with the screening bounds.
+// (TermsApproxCoarse, TermsApproxGap, TermsApproxSinkhorn).
 //
 // # Errors
 //
@@ -275,10 +270,10 @@
 //     with a labelled 2008-2011 event timeline.
 //
 // The cmd/sndbench tool regenerates every table and figure of the
-// paper's evaluation section, plus the engine, delta, sssp, flow, and
-// scalingcores experiments behind the committed BENCH_baseline.json,
-// BENCH_delta.json, BENCH_sssp.json, BENCH_flow.json, and
-// BENCH_scaling.json snapshots. docs/ARCHITECTURE.md maps the layers
+// paper's evaluation section, plus the scalingcores and approx
+// experiments behind the committed BENCH_scaling.json and
+// BENCH_approx.json snapshots; the perfbench module is the
+// repository benchmark. docs/ARCHITECTURE.md maps the layers
 // and their locking rules; docs/PERFORMANCE.md is the tuning handbook
 // (every knob, every snapshot, how to read Engine.Stats).
 //

@@ -1,6 +1,7 @@
 package snd
 
 import (
+	"fmt"
 	"go/ast"
 	"go/parser"
 	"go/token"
@@ -8,6 +9,7 @@ import (
 	"os"
 	"path/filepath"
 	"regexp"
+	"strconv"
 	"strings"
 	"testing"
 )
@@ -142,4 +144,118 @@ func TestCommentCitationsExist(t *testing.T) {
 func exists(path string) bool {
 	_, err := os.Stat(path)
 	return err == nil
+}
+
+// TestSndbenchExperimentsExist fails when a Go comment, README.md,
+// docs/*.md, the .claude/skills notes or the CI workflow names a
+// `sndbench -exp <id>` that cmd/sndbench does not register. CHANGES.md
+// is history and perfbench/ belongs to the benchmark, so both are left
+// out.
+func TestSndbenchExperimentsExist(t *testing.T) {
+	registered := sndbenchExperiments(t)
+	ref := regexp.MustCompile(`-exp[ =]([\w|,.]+)`)
+	check := func(where, text string) {
+		for _, m := range ref.FindAllStringSubmatch(text, -1) {
+			for _, id := range strings.FieldsFunc(m[1], func(r rune) bool { return r == '|' || r == ',' || r == '.' }) {
+				if id != "all" && !registered[id] {
+					t.Errorf("%s: names sndbench -exp %s, which cmd/sndbench does not register", where, id)
+				}
+			}
+		}
+	}
+	checkLines := func(path string) {
+		data, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i, line := range strings.Split(string(data), "\n") {
+			check(fmt.Sprintf("%s:%d", path, i+1), line)
+		}
+	}
+
+	docs, err := filepath.Glob("docs/*.md")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, path := range append(docs, "README.md", ".github/workflows/ci.yml") {
+		checkLines(path)
+	}
+	err = filepath.WalkDir(".claude/skills", func(path string, d fs.DirEntry, err error) error {
+		if err == nil && !d.IsDir() {
+			checkLines(path)
+		}
+		return err
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	fset := token.NewFileSet()
+	err = filepath.WalkDir(".", func(path string, d fs.DirEntry, err error) error {
+		if err != nil {
+			return err
+		}
+		if d.IsDir() {
+			if path != "." && (strings.HasPrefix(d.Name(), ".") || path == "perfbench") {
+				return filepath.SkipDir
+			}
+			return nil
+		}
+		if !strings.HasSuffix(path, ".go") {
+			return nil
+		}
+		file, err := parser.ParseFile(fset, path, nil, parser.ParseComments)
+		if err != nil {
+			return err
+		}
+		for _, group := range file.Comments {
+			for _, c := range group.List {
+				check(fset.Position(c.Pos()).String(), c.Text)
+			}
+		}
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+}
+
+// sndbenchExperiments returns the experiment ids cmd/sndbench/main.go
+// registers: the keys of its runners map.
+func sndbenchExperiments(t *testing.T) map[string]bool {
+	t.Helper()
+	file, err := parser.ParseFile(token.NewFileSet(), "cmd/sndbench/main.go", nil, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ids := map[string]bool{}
+	ast.Inspect(file, func(n ast.Node) bool {
+		as, ok := n.(*ast.AssignStmt)
+		if !ok || len(as.Lhs) != 1 || len(as.Rhs) != 1 {
+			return true
+		}
+		if name, ok := as.Lhs[0].(*ast.Ident); !ok || name.Name != "runners" {
+			return true
+		}
+		lit, ok := as.Rhs[0].(*ast.CompositeLit)
+		if !ok {
+			return true
+		}
+		for _, elt := range lit.Elts {
+			if kv, ok := elt.(*ast.KeyValueExpr); ok {
+				if key, ok := kv.Key.(*ast.BasicLit); ok && key.Kind == token.STRING {
+					id, err := strconv.Unquote(key.Value)
+					if err != nil {
+						t.Fatal(err)
+					}
+					ids[id] = true
+				}
+			}
+		}
+		return false
+	})
+	if len(ids) == 0 {
+		t.Fatal("cmd/sndbench/main.go: no runners map found")
+	}
+	return ids
 }

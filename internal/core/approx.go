@@ -135,7 +135,7 @@ func termApproxMultilevel(g *graph.Digraph, spec termSpec, red reduction, o Opti
 		// A column for a residual opposite entity is exactly a
 		// transpose-direction row, so the ground provider's cache and
 		// goal pruning both apply to it.
-		if tc.prov != nil && !o.NoGoalPrune {
+		if tc.prov != nil && !o.ablated(ablateGoalPrune) {
 			if cap(colBuf) < nS {
 				colBuf = make([]int64, nS)
 			}

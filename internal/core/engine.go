@@ -32,7 +32,7 @@ type EngineConfig struct {
 	// into a warm SSP drain. The budget is split evenly across workers
 	// and never exceeded; an explicit budget smaller than the worker
 	// count disables retention. 0 selects 64 MiB; negative disables
-	// retention (as does Options.NoWarmStart).
+	// retention, which pins cold solves.
 	WarmCacheBytes int64
 }
 
@@ -113,7 +113,7 @@ func NewEngine(g *graph.Digraph, opts Options, cfg EngineConfig) *Engine {
 	// workers * floor); an explicit budget below the worker count
 	// disables retention, like a negative one.
 	var warmBudget int64
-	if cfg.WarmCacheBytes >= 0 && !dopts.NoWarmStart {
+	if cfg.WarmCacheBytes >= 0 {
 		total := cfg.WarmCacheBytes
 		if total == 0 {
 			total = defaultWarmCacheBytes
@@ -247,7 +247,7 @@ func (e *Engine) PairsEps(ctx context.Context, pairs []StatePair, eps float64) (
 	results := make([]Result, len(pairs))
 	todo, todoHash := pairs, hashes
 	var todoIdx []int
-	if !e.opts.NoBounds {
+	if !e.opts.ablated(ablateBounds) {
 		// Bounds-first decided pass: identical states are at distance
 		// zero by definition (every term reduces empty), so they skip
 		// scheduling entirely. The fingerprint prefilters; the literal
@@ -348,12 +348,12 @@ func (e *Engine) SeriesEps(ctx context.Context, states []opinion.State, eps floa
 
 // Matrix computes the full symmetric distance matrix of the given
 // states, evaluating only the i < j pairs (SND is symmetric) and
-// mirroring. The diagonal is zero. Unless Options.NoBounds is set, a
-// bounds-first pass deduplicates content-identical states (their rows
-// and columns coincide, and their mutual distance is zero by
-// definition), so only distinct-state pairs pay exact solves; the
-// returned matrix is bit-identical either way, since the engine's
-// result is a pure function of state content.
+// mirroring. The diagonal is zero. A bounds-first pass deduplicates
+// content-identical states (their rows and columns coincide, and their
+// mutual distance is zero by definition), so only distinct-state pairs
+// pay exact solves; the returned matrix is bit-identical to evaluating
+// every pair, since the engine's result is a pure function of state
+// content.
 func (e *Engine) Matrix(ctx context.Context, states []opinion.State) ([][]float64, error) {
 	out, _, err := e.MatrixEps(ctx, states, e.opts.Epsilon)
 	return out, err
@@ -387,12 +387,12 @@ func (e *Engine) MatrixEps(ctx context.Context, states []opinion.State, eps floa
 		return out, 0, nil
 	}
 	// repOf[i] is the position of state i's representative in reps:
-	// with NoBounds every state represents itself; otherwise states
-	// with identical content (fingerprint prefilter, literal diff
-	// confirms) share one representative.
+	// with bounds ablated every state represents itself; otherwise
+	// states with identical content (fingerprint prefilter, literal
+	// diff confirms) share one representative.
 	repOf := make([]int, n)
 	var reps []int
-	if e.opts.NoBounds {
+	if e.opts.ablated(ablateBounds) {
 		reps = make([]int, n)
 		for i := range reps {
 			reps[i], repOf[i] = i, i

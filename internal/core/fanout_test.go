@@ -12,32 +12,54 @@ import (
 // TestGoalPruningMatchesFullRows pins the tentpole's exactness claim at
 // the engine level: distances with the goal-pruned fan-out are
 // bit-identical to the pre-pruning full-row pipeline, across
-// clusterings, cache configurations, and randomized state sequences.
+// clusterings, cache configurations, worker counts, randomized state
+// sequences, and the tracked delta path (AdvanceRef lineage, as
+// Network.Step drives it).
 func TestGoalPruningMatchesFullRows(t *testing.T) {
 	g := engineTestGraph(250, 31)
+	ctx := context.Background()
 	for _, cacheBytes := range []int64{-1, 0} {
 		for oi, opts := range engineTestOptions(g) {
-			pruned := opts
 			full := opts
-			full.NoGoalPrune = true
-			pe := NewEngine(g, pruned, EngineConfig{Workers: 1, GroundCacheBytes: cacheBytes})
+			full.ablate = ablateGoalPrune
 			fe := NewEngine(g, full, EngineConfig{Workers: 1, GroundCacheBytes: cacheBytes})
 			states := engineTestStates(g.N(), 8, 20, int64(40+oi))
 			var pairs []StatePair
 			for i := 0; i+1 < len(states); i++ {
 				pairs = append(pairs, StatePair{A: states[i], B: states[i+1]})
 			}
-			got, err := pe.Pairs(context.Background(), pairs)
-			if err != nil {
-				t.Fatalf("cache %d opts %d: pruned: %v", cacheBytes, oi, err)
-			}
-			want, err := fe.Pairs(context.Background(), pairs)
+			want, err := fe.Pairs(ctx, pairs)
 			if err != nil {
 				t.Fatalf("cache %d opts %d: full: %v", cacheBytes, oi, err)
 			}
-			if !reflect.DeepEqual(got, want) {
-				t.Fatalf("cache %d opts %d: pruned diverged from full rows:\n%v\n%v",
-					cacheBytes, oi, got, want)
+			for _, workers := range []int{1, 4} {
+				cfg := EngineConfig{Workers: workers, GroundCacheBytes: cacheBytes}
+				got, err := NewEngine(g, opts, cfg).Pairs(ctx, pairs)
+				if err != nil {
+					t.Fatalf("cache %d opts %d workers %d: pruned: %v", cacheBytes, oi, workers, err)
+				}
+				if !reflect.DeepEqual(got, want) {
+					t.Fatalf("cache %d opts %d workers %d: pruned diverged from full rows:\n%v\n%v",
+						cacheBytes, oi, workers, got, want)
+				}
+				tracked := NewEngine(g, opts, cfg)
+				for i, p := range pairs {
+					var changed []int32
+					for u := range p.A {
+						if p.A[u] != p.B[u] {
+							changed = append(changed, int32(u))
+						}
+					}
+					tracked.AdvanceRef(p.A, p.B, changed)
+					res, err := tracked.Distance(ctx, p.A, p.B)
+					if err != nil {
+						t.Fatalf("cache %d opts %d workers %d step %d: %v", cacheBytes, oi, workers, i, err)
+					}
+					if !reflect.DeepEqual(res, want[i]) {
+						t.Fatalf("cache %d opts %d workers %d step %d: tracked pruned path diverged from full rows:\n%v\n%v",
+							cacheBytes, oi, workers, i, res, want[i])
+					}
+				}
 			}
 		}
 	}

@@ -170,34 +170,35 @@ func TestProviderNonLocalModel(t *testing.T) {
 // TestEngineDeltaPathMatchesColdEngine pins the end-to-end contract at
 // the engine level: a Distance computed after AdvanceRef lineage (warm
 // provider, delta-derived ground data) is bit-identical to the same
-// Distance on a cold engine.
+// Distance on a cold engine, with singleton and clustered banks.
 func TestEngineDeltaPathMatchesColdEngine(t *testing.T) {
 	g := engineTestGraph(300, 17)
-	rng := rand.New(rand.NewSource(41))
-	opts := DefaultOptions()
-	warm := NewEngine(g, opts, EngineConfig{Workers: 2})
-	defer warm.Close()
-	ctx := context.Background()
-	st := engineTestStates(g.N(), 1, 0, 19)[0]
-	for tick := 0; tick < 12; tick++ {
-		next, changed := applyFlips(st, rng.Intn(6)+1, rng)
-		if len(changed) == 0 {
-			continue
+	for oi, opts := range engineTestOptions(g) {
+		rng := rand.New(rand.NewSource(41))
+		warm := NewEngine(g, opts, EngineConfig{Workers: 2})
+		defer warm.Close()
+		ctx := context.Background()
+		st := engineTestStates(g.N(), 1, 0, 19)[0]
+		for tick := 0; tick < 12; tick++ {
+			next, changed := applyFlips(st, rng.Intn(6)+1, rng)
+			if len(changed) == 0 {
+				continue
+			}
+			warm.AdvanceRef(st, next, changed)
+			got, err := warm.Distance(ctx, st, next)
+			if err != nil {
+				t.Fatal(err)
+			}
+			cold := NewEngine(g, opts, EngineConfig{Workers: 2})
+			want, err := cold.Distance(ctx, st, next)
+			cold.Close()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !reflect.DeepEqual(got, want) {
+				t.Errorf("opts %d tick %d: delta-path result %+v != cold engine %+v", oi, tick, got, want)
+			}
+			st = next
 		}
-		warm.AdvanceRef(st, next, changed)
-		got, err := warm.Distance(ctx, st, next)
-		if err != nil {
-			t.Fatal(err)
-		}
-		cold := NewEngine(g, opts, EngineConfig{Workers: 2})
-		want, err := cold.Distance(ctx, st, next)
-		cold.Close()
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !reflect.DeepEqual(got, want) {
-			t.Errorf("tick %d: delta-path result %+v != cold engine %+v", tick, got, want)
-		}
-		st = next
 	}
 }

@@ -100,36 +100,6 @@ type Options struct {
 	// MaxCost when the options are applied: Dial's bucket queue while
 	// the edge-cost bound buckets cheaply, the radix heap beyond.
 	Heap pqueue.Kind
-	// NoGoalPrune disables the goal-pruned SSSP fan-out of the
-	// bipartite pipeline: every per-supplier run settles the whole
-	// graph (and the ground provider retains full rows for all of
-	// them), as the engine did before pruning existed. Distances are
-	// bit-identical either way — pruning is exact on the queried
-	// columns — so this exists for benchmarking (the sndbench sssp
-	// experiment measures pruned against unpruned) and as a validation
-	// lever for the exactness property tests.
-	NoGoalPrune bool
-	// NoWarmStart disables warm-started transportation solves in the
-	// bipartite pipeline: every term solve starts from zero potentials
-	// and no flow, and no solved bases are retained in the worker
-	// arenas — exactly the pre-warm-start pipeline. Distances are
-	// bit-identical either way (the transportation optimum is unique),
-	// so this exists for benchmarking (the sndbench flow experiment
-	// measures warm against cold) and as a validation lever for the
-	// exactness property tests.
-	NoWarmStart bool
-	// NoBounds disables lower-bound screening everywhere: the term
-	// pipeline always runs its flow solve (no LB == UB gate), Pairs and
-	// Matrix never decide identical-state pairs up front, and
-	// Engine.LowerBounds returns zeros, which makes the bound-first
-	// nearest-neighbor scan (search.Index.NearestNeighbors) degrade to
-	// exhaustive evaluation. Anomaly detection inherits the gates
-	// through its Series batch (stagnant transitions decide as
-	// identical pairs; decided terms skip their solves) rather than
-	// through a dedicated prefilter. Distances are bit-identical either
-	// way; this pins the unscreened pipeline for benchmarking and
-	// tests.
-	NoBounds bool
 	// Clusters optionally groups users for bank allocation (nil =
 	// one bank per user, the Theorem 4 setting).
 	Clusters []int
@@ -146,9 +116,7 @@ type Options struct {
 	// certified envelope, skipping SSSP runs and flow solves; a term
 	// whose envelope cannot be tightened within budget falls back to the
 	// exact solve, so the contract holds unconditionally. The per-call
-	// *Eps engine methods override this default. NoBounds disables the
-	// approximation gates along with the exact ones, forcing exact
-	// solves regardless of Epsilon.
+	// *Eps engine methods override this default.
 	Epsilon float64
 	// EscapeHops thresholds the ground distance: transport between
 	// users with no directed path (or one costing more) is charged
@@ -161,7 +129,30 @@ type Options struct {
 	// distance on directed follower graphs. 0 selects 32; set it to
 	// n+1 (or math.MaxInt32) for the untruncated shortest-path metric.
 	EscapeHops int
+
+	// ablate switches off exact optimizations so package tests can pin
+	// the optimized pipeline bit-identical to the unoptimized one.
+	// Production code only reads it.
+	ablate ablation
 }
+
+// ablation is a bit set of exact optimizations to switch off.
+type ablation uint8
+
+const (
+	// ablateGoalPrune runs every SSSP of the bipartite fan-out over the
+	// whole graph, and has the ground provider retain full rows, as the
+	// pipeline did before goal pruning.
+	ablateGoalPrune ablation = 1 << iota
+	// ablateBounds disables lower-bound screening everywhere: the term
+	// pipeline always runs its flow solve (no LB == UB gate, and no
+	// approximation gates whatever the budget), Pairs and Matrix never
+	// decide identical-state pairs up front, and Engine.LowerBounds
+	// returns zeros, so bound-first consumers evaluate exhaustively.
+	ablateBounds
+)
+
+func (o Options) ablated(a ablation) bool { return o.ablate&a != 0 }
 
 // HeapAuto selects the Dijkstra queue by the cost model's edge-cost
 // bound: Dial's bucket queue while the bound is small (the Assumption 2

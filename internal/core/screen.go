@@ -37,7 +37,7 @@ import (
 // Both layers are exact-value-preserving: a gate fires only when the
 // bound pins the integer optimum, and screening consumers are required
 // to fall back to exact solves whenever a bound is not decisive.
-// Options.NoBounds disables both.
+// Ablating bounds (package tests only) disables both.
 
 // termBoundsFromRows computes admissible integer bounds on the scaled
 // optimal transportation cost of the reduced instance red, given the
@@ -178,9 +178,7 @@ func (sc *scratch) takeBoundBuf(n int) []int64 {
 // nearest-target row minima whenever the ground-distance provider
 // already retains the needed rows. The method exists for bound-first
 // consumers (nearest-neighbor search, threshold screens) that pay
-// exact evaluations only for pairs the bound cannot exclude; with
-// Options.NoBounds set every bound is 0, which makes screening
-// consumers degrade to exhaustive evaluation.
+// exact evaluations only for pairs the bound cannot exclude.
 func (e *Engine) LowerBounds(ctx context.Context, pairs []StatePair) ([]float64, error) {
 	if err := e.closedErr(); err != nil {
 		return nil, err
@@ -194,7 +192,7 @@ func (e *Engine) LowerBounds(ctx context.Context, pairs []StatePair) ([]float64,
 		}
 	}
 	out := make([]float64, len(pairs))
-	if e.opts.NoBounds {
+	if e.opts.ablated(ablateBounds) {
 		return out, nil
 	}
 	start := time.Now()

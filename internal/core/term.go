@@ -228,10 +228,10 @@ func computeTerm(g *graph.Digraph, spec termSpec, o Options, tc termCtx) (termVa
 	}
 	// The approximation tier serves only the bipartite route (its rows
 	// and reduced instance are what the bounds and the entropic solver
-	// consume); budget 0 — or NoBounds, which pins unscreened exact
+	// consume); budget 0 — or ablated bounds, which pin unscreened exact
 	// solves — keeps every gate closed.
 	var budget int64
-	if tc.epsTerm > 0 && !o.NoBounds {
+	if tc.epsTerm > 0 && !o.ablated(ablateBounds) {
 		budget = int64(tc.epsTerm * float64(red.scale))
 	}
 	if budget > 0 {
@@ -305,7 +305,7 @@ func termBipartiteNetwork(g *graph.Digraph, spec termSpec, red reduction, o Opti
 	// identical). Failing that, the best-overlapping basis becomes a
 	// transplant donor for the solve below.
 	var donor *warmBasis
-	warmable := tc.sc != nil && tc.sc.warm != nil && !o.NoWarmStart && !collectArcs
+	warmable := tc.sc != nil && tc.sc.warm != nil && !collectArcs
 	if warmable {
 		tc.sc.markInstance(g.N(), red)
 		exact, d := tc.sc.findWarm(tc.refHash, spec, red)
@@ -381,7 +381,7 @@ func termBipartiteNetwork(g *graph.Digraph, spec termSpec, red reduction, o Opti
 	// within budget decides the term at its feasible upper end. Explain
 	// always solves (it needs the realized plan).
 	rowsLB, rowsUB := int64(0), int64(math.MaxInt64)
-	if !o.NoBounds && !collectArcs {
+	if !o.ablated(ablateBounds) && !collectArcs {
 		boundStart := time.Now()
 		lb, ub := termBoundsFromRows(red, rows, len(opposite), bankOff, len(targets), o.Gamma, capDist, tc.sc)
 		if tc.stats != nil {
@@ -571,10 +571,10 @@ func termBipartiteNetwork(g *graph.Digraph, spec termSpec, red reduction, o Opti
 // of sources[i]: by the provider's fast paths when one is attached, by
 // the goal-pruned Dijkstra (cut off at the saturation radius) on the
 // no-provider and budget-exhausted paths, and by a full-graph run when
-// o.NoGoalPrune pins the pre-pruning behavior. When a help pool is
-// present the loop is split into per-source sub-tasks idle workers
-// steal; placement is fixed by index, so the rows — and every
-// downstream bit — are identical to the sequential order.
+// goal pruning is ablated. When a help pool is present the loop is
+// split into per-source sub-tasks idle workers steal; placement is
+// fixed by index, so the rows — and every downstream bit — are
+// identical to the sequential order.
 func (tc termCtx) fanOutRows(srcGraph *graph.Digraph, srcW []int32, spec termSpec, o Options, sources, targets []int32, rows [][]int64, reversed bool, maxCost, cutoff int64) error {
 	// A pruned search must settle a ball covering every target; once
 	// targets are plentiful relative to the graph that ball is the
@@ -587,12 +587,13 @@ func (tc termCtx) fanOutRows(srcGraph *graph.Digraph, srcW []int32, spec termSpe
 	if pruneLimit < 64 {
 		pruneLimit = 64
 	}
-	prune := !o.NoGoalPrune && len(targets) <= pruneLimit
+	noPrune := o.ablated(ablateGoalPrune)
+	prune := !noPrune && len(targets) <= pruneLimit
 	fill := func(sc *scratch, i int) {
 		s := sources[i]
 		out := rows[i]
 		if tc.prov != nil {
-			if !o.NoGoalPrune {
+			if !noPrune {
 				if tc.prov.rowGoals(tc.refHash, spec.ref, spec.op, reversed, s, srcW, targets, out, sc) {
 					return
 				}

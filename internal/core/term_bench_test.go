@@ -44,7 +44,9 @@ func BenchmarkTermBipartite(b *testing.B) {
 		}{{"auto", true}, {"fullrows", false}} {
 			b.Run(shape.name+"/"+cfg.name, func(b *testing.B) {
 				o := opts
-				o.NoGoalPrune = !cfg.prune
+				if !cfg.prune {
+					o.ablate = ablateGoalPrune
+				}
 				sc := &scratch{}
 				tc := termCtx{sc: sc}
 				b.ReportAllocs()

@@ -31,9 +31,10 @@ import (
 //     evolving states hits.
 //
 // Either way the returned cost is the exact optimum (it is unique), so
-// distances are bit-identical to cold solves; Options.NoWarmStart pins
-// the cold pipeline. The ring is per-worker state: no locks, and hit
-// rates degrade gracefully when terms scatter across workers.
+// distances are bit-identical to cold solves; a negative
+// EngineConfig.WarmCacheBytes pins the cold pipeline. The ring is
+// per-worker state: no locks, and hit rates degrade gracefully when
+// terms scatter across workers.
 //
 // Multicore audit note: the ring lives in the worker's scratch arena
 // (scratch.warm), so it is already fully sharded — no mutex, no

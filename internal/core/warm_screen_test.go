@@ -18,11 +18,9 @@ import (
 func TestWarmStartMatchesCold(t *testing.T) {
 	g := engineTestGraph(250, 71)
 	for oi, opts := range engineTestOptions(g) {
-		cold := opts
-		cold.NoWarmStart = true
 		for _, workers := range []int{1, 3} {
 			we := NewEngine(g, opts, EngineConfig{Workers: workers})
-			ce := NewEngine(g, cold, EngineConfig{Workers: workers})
+			ce := NewEngine(g, opts, EngineConfig{Workers: workers, WarmCacheBytes: -1})
 			states := engineTestStates(g.N(), 6, 25, int64(100+oi))
 			ctx := context.Background()
 			for pass := 0; pass < 2; pass++ { // second pass hits retained bases
@@ -64,10 +62,8 @@ func TestWarmStartMonitoringMatchesCold(t *testing.T) {
 	query := randState(g.N(), 0.3, rng)
 	cur := perturb(query, 40, rng)
 	opts := DefaultOptions()
-	cold := opts
-	cold.NoWarmStart = true
 	we := NewEngine(g, opts, EngineConfig{Workers: 1})
-	ce := NewEngine(g, cold, EngineConfig{Workers: 1})
+	ce := NewEngine(g, opts, EngineConfig{Workers: 1, WarmCacheBytes: -1})
 	ctx := context.Background()
 	for tick := 0; tick < 25; tick++ {
 		got, err := we.Distance(ctx, query, cur)
@@ -105,7 +101,7 @@ func TestScreenedPairsAndMatrixMatchExhaustive(t *testing.T) {
 	}
 	for oi, opts := range engineTestOptions(g) {
 		ex := opts
-		ex.NoBounds = true
+		ex.ablate = ablateBounds
 		se := NewEngine(g, opts, EngineConfig{Workers: 3})
 		ee := NewEngine(g, ex, EngineConfig{Workers: 3})
 		ctx := context.Background()
@@ -296,7 +292,7 @@ func TestTrackedExactHitWithStrippedBasis(t *testing.T) {
 	for i := range others {
 		others[i] = perturb(tracked, 25+i, rng)
 	}
-	cold := NewEngine(g, Options{NoWarmStart: true, NoBounds: true}, EngineConfig{Workers: 1})
+	cold := NewEngine(g, Options{ablate: ablateBounds}, EngineConfig{Workers: 1, WarmCacheBytes: -1})
 	for round := 0; round < 4; round++ {
 		got, err := e.Distance(ctx, query, tracked)
 		if err != nil {
@@ -325,23 +321,25 @@ func TestMatrixValidatesDuplicateInvalidStates(t *testing.T) {
 	bad := make(opinion.State, g.N())
 	bad[3] = 7 // invalid opinion value
 	states := []opinion.State{bad, append(opinion.State(nil), bad...)}
-	for _, noBounds := range []bool{false, true} {
+	for _, ablate := range []ablation{0, ablateBounds} {
 		opts := DefaultOptions()
-		opts.NoBounds = noBounds
+		opts.ablate = ablate
 		e := NewEngine(g, opts, EngineConfig{Workers: 1})
 		if _, err := e.Matrix(context.Background(), states); err == nil {
-			t.Fatalf("NoBounds=%v: invalid duplicate states accepted", noBounds)
+			t.Fatalf("ablate=%d: invalid duplicate states accepted", ablate)
 		}
 	}
 }
 
 // TestWarmStartCostScaledBasis drives a transplant whose donor was
 // solved cold by cost-scaling: both positive terms reduce to 602-node
-// bipartite instances, past sspNodeLimit, so the first batch retains
-// bases with cost-scaled potentials, and the second batch — one
-// consumer swapped for another — must renormalize them on transplant.
-// Results are pinned bit-identical to a cold engine, and the
-// transplanted pair to the dense oracle.
+// bipartite instances, past sspNodeLimit, so the first pair retains
+// bases with cost-scaled potentials, and the second pair — one consumer
+// swapped for another — must renormalize them on transplant. Both pairs
+// go in one single-worker batch, so one scratch arena carries the
+// bases: between batches the arena sits in a sync.Pool, which the race
+// detector empties at random. Results are pinned bit-identical to a
+// cold engine, and the transplanted pair to the dense oracle.
 func TestWarmStartCostScaledBasis(t *testing.T) {
 	const n, k = 700, 301
 	g := engineTestGraph(n, 77)
@@ -361,26 +359,20 @@ func TestWarmStartCostScaledBasis(t *testing.T) {
 	}
 
 	ctx := context.Background()
-	cold := DefaultOptions()
-	cold.NoWarmStart = true
 	we := NewEngine(g, DefaultOptions(), EngineConfig{Workers: 1})
 	defer we.Close()
-	ce := NewEngine(g, cold, EngineConfig{Workers: 1})
+	ce := NewEngine(g, DefaultOptions(), EngineConfig{Workers: 1, WarmCacheBytes: -1})
 	defer ce.Close()
-	pairs := [][2]opinion.State{{a, b}, {a, b2}}
-	var got []Result
-	for _, p := range pairs {
-		res, err := we.Distance(ctx, p[0], p[1])
-		if err != nil {
-			t.Fatal(err)
-		}
-		got = append(got, res)
+	pairs := []StatePair{{A: a, B: b}, {A: a, B: b2}}
+	got, err := we.Pairs(ctx, pairs)
+	if err != nil {
+		t.Fatal(err)
 	}
 	if s := we.Stats(); s.TermsWarmSolved == 0 {
-		t.Fatalf("second batch never transplanted a basis: %+v", s)
+		t.Fatalf("second pair never transplanted a basis: %+v", s)
 	}
 	for i, p := range pairs {
-		want, err := ce.Distance(ctx, p[0], p[1])
+		want, err := ce.Distance(ctx, p.A, p.B)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -111,11 +111,11 @@ func (m SNDMeasure) DistancePairs(ctx context.Context, pairs [][2]opinion.State)
 // SND — bounds[i] <= the exact distance, always — computed without any
 // shortest-path or flow work (the engine's mass-mismatch term plus
 // cached-row minima). It returns nil (with nil error) when the measure
-// cannot bound cheaply: no attached engine, or bounds disabled via
-// Options.NoBounds. Bound-first consumers (the search index's
-// nearest-neighbor scan) treat nil as "evaluate exhaustively".
+// cannot bound cheaply, that is, without an attached engine.
+// Bound-first consumers (the search index's nearest-neighbor scan)
+// treat nil as "evaluate exhaustively".
 func (m SNDMeasure) DistanceLowerBounds(ctx context.Context, pairs [][2]opinion.State) ([]float64, error) {
-	if m.Engine == nil || m.Opts.NoBounds {
+	if m.Engine == nil {
 		return nil, nil
 	}
 	sp := make([]core.StatePair, len(pairs))

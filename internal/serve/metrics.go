@@ -10,12 +10,17 @@ import (
 )
 
 // latencyBuckets are the fixed histogram bounds (seconds) for request
-// latency, spanning sub-millisecond cache hits to multi-second cold
-// matrix queries. Prometheus convention: cumulative buckets plus +Inf.
-var latencyBuckets = []float64{
-	0.0005, 0.001, 0.0025, 0.005, 0.01, 0.025, 0.05,
-	0.1, 0.25, 0.5, 1, 2.5, 5, 10,
-}
+// latency: 0.5 ms doubling to ~524 s, spanning sub-millisecond cache
+// hits to cold nearest-neighbor and matrix queries, which take minutes
+// at a few thousand users. Prometheus convention: cumulative buckets
+// plus +Inf.
+var latencyBuckets = func() []float64 {
+	b := make([]float64, 21)
+	for i := range b {
+		b[i] = 0.0005 * float64(uint64(1)<<i)
+	}
+	return b
+}()
 
 // metrics aggregates the server's request-level observability:
 // request counters by (route, code), latency histograms by route, and

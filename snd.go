@@ -71,7 +71,8 @@ func NewState(n int) State { return opinion.NewState(n) }
 func ReadState(r io.Reader) (State, error) { return opinion.DecodeState(r) }
 
 // Options configures SND: ground-cost model, bank-bin distance,
-// computation engine, flow solver, Dijkstra heap, and bank clustering.
+// Dijkstra heap, bank clustering, certified error budget, and escape
+// threshold. Every optimization of the pipeline is exact and always on.
 // Options is a value: copies are independent, and an Engine or Network
 // snapshots the options it was constructed with, so mutating the
 // caller's copy afterwards has no effect and no concurrency hazard.
