@@ -122,24 +122,32 @@
 // # The goal-pruned SSSP fan-out
 //
 // The Theorem 4 pipeline consumes, per EMD* term, only the ground
-// distances from each residual supplier to the residual consumers and
-// bank members. The fan-out therefore runs a goal-set-pruned Dijkstra:
-// each per-source search stops as soon as every queried target is
-// settled or the frontier passes the saturation cost (beyond which
-// every distance is charged the same escape cost), and rows are stored
-// target-indexed — proportional to the reduced instance, not the
-// graph. Pruning is exact on the queried columns, so distances are
-// bit-identical to the full-row pipeline (pinned by property tests).
+// distance from each residual supplier to each residual consumer and
+// to each bank's nearest member: a Lemma 1/2 bank costs gamma plus
+// that distance, so no further member distance is used. Rows therefore
+// have one column per opposite-side user and one per bank, and the
+// fan-out runs a goal-set-pruned Dijkstra that fills a bank's column
+// as soon as its first member settles: each per-source search stops
+// once every column is settled or the frontier passes the saturation
+// cost (beyond which every distance is charged the same escape cost).
+// Rows are proportional to the reduced instance, not the graph.
+// Pruning is exact on every column, so distances are bit-identical to
+// the full-row pipeline (pinned by property tests).
 //
-// Retention differs by reference-state kind. Tracked states (the
-// delta-monitoring window) keep exact full rows with parent trees —
-// they are the repair donors Step's incremental path derives from.
-// Untracked (batch) states retain compact rows capped at the
-// saturation cost, a third of a tree's bytes, so Series and Matrix
-// traffic that revisits a reference state keeps hitting at scales
-// where full-tree retention would thrash; the caps never change a
-// result bit because term assembly saturates at the same threshold.
-// Once the budget is spent the fan-out computes pruned rows into
+// Retention differs by reference-state kind and batch kind. Tracked
+// states (the delta-monitoring window) keep exact full rows with parent
+// trees — they are the repair donors Step's incremental path derives
+// from. Untracked states in Pairs, Matrix and nearest-neighbour
+// batches retain compact rows capped at the saturation cost, a third
+// of a tree's bytes, so traffic that revisits a reference state keeps
+// hitting at scales where full-tree retention would thrash; the caps
+// never change a result bit because term assembly saturates at the
+// same threshold. Series batches retain no rows for untracked states,
+// only their cost arrays: a Series reference state serves just its two
+// adjacent pairs, and a row recurs between those only for a user who
+// leaves an opinion and returns to it on the next tick, so retained
+// rows would fill the budget without being read back. Such a miss, or
+// any miss once the budget is spent, computes pruned rows into
 // per-worker scratch and retains nothing.
 //
 // Within one term the per-source searches are independent: engine

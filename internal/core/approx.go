@@ -78,10 +78,15 @@ func termApproxMultilevel(g *graph.Digraph, spec termSpec, red reduction, o Opti
 	}
 
 	// Profitability: every column costs one run (a full-graph one for
-	// banks), against one per source on the exact path. When the exact
-	// fan-out would be goal-pruned (few targets), its runs are cheap
-	// partial balls, so the column orientation must win by a wider
-	// margin to be worth it.
+	// banks), against one per source on the exact path. The margin is
+	// wider when the bank members and opposite users together are few
+	// relative to the graph, a proxy for the exact fan-out's runs being
+	// cheap partial balls. The proxy counts every bank member, while the
+	// exact fan-out's density test counts columns (a bank is one column,
+	// settled by its nearest member), so the two can disagree. The
+	// proxy stays as it is: it picks which certified envelope approx
+	// returns, so retuning it moves results and needs its own benchmark
+	// change.
 	totalTargets := nOpp
 	for _, b := range red.banks {
 		totalTargets += len(b.members)
@@ -140,7 +145,7 @@ func termApproxMultilevel(g *graph.Digraph, spec termSpec, red reduction, o Opti
 				colBuf = make([]int64, nS)
 			}
 			colBuf = colBuf[:nS]
-			if tc.prov.rowGoals(tc.refHash, spec.ref, spec.op, !reversed, c, colW, sources, colBuf, sc) {
+			if tc.prov.rowGoals(tc.refHash, spec.ref, spec.op, !reversed, c, colW, sources, nil, colBuf, !tc.series, sc) {
 				for i, d := range colBuf {
 					mat[i*cols+j] = capDist(d)
 				}
@@ -165,19 +170,15 @@ func termApproxMultilevel(g *graph.Digraph, spec termSpec, red reduction, o Opti
 	}
 
 	// Certification: the exact pipeline's bound construction over the
-	// coarsened matrix. Each bank is a single aggregated pseudo-member
-	// column, which termBoundsFromRows handles as a one-member bank.
+	// coarsened matrix. Each bank is one aggregated column at nOpp+b,
+	// the layout the exact fan-out's rows use.
 	boundStart := time.Now()
 	rows := make([][]int64, nS)
 	for i := range rows {
 		rows[i] = mat[i*cols : (i+1)*cols]
 	}
-	bankOff := sc.takeBankOff(nB)
-	for b := 0; b < nB; b++ {
-		bankOff = append(bankOff, int32(nOpp+b))
-	}
 	ident := func(d int64) int64 { return d } // mat is pre-capped
-	lb, ub := termBoundsFromRows(red, rows, nOpp, bankOff, cols, o.Gamma, ident, sc)
+	lb, ub := termBoundsFromRows(red, rows, nOpp, o.Gamma, ident, sc)
 	if tc.stats != nil {
 		addPhase(&tc.stats.boundNanos, boundStart)
 	}

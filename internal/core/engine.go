@@ -218,6 +218,12 @@ func (e *Engine) DistanceEps(ctx context.Context, a, b opinion.State, eps float6
 // PairsEps is Pairs under an explicit certified error budget (see
 // DistanceEps for the contract). Negative or NaN budgets are rejected.
 func (e *Engine) PairsEps(ctx context.Context, pairs []StatePair, eps float64) ([]Result, error) {
+	return e.pairsEps(ctx, pairs, eps, false)
+}
+
+// pairsEps is PairsEps; series marks the terms of a Series batch (see
+// termCtx.series).
+func (e *Engine) pairsEps(ctx context.Context, pairs []StatePair, eps float64, series bool) ([]Result, error) {
 	if err := e.closedErr(); err != nil {
 		return nil, err
 	}
@@ -267,7 +273,7 @@ func (e *Engine) PairsEps(ctx context.Context, pairs []StatePair, eps float64) (
 			return results, nil
 		}
 	}
-	outs, err := e.runTerms(ctx, todo, todoHash, eps)
+	outs, err := e.runTerms(ctx, todo, todoHash, eps, series)
 	if err != nil {
 		return nil, err
 	}
@@ -315,7 +321,12 @@ func epsTermBudget(eps float64) float64 {
 
 // Series computes the SND between every adjacent pair of states:
 // out[i] = SND(states[i], states[i+1]). Adjacent pairs share reference
-// states, so their SSSP rows and edge costs hit the ground cache.
+// states, so their edge costs hit the ground cache. Shortest-path rows
+// are not retained for a Series: a reference state serves only its two
+// adjacent pairs, whose rows overlap only for users who leave an
+// opinion and return to it on the next tick, so each source runs the
+// grouped goal search instead (tracked reference states, reported
+// through AdvanceRef, still keep their trees).
 func (e *Engine) Series(ctx context.Context, states []opinion.State) ([]float64, error) {
 	results, err := e.SeriesEps(ctx, states, e.opts.Epsilon)
 	if err != nil {
@@ -343,7 +354,7 @@ func (e *Engine) SeriesEps(ctx context.Context, states []opinion.State, eps floa
 	for i := range pairs {
 		pairs[i] = StatePair{A: states[i], B: states[i+1]}
 	}
-	return e.PairsEps(ctx, pairs, eps)
+	return e.pairsEps(ctx, pairs, eps, true)
 }
 
 // Matrix computes the full symmetric distance matrix of the given
@@ -486,8 +497,9 @@ type termOut struct {
 // carries each pair's (A, B) reference-state fingerprints, computed by
 // the caller. Workers observe ctx between terms (and pass it down into
 // the SSSP and flow loops of each term), so a cancelled batch stops
-// claiming work and runTerms returns ctx.Err().
-func (e *Engine) runTerms(ctx context.Context, pairs []StatePair, hashes [][2]hashKey, eps float64) ([]termOut, error) {
+// claiming work and runTerms returns ctx.Err(). series marks the terms
+// of a Series batch (see termCtx.series).
+func (e *Engine) runTerms(ctx context.Context, pairs []StatePair, hashes [][2]hashKey, eps float64, series bool) ([]termOut, error) {
 	total := 4 * len(pairs)
 	outs := make([]termOut, total)
 	epsTerm := 0.0
@@ -545,6 +557,7 @@ func (e *Engine) runTerms(ctx context.Context, pairs []StatePair, hashes [][2]ha
 					stats:   &e.stats,
 					refHash: hashes[pi][term/2],
 					epsTerm: epsTerm,
+					series:  series,
 				}
 				tv, err := computeTerm(e.g, spec, e.opts, tc)
 				if err != nil {
@@ -602,9 +615,9 @@ func eqSpecs(a, b opinion.State) [4]termSpec {
 
 // scratch is one worker's reusable arena: SSSP buffers (full-run
 // distance/parent storage, the goal-pruned run's epoch-stamped scratch,
-// the pooled frontier queues), bulk row storage for the target-indexed
-// ground-distance rows plus their header slice, the term's target and
-// bank-offset lists, and a flow network whose arc banks and solver
+// the pooled frontier queues), bulk row storage for the column-indexed
+// ground-distance rows plus their header slice, the term's target list
+// and its column map, and a flow network whose arc banks and solver
 // buffers survive across term solves.
 type scratch struct {
 	res     sssp.Result
@@ -614,7 +627,7 @@ type scratch struct {
 	rowBuf  []int64
 	rows    [][]int64
 	targets []int32
-	bankOff []int32
+	cols    []int32
 
 	// warm is the worker's solved-basis ring (nil when warm-starting is
 	// disabled); the slot arrays are the epoch-stamped user -> instance
@@ -672,29 +685,20 @@ func (sc *scratch) takeRowHeaders(k int) [][]int64 {
 	return sc.rows
 }
 
-// takeTargets returns the reusable target-list buffer, emptied, with
-// capacity for at least hint entries; the caller appends and stores the
-// final slice back so growth persists across terms.
-func (sc *scratch) takeTargets(hint int) []int32 {
+// takeTargets returns the reusable target-list and column-map buffers,
+// emptied, with capacity for at least hint entries; the caller appends
+// and stores the final slices back so growth persists across terms.
+func (sc *scratch) takeTargets(hint int) (targets, cols []int32) {
 	if sc == nil {
-		return make([]int32, 0, hint)
+		return make([]int32, 0, hint), make([]int32, 0, hint)
 	}
 	if cap(sc.targets) < hint {
 		sc.targets = make([]int32, 0, hint)
 	}
-	return sc.targets[:0]
-}
-
-// takeBankOff returns the reusable bank-offset buffer, emptied, with
-// capacity for at least hint entries.
-func (sc *scratch) takeBankOff(hint int) []int32 {
-	if sc == nil {
-		return make([]int32, 0, hint)
+	if cap(sc.cols) < hint {
+		sc.cols = make([]int32, 0, hint)
 	}
-	if cap(sc.bankOff) < hint {
-		sc.bankOff = make([]int32, 0, hint)
-	}
-	return sc.bankOff[:0]
+	return sc.targets[:0], sc.cols[:0]
 }
 
 // takeRow returns an n-sized row from the arena, growing it as needed.

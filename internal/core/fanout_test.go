@@ -148,7 +148,7 @@ func TestTrackedRefBuildsTreesAfterUntrackedUse(t *testing.T) {
 }
 
 // TestPrunedTrackedDeltaPath pins that the provider's tracked-state
-// fast path (full rows retained for repair, sliced to targets by
+// fast path (full rows retained for repair, folded into columns by
 // rowGoals) stays bit-identical to cold recomputation when pruning and
 // stealing are both on.
 func TestPrunedTrackedDeltaPath(t *testing.T) {
@@ -181,5 +181,93 @@ func TestPrunedTrackedDeltaPath(t *testing.T) {
 			t.Fatalf("tick %d: tracked pruned path diverged:\n%v\n%v", tick, got, want)
 		}
 		cur = next
+	}
+}
+
+// retainedRows counts the compact rows held across every provider
+// entry; the engine must be quiescent.
+func retainedRows(p *groundProvider) int {
+	n := 0
+	for i := range p.shards {
+		s := &p.shards[i]
+		s.mu.RLock()
+		for _, ent := range s.refs {
+			for oi := range ent.side {
+				n += len(ent.side[oi].rows)
+			}
+		}
+		s.mu.RUnlock()
+	}
+	return n
+}
+
+// TestSeriesRetentionRule pins both halves of the Series retention
+// rule. Across adjacent ticks some users go + -> 0 -> + and others
+// - -> + -> -, so row keys of one reference state recur within the
+// batch (the one case where a retained Series row could be read back).
+// A Series on a fresh engine must still be bit-identical to Pairs over
+// the same adjacent pairs on an engine without ground or warm caches,
+// and must leave no compact row in the provider; a Matrix over the same
+// states, whose reference states recur across pairs, must retain some.
+func TestSeriesRetentionRule(t *testing.T) {
+	g := engineTestGraph(300, 71)
+	rng := rand.New(rand.NewSource(72))
+	ctx := context.Background()
+	s0 := randState(g.N(), 0.3, rng)
+	var pos, neg []int
+	for u, op := range s0 {
+		switch {
+		case op == opinion.Positive && len(pos) < 12:
+			pos = append(pos, u)
+		case op == opinion.Negative && len(neg) < 12:
+			neg = append(neg, u)
+		}
+	}
+	// Odd ticks move pos to 0 and neg to +, even ticks move them back;
+	// every tick also flips a few other users so the terms carry banks.
+	states := []opinion.State{s0}
+	for tick := 1; tick <= 4; tick++ {
+		st := perturb(states[tick-1], 6, rng)
+		for _, u := range pos {
+			st[u] = opinion.Positive
+			if tick%2 == 1 {
+				st[u] = opinion.Neutral
+			}
+		}
+		for _, u := range neg {
+			st[u] = opinion.Negative
+			if tick%2 == 1 {
+				st[u] = opinion.Positive
+			}
+		}
+		states = append(states, st)
+	}
+	pairs := make([]StatePair, len(states)-1)
+	for i := range pairs {
+		pairs[i] = StatePair{A: states[i], B: states[i+1]}
+	}
+	for oi, opts := range engineTestOptions(g) {
+		bare := NewEngine(g, opts, EngineConfig{Workers: 2, GroundCacheBytes: -1, WarmCacheBytes: -1})
+		want, err := bare.Pairs(ctx, pairs)
+		if err != nil {
+			t.Fatalf("opts %d: Pairs: %v", oi, err)
+		}
+		e := NewEngine(g, opts, EngineConfig{Workers: 2})
+		got, err := e.SeriesEps(ctx, states, 0)
+		if err != nil {
+			t.Fatalf("opts %d: Series: %v", oi, err)
+		}
+		if !reflect.DeepEqual(got, want) {
+			t.Fatalf("opts %d: Series diverged from uncached Pairs:\n%v\n%v", oi, got, want)
+		}
+		if n := retainedRows(e.prov); n != 0 {
+			t.Fatalf("opts %d: Series retained %d compact rows, want none", oi, n)
+		}
+		if _, err := e.Matrix(ctx, states); err != nil {
+			t.Fatalf("opts %d: Matrix: %v", oi, err)
+		}
+		if retainedRows(e.prov) == 0 {
+			t.Fatalf("opts %d: Matrix retained no compact rows", oi)
+		}
 	}
 }

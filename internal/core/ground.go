@@ -64,7 +64,9 @@ import (
 // monitoring workload's budget on reference states that can still
 // recur or serve as repair donors. Untracked entries (batch
 // Pairs/Matrix traffic) are retained first-come until the byte budget
-// is spent, exactly like the flat cache this subsystem replaces.
+// is spent, exactly like the flat cache this subsystem replaces; a
+// Series batch retains only their cost arrays, never their rows (see
+// rowGoals).
 // Close empties the provider and zeroes the budget so nothing further
 // is retained.
 //
@@ -194,8 +196,9 @@ type refSide struct {
 	// arrays — the repair donors of the tracked delta path.
 	trees map[treeKey]*spTree
 	// rows are compact rows capped at capAt, retained for untracked
-	// (batch) reference states: a third of a tree's bytes, so Series
-	// and Matrix traffic that revisits a reference state hits where
+	// reference states of Pairs, Matrix and nearest-neighbour batches
+	// (never of Series batches; see rowGoals): a third of a tree's
+	// bytes, so traffic that revisits a reference state hits where
 	// full-tree retention used to thrash the budget.
 	rows map[treeKey][]int32
 }
@@ -638,22 +641,29 @@ func (p *groundProvider) putWeights(ref hashKey, st opinion.State, oi int, rever
 }
 
 // rowGoals is the goal-pruned fan-out's provider fast path: it fills
-// out[j] = dist(src, targets[j]), serving, in preference order: an
-// exact retained tree sliced to the targets; a compact capped row
-// sliced the same way; for tracked reference states (the
-// delta-monitoring window, whose exact full rows earn their keep as
-// repair donors across ticks) the full row() path; and for untracked
-// reference states a fresh full run retained as a compact capped row —
-// Series and Matrix batches revisit their reference states, and at a
-// third of a tree's bytes the compact rows keep hitting at scales
-// where full-tree retention thrashed. ok is false once the budget is
-// spent (or compact rows are disabled): the caller then runs a
-// goal-pruned Dijkstra into its own scratch, retaining nothing.
+// out[c] with the distance from src to the nearest target of column c
+// (cols[i] is the column of targets[i]; nil means one column per
+// target), folding a retained row into column minima. It serves, in
+// preference order: an exact retained tree; a compact capped row; for
+// tracked reference states (the delta-monitoring window, whose exact
+// full rows earn their keep as repair donors across ticks) the full
+// row() path; and for untracked reference states, when retain is set,
+// a fresh full run retained as a compact capped row. Pairs, Matrix and
+// nearest-neighbour batches revisit their reference states across
+// pairs, and at a third of a tree's bytes the compact rows keep hitting
+// at scales where full-tree retention thrashed. Series batches pass
+// retain = false: a Series reference state serves only its two
+// adjacent pairs, and a row key recurs between those only for a user
+// who leaves the opinion and returns to it on the next tick, so a
+// retained row would almost never be read back while filling the
+// budget. ok is false on such a miss, once the budget is spent, or
+// when compact rows are disabled: the caller then runs the grouped
+// goal search into its own scratch, retaining nothing.
 //
 // Values served from compact rows are saturated at capAt; the term
 // assembly saturates every distance it consumes at the same threshold,
 // so results are bit-identical to exact rows.
-func (p *groundProvider) rowGoals(ref hashKey, st opinion.State, op opinion.Opinion, reversed bool, src int32, w []int32, targets []int32, out []int64, sc *scratch) bool {
+func (p *groundProvider) rowGoals(ref hashKey, st opinion.State, op opinion.Opinion, reversed bool, src int32, w []int32, targets, cols []int32, out []int64, retain bool, sc *scratch) bool {
 	oi := opIdx(op)
 	tk := treeKey{reversed: reversed, src: src}
 	var row []int64
@@ -687,7 +697,7 @@ func (p *groundProvider) rowGoals(ref hashKey, st opinion.State, op opinion.Opin
 		}
 	case crow == nil:
 		n := p.g.N()
-		if p.capAt <= 0 || p.capAt > math.MaxInt32 || p.budget.Load() < int64(n)*4 {
+		if !retain || p.capAt <= 0 || p.capAt > math.MaxInt32 || p.budget.Load() < int64(n)*4 {
 			return false
 		}
 		srcGraph := p.g
@@ -707,15 +717,32 @@ func (p *groundProvider) rowGoals(ref hashKey, st opinion.State, op opinion.Opin
 		crow = p.putRow(ref, st, oi, tk, c)
 	}
 	if row != nil {
-		for j, t := range targets {
-			out[j] = row[t]
-		}
-		return true
-	}
-	for j, t := range targets {
-		out[j] = int64(crow[t])
+		foldCols(out, row, targets, cols)
+	} else {
+		foldCols(out, crow, targets, cols)
 	}
 	return true
+}
+
+// foldCols sets out[c] to the minimum of row over the targets of column
+// c (cols[i] is the column of targets[i]; nil means one column per
+// target) — what sssp.DijkstraGoalsInto computes, read off a whole row.
+// A column without targets reports sssp.Unreachable.
+func foldCols[D int32 | int64](out []int64, row []D, targets, cols []int32) {
+	if cols == nil {
+		for j, t := range targets {
+			out[j] = int64(row[t])
+		}
+		return
+	}
+	for c := range out {
+		out[c] = sssp.Unreachable
+	}
+	for i, t := range targets {
+		if d := int64(row[t]); d < out[cols[i]] {
+			out[cols[i]] = d
+		}
+	}
 }
 
 // isTracked reports whether ref rides the tracked delta window. Warm

@@ -41,8 +41,9 @@ import (
 
 // termBoundsFromRows computes admissible integer bounds on the scaled
 // optimal transportation cost of the reduced instance red, given the
-// fan-out's target-indexed rows (rows[k][j]: source k to opposite
-// entity j for j < nOpp, then bank members at bankOff offsets).
+// fan-out's column-indexed rows (rows[k][j]: source k to opposite
+// entity j for j < nOpp; rows[k][nOpp+b]: source k to bank b's nearest
+// member).
 //
 // The lower bound is the larger of the two shipment partitions: every
 // source-side entity ships (or receives) red.scale units at no less
@@ -52,7 +53,7 @@ import (
 // bound is the cost of a feasible greedy plan (each source fills up at
 // its cheapest remaining targets). lb == ub therefore pins the exact
 // optimum.
-func termBoundsFromRows(red reduction, rows [][]int64, nOpp int, bankOff []int32, targetsLen int, gamma int64, capDist func(int64) int64, sc *scratch) (lb, ub int64) {
+func termBoundsFromRows(red reduction, rows [][]int64, nOpp int, gamma int64, capDist func(int64) int64, sc *scratch) (lb, ub int64) {
 	nSrc := len(rows)
 	nB := len(red.banks)
 	scale := red.scale
@@ -70,8 +71,8 @@ func termBoundsFromRows(red reduction, rows [][]int64, nOpp int, bankOff []int32
 		rem[nOpp+b] = red.banks[b].units
 	}
 
-	// One pass per source computes its row minima (bank minima cached
-	// in bmins, one member scan per bank per row) for the lower bound,
+	// One pass per source computes its row minima (bank costs cached in
+	// bmins) for the lower bound,
 	// then immediately runs the greedy upper-bound fill for that source
 	// against the shared remaining-capacity array. The greedy plan is
 	// feasible: each (source, target) arc is visited at most once, so
@@ -91,18 +92,7 @@ func termBoundsFromRows(red reduction, rows [][]int64, nOpp int, bankOff []int32
 			}
 		}
 		for b := 0; b < nB; b++ {
-			lo := int(bankOff[b])
-			hi := targetsLen
-			if b+1 < nB {
-				hi = int(bankOff[b+1])
-			}
-			bm := int64(math.MaxInt64)
-			for t := lo; t < hi; t++ {
-				if d := capDist(row[t]); d < bm {
-					bm = d
-				}
-			}
-			d := gamma + bm
+			d := gamma + capDist(row[nOpp+b])
 			bmins[b] = d
 			if d < best {
 				best = d

@@ -157,6 +157,11 @@ type termCtx struct {
 	// zero termCtx — pins the exact pipeline: no approximation branch
 	// is even consulted.
 	epsTerm float64
+	// series marks a term of a Series batch: on a provider miss for an
+	// untracked reference state it runs the grouped goal search into
+	// the worker's scratch and retains no compact row (see
+	// groundProvider.rowGoals for why).
+	series bool
 }
 
 // cancelled returns the context error, tolerating the zero termCtx.
@@ -333,20 +338,28 @@ func termBipartiteNetwork(g *graph.Digraph, spec termSpec, red reduction, o Opti
 	}
 	srcW := tc.groundWeights(g, spec, o, reversed)
 
-	// The term consumes, per source, only the distances to the opposite
-	// side's residual users and to every bank member. Collect those as
-	// the target list the rows are indexed by: opposite users first
-	// (target j is opposite[j]), then each bank's members contiguously
-	// (bank b's members start at bankOff[b]). Everything past inf is
-	// saturated by capDist below, so the fan-out also never needs to
-	// settle beyond that radius — both prunes are exact on these
-	// columns.
-	targets := tc.sc.takeTargets(len(opposite))
+	// The term consumes, per source, only the distance to each opposite
+	// residual user and to each bank's nearest member: a bank costs
+	// gamma plus that distance (Lemmas 1 and 2), so no further member
+	// distance is ever read. Rows therefore have one column per
+	// opposite user (column j is opposite[j]) and one per bank (column
+	// nOpp+b), and the fan-out fills a bank column with the minimum
+	// over its members. targets lists the opposite users, then every
+	// bank's members; cols maps each target to its column. Everything
+	// past inf is saturated by capDist below, so the fan-out also never
+	// needs to settle beyond that radius — both prunes are exact on
+	// these columns.
+	nOpp, nB := len(opposite), len(red.banks)
+	targets, cols := tc.sc.takeTargets(nOpp + nB)
 	targets = append(targets, opposite...)
-	bankOff := tc.sc.takeBankOff(len(red.banks))
-	for _, b := range red.banks {
-		bankOff = append(bankOff, int32(len(targets)))
-		targets = append(targets, b.members...)
+	for j := range opposite {
+		cols = append(cols, int32(j))
+	}
+	for b, bank := range red.banks {
+		targets = append(targets, bank.members...)
+		for range bank.members {
+			cols = append(cols, int32(nOpp+b))
+		}
 	}
 
 	// Fix row placement up front (rows[i] belongs to sources[i]) so the
@@ -355,13 +368,13 @@ func termBipartiteNetwork(g *graph.Digraph, spec termSpec, red reduction, o Opti
 	tc.sc.resetRows()
 	rows := tc.sc.takeRowHeaders(len(sources))
 	for i := range rows {
-		rows[i] = tc.sc.takeRow(len(targets))
+		rows[i] = tc.sc.takeRow(nOpp + nB)
 	}
 	if tc.sc != nil {
-		tc.sc.targets, tc.sc.bankOff = targets, bankOff
+		tc.sc.targets, tc.sc.cols = targets, cols
 	}
 	fanStart := time.Now()
-	if err := tc.fanOutRows(srcGraph, srcW, spec, o, sources, targets, rows, reversed, maxCost, inf); err != nil {
+	if err := tc.fanOutRows(srcGraph, srcW, spec, o, sources, targets, cols, rows, reversed, maxCost, inf); err != nil {
 		return termVal{}, nil, nil, err
 	}
 	if tc.stats != nil {
@@ -383,7 +396,7 @@ func termBipartiteNetwork(g *graph.Digraph, spec termSpec, red reduction, o Opti
 	rowsLB, rowsUB := int64(0), int64(math.MaxInt64)
 	if !o.ablated(ablateBounds) && !collectArcs {
 		boundStart := time.Now()
-		lb, ub := termBoundsFromRows(red, rows, len(opposite), bankOff, len(targets), o.Gamma, capDist, tc.sc)
+		lb, ub := termBoundsFromRows(red, rows, nOpp, o.Gamma, capDist, tc.sc)
 		if tc.stats != nil {
 			addPhase(&tc.stats.boundNanos, boundStart)
 		}
@@ -412,16 +425,9 @@ func termBipartiteNetwork(g *graph.Digraph, spec termSpec, red reduction, o Opti
 	// bankDist(b, k): distance between bank b and the k-th entity on
 	// the opposite side (consumer C[k] when banks supply, supplier S[k]
 	// when banks consume); rows[k] is that entity's row either way, and
-	// bank b's members sit at targets [bankOff[b], bankOff[b]+len).
+	// its column nOpp+b holds the distance to bank b's nearest member.
 	bankDist := func(b, k int) int64 {
-		best := inf
-		off := int(bankOff[b])
-		for t := range red.banks[b].members {
-			if d := capDist(rows[k][off+t]); d < best {
-				best = d
-			}
-		}
-		return o.Gamma + best
+		return o.Gamma + capDist(rows[k][nOpp+b])
 	}
 
 	// Entropic stage: on instances big enough that an exact solve
@@ -440,7 +446,7 @@ func termBipartiteNetwork(g *graph.Digraph, spec termSpec, red reduction, o Opti
 	// Assemble the bipartite min-cost-flow instance, scaled integral,
 	// recording each arc's user-level meaning for Explain. Bank arcs
 	// are anchored at the bank's first member user.
-	nS, nC, nB := len(red.S), len(red.C), len(red.banks)
+	nS, nC := len(red.S), len(red.C)
 	var nw *flow.Network
 	var arcs []arcRef
 	if red.banksOnSupplier {
@@ -567,53 +573,50 @@ func termBipartiteNetwork(g *graph.Digraph, spec termSpec, red reduction, o Opti
 	return exactVal(float64(cost)/float64(red.scale), len(sources)), nw, arcs, nil
 }
 
-// fanOutRows fills rows[i] with the target-indexed ground-distance row
-// of sources[i]: by the provider's fast paths when one is attached, by
-// the goal-pruned Dijkstra (cut off at the saturation radius) on the
-// no-provider and budget-exhausted paths, and by a full-graph run when
-// goal pruning is ablated. When a help pool is present the loop is
-// split into per-source sub-tasks idle workers steal; placement is
-// fixed by index, so the rows — and every downstream bit — are
-// identical to the sequential order.
-func (tc termCtx) fanOutRows(srcGraph *graph.Digraph, srcW []int32, spec termSpec, o Options, sources, targets []int32, rows [][]int64, reversed bool, maxCost, cutoff int64) error {
-	// A pruned search must settle a ball covering every target; once
-	// targets are plentiful relative to the graph that ball is the
+// fanOutRows fills rows[i] with the column-indexed ground-distance row
+// of sources[i] (column c: the nearest of the targets cols maps to c):
+// by the provider's fast paths when one is attached, by the grouped
+// goal search (cut off at the saturation radius) on the no-provider,
+// budget-exhausted and Series-miss paths, and by a full-graph run when
+// goal pruning is ablated or the columns are dense. When a help pool
+// is present the loop is split into per-source sub-tasks idle workers
+// steal; placement is fixed by index, so the rows — and every
+// downstream bit — are identical to the sequential order.
+func (tc termCtx) fanOutRows(srcGraph *graph.Digraph, srcW []int32, spec termSpec, o Options, sources, targets, cols []int32, rows [][]int64, reversed bool, maxCost, cutoff int64) error {
+	// A pruned search must settle a ball reaching every column; once
+	// columns are plentiful relative to the graph that ball is the
 	// graph itself and the epoch-stamped search only adds per-edge
 	// overhead (measured ~10-30% on the delta workload's ~600
-	// scattered bank members), so past this density the fallback runs
-	// a plain full row and slices it. Either path is exact; the choice
-	// moves no bit.
+	// scattered targets), so past this density the fallback runs a
+	// plain full row and folds it into columns. A bank is one column
+	// however many members it has: the search settles it with its
+	// nearest member. Either path is exact; the choice moves no bit.
 	pruneLimit := srcGraph.N() / 64
 	if pruneLimit < 64 {
 		pruneLimit = 64
 	}
 	noPrune := o.ablated(ablateGoalPrune)
-	prune := !noPrune && len(targets) <= pruneLimit
 	fill := func(sc *scratch, i int) {
 		s := sources[i]
 		out := rows[i]
 		if tc.prov != nil {
 			if !noPrune {
-				if tc.prov.rowGoals(tc.refHash, spec.ref, spec.op, reversed, s, srcW, targets, out, sc) {
+				if tc.prov.rowGoals(tc.refHash, spec.ref, spec.op, reversed, s, srcW, targets, cols, out, !tc.series, sc) {
 					return
 				}
 			} else if row, ok := tc.prov.row(tc.refHash, spec.ref, spec.op, reversed, s, srcW); ok {
-				for j, t := range targets {
-					out[j] = row[t]
-				}
+				foldCols(out, row, targets, cols)
 				return
 			}
 		}
-		if !prune {
+		if noPrune || len(out) > pruneLimit {
 			// Unpruned: settle the whole graph into the worker's result
-			// buffer, then slice out the queried columns.
+			// buffer, then fold out the queried columns.
 			sssp.DijkstraFrontierInto(srcGraph, srcW, int(s), o.Heap, maxCost, &sc.res, &sc.fr)
-			for j, t := range targets {
-				out[j] = sc.res.Dist[t]
-			}
+			foldCols(out, sc.res.Dist, targets, cols)
 			return
 		}
-		sssp.DijkstraGoalsInto(srcGraph, srcW, int(s), targets, o.Heap, maxCost, cutoff, out, &sc.goals)
+		sssp.DijkstraGoalsInto(srcGraph, srcW, int(s), targets, cols, o.Heap, maxCost, cutoff, out, &sc.goals)
 	}
 	owner := tc.sc
 	if owner == nil {

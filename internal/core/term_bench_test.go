@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"snd/internal/graph"
+	"snd/internal/opinion"
 )
 
 // benchTerm builds one mid-size EMD* term on a 5000-user scale-free
@@ -26,18 +27,38 @@ func benchTerm(b *testing.B, activeFrac float64, flips int) (*graph.Digraph, ter
 
 // BenchmarkTermBipartite measures one term of the Theorem 4 pipeline
 // through the worker scratch arena — the auto path (goal-pruned below
-// the target-density threshold, full rows above it) against the pinned
-// pre-pruning fan-out, at a dense and a sparse activation. Run with
-// -benchmem: the auto variants must stay allocation-light (rows,
-// headers, and targets all live in the arena).
+// the column-density threshold, full rows above it) against the pinned
+// pre-pruning fan-out, at a dense and a sparse activation with
+// singleton banks. The clustered shape is the one the analyze
+// benchmark workload is made of: only deactivations, so the opposite
+// side is empty, and 64 banks of scattered members, one column each.
+// Run with -benchmem: the auto
+// variants must stay allocation-light (rows, headers, targets and
+// column maps all live in the arena).
 func BenchmarkTermBipartite(b *testing.B) {
 	for _, shape := range []struct {
 		name       string
 		activeFrac float64
 		flips      int
-	}{{"dense", 0.1, 200}, {"sparse", 0.01, 40}} {
+		clusters   int
+	}{{"dense", 0.1, 200, 0}, {"sparse", 0.01, 40, 0}, {"clustered", 0.3, 100, 64}} {
 		g, spec, opts := benchTerm(b, shape.activeFrac, shape.flips)
-		red := reduce(spec, nil, g.N())
+		var labels []int
+		if shape.clusters > 0 {
+			labels = make([]int, g.N())
+			for i := range labels {
+				labels[i] = i % shape.clusters
+			}
+			q, left := spec.p.Clone(), shape.flips
+			for _, u := range rand.New(rand.NewSource(19)).Perm(g.N()) {
+				if left > 0 && q[u] == spec.op {
+					q[u] = opinion.Neutral
+					left--
+				}
+			}
+			spec.q = q
+		}
+		red := reduce(spec, labels, g.N())
 		for _, cfg := range []struct {
 			name  string
 			prune bool

@@ -61,7 +61,9 @@ func BenchmarkDijkstraFull(b *testing.B) {
 // BenchmarkDijkstraGoals measures the goal-pruned run at varying
 // target-set sizes, with the saturation cutoff the term pipeline uses
 // (32 escape hops); compare against BenchmarkDijkstraFull/dial for the
-// pruning factor.
+// pruning factor. banks64 is the clustered-bank shape of the Theorem 4
+// fan-out: 64 columns, each grouping ~190 scattered members, where a
+// column settles with its nearest member.
 func BenchmarkDijkstraGoals(b *testing.B) {
 	g, w := benchGraph(20000)
 	cutoff := int64(32 * benchMaxCost)
@@ -72,10 +74,27 @@ func BenchmarkDijkstraGoals(b *testing.B) {
 			out := make([]int64, len(targets))
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				DijkstraGoalsInto(g, w, i%g.N(), targets, pqueue.KindDial, benchMaxCost, cutoff, out, gs)
+				DijkstraGoalsInto(g, w, i%g.N(), targets, nil, pqueue.KindDial, benchMaxCost, cutoff, out, gs)
 			}
 		})
 	}
+	b.Run("banks64", func(b *testing.B) {
+		const banks = 64
+		rng := rand.New(rand.NewSource(64))
+		members := rng.Perm(g.N())[:g.N()*3/5]
+		targets := make([]int32, len(members))
+		cols := make([]int32, len(members))
+		for i, v := range members {
+			targets[i] = int32(v)
+			cols[i] = int32(rng.Intn(banks))
+		}
+		gs := &GoalsScratch{}
+		out := make([]int64, banks)
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			DijkstraGoalsInto(g, w, i%g.N(), targets, cols, pqueue.KindDial, benchMaxCost, cutoff, out, gs)
+		}
+	})
 }
 
 // BenchmarkRepair measures the Ramalingam-Reps tree repair against the

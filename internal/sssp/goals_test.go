@@ -29,12 +29,36 @@ func TestDijkstraGoalsLine(t *testing.T) {
 	}
 }
 
+// TestDijkstraGoalsColumns pins grouped columns on a hand-checkable
+// graph: a column reports its nearest target, a user may sit in two
+// columns, and an empty or unreachable column reports Unreachable.
+func TestDijkstraGoalsColumns(t *testing.T) {
+	// 0 -> 1 -> 2 -> 3, weights 2, 3, 4; node 4 isolated.
+	b := graph.NewBuilder(5)
+	b.AddEdge(0, 1)
+	b.AddEdge(1, 2)
+	b.AddEdge(2, 3)
+	g := b.Build()
+	w := []int32{2, 3, 4}
+	targets := []int32{3, 2, 2, 1, 4, 3}
+	cols := []int32{0, 0, 1, 1, 3, 1}
+	out := make([]int64, 4)
+	DijkstraGoalsInto(g, w, 0, targets, cols, pqueue.KindBinary, 4, Unreachable, out, nil)
+	want := []int64{5, 2, Unreachable, Unreachable}
+	for c := range want {
+		if out[c] != want[c] {
+			t.Errorf("column %d: dist = %d, want %d", c, out[c], want[c])
+		}
+	}
+}
+
 // TestDijkstraGoalsMatchesFull is the exactness property the pruned
-// fan-out rests on: over randomized graphs, weights, sources, and
-// target sets (including unreachable and duplicate targets),
-// DijkstraGoals equals the full DijkstraInto row on every queried
-// column, for every queue kind and with a scratch reused across all
-// runs.
+// fan-out rests on, in the one-column-per-target case (cols nil): over
+// randomized graphs, weights, sources, and target sets (including
+// unreachable and duplicate targets), DijkstraGoals equals the full
+// DijkstraInto row on every queried column, for every queue kind and
+// with a scratch reused across all runs. FuzzDijkstraGoals covers
+// grouped columns.
 func TestDijkstraGoalsMatchesFull(t *testing.T) {
 	const (
 		seeds   = 200
@@ -60,7 +84,7 @@ func TestDijkstraGoalsMatchesFull(t *testing.T) {
 		kind := kinds[rng.Intn(len(kinds))]
 		DijkstraInto(g, w, src, kind, maxCost, &full)
 		out := make([]int64, len(targets))
-		DijkstraGoalsInto(g, w, src, targets, kind, maxCost, Unreachable, out, gs)
+		DijkstraGoalsInto(g, w, src, targets, nil, kind, maxCost, Unreachable, out, gs)
 		for i, tgt := range targets {
 			if out[i] != full.Dist[tgt] {
 				t.Fatalf("seed %d kind %v: goal %d (node %d): pruned %d, full %d",
@@ -90,7 +114,7 @@ func TestDijkstraGoalsCutoff(t *testing.T) {
 		}
 		DijkstraInto(g, w, src, pqueue.KindDial, maxCost, &full)
 		out := make([]int64, len(targets))
-		DijkstraGoalsInto(g, w, src, targets, pqueue.KindDial, maxCost, cutoff, out, gs)
+		DijkstraGoalsInto(g, w, src, targets, nil, pqueue.KindDial, maxCost, cutoff, out, gs)
 		for v := range targets {
 			want := full.Dist[v]
 			if want > cutoff {
@@ -110,7 +134,7 @@ func TestDijkstraGoalsEmptyTargets(t *testing.T) {
 	g := graph.ErdosRenyi(20, 60, 9)
 	w := randWeights(g, 5, 10)
 	gs := &GoalsScratch{}
-	DijkstraGoalsInto(g, w, 0, nil, pqueue.KindDial, 5, Unreachable, nil, gs)
+	DijkstraGoalsInto(g, w, 0, nil, nil, pqueue.KindDial, 5, Unreachable, nil, gs)
 	out := DijkstraGoals(g, w, 0, []int32{0}, pqueue.KindDial, 5, Unreachable)
 	if out[0] != 0 {
 		t.Fatalf("dist to self = %d, want 0", out[0])
