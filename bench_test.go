@@ -13,7 +13,6 @@ import (
 
 	"snd/internal/dynamics"
 	"snd/internal/opinion"
-	"snd/internal/pqueue"
 )
 
 func benchGraph(b *testing.B, n int) *Graph {
@@ -160,20 +159,6 @@ func BenchmarkFig12ScaleNDelta(b *testing.B) {
 }
 
 // --- Ablations ---
-
-// BenchmarkAblationHeap compares the Dijkstra priority queues inside
-// the Theorem 4 pipeline.
-func BenchmarkAblationHeap(b *testing.B) {
-	g := benchGraph(b, 5000)
-	x, y := benchStatePair(b, g, 200)
-	for _, heap := range []pqueue.Kind{pqueue.KindBinary, pqueue.KindDial, pqueue.KindRadix} {
-		opts := DefaultOptions()
-		opts.Heap = heap
-		b.Run(heap.String(), func(b *testing.B) {
-			benchDistance(b, g, x, y, opts)
-		})
-	}
-}
 
 // BenchmarkAblationModel compares the three ground-cost models.
 func BenchmarkAblationModel(b *testing.B) {

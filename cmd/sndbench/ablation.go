@@ -6,16 +6,13 @@ import (
 
 	"snd"
 	"snd/internal/opinion"
-	"snd/internal/pqueue"
 )
 
 // runAblation times and values the configuration choices on one fixed
-// instance: Dijkstra heap, ground-cost model, bank allocation, and bank
-// distance gamma. Values must agree across heaps (the choice is exact),
-// so a heap row that differs from the first is fatal; models, banks and
-// gamma legitimately change the measure. The engine picks its route and
-// flow solver itself (docs/PERFORMANCE.md, "Strategy selection"); the
-// routes column shows which it took.
+// instance: ground-cost model, bank allocation, and bank distance
+// gamma, each of which changes the measure. The engine picks its
+// route, Dijkstra queue and flow solver itself (docs/PERFORMANCE.md,
+// "Strategy selection"); the routes column shows which route it took.
 func runAblation(sc scale, seed int64) {
 	n := sc.fig10N
 	g := snd.ScaleFreeGraph(snd.ScaleFreeConfig{
@@ -26,7 +23,7 @@ func runAblation(sc scale, seed int64) {
 	b := ev.Step(0.3, 0.02)
 	fmt.Printf("instance: n=%d, m=%d, n-delta=%d\n\n", g.N(), g.M(), a.DiffCount(b))
 
-	run := func(group, name string, opts snd.Options) snd.Result {
+	run := func(group, name string, opts snd.Options) {
 		start := time.Now()
 		res, err := distanceOnce(g, a, b, opts)
 		if err != nil {
@@ -34,22 +31,8 @@ func runAblation(sc scale, seed int64) {
 		}
 		fmt.Printf("%-10s %-16s snd=%-12.1f %-10v sssp=%-6d routes=%v\n",
 			group, name, res.SND, time.Since(start).Round(time.Millisecond), res.SSSPRuns, res.EnginesUsed)
-		return res
 	}
 
-	heaps := []pqueue.Kind{pqueue.KindBinary, pqueue.KindDial, pqueue.KindRadix}
-	var first float64
-	for i, heap := range heaps {
-		opts := snd.DefaultOptions()
-		opts.Heap = heap
-		res := run("heap", heap.String(), opts)
-		if i == 0 {
-			first = res.SND
-		} else if res.SND != first {
-			fatalf("ablation heap/%s: snd %v differs from heap/%s %v", heap, res.SND, heaps[0], first)
-		}
-	}
-	fmt.Println()
 	for _, model := range []opinion.PenaltyModel{
 		opinion.DefaultAgnostic, opinion.DefaultICC, opinion.DefaultLinearThreshold,
 	} {

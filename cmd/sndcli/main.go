@@ -17,7 +17,6 @@ import (
 	"os"
 
 	"snd"
-	"snd/internal/pqueue"
 )
 
 func main() {
@@ -25,7 +24,6 @@ func main() {
 	aPath := flag.String("a", "", "first state file (required)")
 	bPath := flag.String("b", "", "second state file (required)")
 	engine := flag.String("engine", "auto", "computation engine: auto (the engine picks its route per term) or direct (dense simplex baseline)")
-	heap := flag.String("heap", "dial", "Dijkstra heap: binary, dial, radix")
 	gamma := flag.Int64("gamma", 0, "bank-bin ground distance (0 = default)")
 	clusters := flag.Int("clusters", 0, "bank clusters (0 = one bank per user)")
 	verbose := flag.Bool("v", false, "print per-term breakdown and statistics")
@@ -48,16 +46,6 @@ func main() {
 
 	opts := snd.DefaultOptions()
 	opts.Gamma = *gamma
-	switch *heap {
-	case "binary":
-		opts.Heap = pqueue.KindBinary
-	case "dial":
-		opts.Heap = pqueue.KindDial
-	case "radix":
-		opts.Heap = pqueue.KindRadix
-	default:
-		exitOn(fmt.Errorf("unknown heap %q", *heap))
-	}
 	if *clusters > 0 {
 		opts.Clusters = snd.BFSClusterLabels(g, *clusters)
 	}

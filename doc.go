@@ -156,10 +156,10 @@
 // through this), with row placement fixed up front so any claim order
 // produces identical bits.
 //
-// Options.Heap defaults to HeapAuto, which picks the Dijkstra queue by
-// the cost model's edge-cost bound: Dial's bucket queue while the
-// bound buckets cheaply (Assumption 2 costs always do), the radix heap
-// beyond; both queues are pooled in the worker scratch arenas.
+// The Dijkstra queue follows the cost model's edge-cost bound: Dial's
+// bucket queue while the bound buckets cheaply (Assumption 2 costs
+// always do), the radix heap beyond; both queues are pooled in the
+// worker scratch arenas.
 //
 // # Warm-started transportation solves
 //
@@ -263,7 +263,7 @@
 //     through the graph itself once that instance outgrows
 //     max(n/4, 1000) nodes or 4e6 arcs — and its min-cost-flow solver
 //     from the input; Result.EnginesUsed reports the choice. Options
-//     selects ground-cost models, bank clustering, and Dijkstra heaps.
+//     selects ground-cost models and bank clustering.
 //   - EMDStar: the generalized Earth Mover's Distance EMD* (eq. 4)
 //     with local bank bins, plus the classic EMD, EMD-hat and
 //     EMD-alpha variants for comparison.

@@ -154,7 +154,7 @@ func exists(path string) bool {
 func TestSndbenchExperimentsExist(t *testing.T) {
 	registered := sndbenchExperiments(t)
 	ref := regexp.MustCompile(`-exp[ =]([\w|,.]+)`)
-	check := func(where, text string) {
+	scanDocs(t, func(where, _, text string) {
 		for _, m := range ref.FindAllStringSubmatch(text, -1) {
 			for _, id := range strings.FieldsFunc(m[1], func(r rune) bool { return r == '|' || r == ',' || r == '.' }) {
 				if id != "all" && !registered[id] {
@@ -162,14 +162,118 @@ func TestSndbenchExperimentsExist(t *testing.T) {
 				}
 			}
 		}
+	})
+}
+
+// TestDocsCiteExistingFields fails when a Go comment, README.md,
+// docs/*.md, the .claude/skills notes or the CI workflow cites
+// Options.<name>, EngineConfig.<name> or EMDStarConfig.<name> for a
+// field or method the type does not have. The types are core.Options,
+// core.EngineConfig and emd.StarConfig, which package snd re-exports; a
+// Go comment in a package that declares its own type of the cited name
+// (wal.Options) is checked against that type instead.
+func TestDocsCiteExistingFields(t *testing.T) {
+	owners := typeMembers(t, "internal/core/options.go", "internal/core/engine.go", "internal/emd/star.go")
+	owners["EMDStarConfig"] = owners["StarConfig"]
+	for _, name := range []string{"Options", "EngineConfig", "EMDStarConfig"} {
+		if len(owners[name]) == 0 {
+			t.Fatalf("no fields found for %s", name)
+		}
 	}
-	checkLines := func(path string) {
+	local := map[string]map[string]map[string]bool{} // Go package dir -> its own types
+	cite := regexp.MustCompile(`\b(Options|EngineConfig|EMDStarConfig)\.(\w+)`)
+	scanDocs(t, func(where, goDir, text string) {
+		for _, m := range cite.FindAllStringSubmatch(text, -1) {
+			known := owners[m[1]]
+			if goDir != "" {
+				types, ok := local[goDir]
+				if !ok {
+					files, err := filepath.Glob(filepath.Join(goDir, "*.go"))
+					if err != nil {
+						t.Fatal(err)
+					}
+					types = typeMembers(t, files...)
+					local[goDir] = types
+				}
+				if own, ok := types[m[1]]; ok {
+					known = own
+				}
+			}
+			if !known[m[2]] {
+				t.Errorf("%s: cites %s.%s, which %s does not have", where, m[1], m[2], m[1])
+			}
+		}
+	})
+}
+
+// typeMembers parses the named Go files and returns, per struct type
+// they declare, the names of its fields and of the methods declared on
+// it in those files.
+func typeMembers(t *testing.T, paths ...string) map[string]map[string]bool {
+	t.Helper()
+	members := map[string]map[string]bool{}
+	add := func(typ, name string) {
+		if members[typ] == nil {
+			members[typ] = map[string]bool{}
+		}
+		members[typ][name] = true
+	}
+	fset := token.NewFileSet()
+	for _, path := range paths {
+		file, err := parser.ParseFile(fset, path, nil, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, decl := range file.Decls {
+			switch d := decl.(type) {
+			case *ast.GenDecl:
+				for _, spec := range d.Specs {
+					ts, ok := spec.(*ast.TypeSpec)
+					if !ok {
+						continue
+					}
+					st, ok := ts.Type.(*ast.StructType)
+					if !ok {
+						continue
+					}
+					members[ts.Name.Name] = map[string]bool{}
+					for _, f := range st.Fields.List {
+						for _, name := range f.Names {
+							add(ts.Name.Name, name.Name)
+						}
+					}
+				}
+			case *ast.FuncDecl:
+				if d.Recv == nil || len(d.Recv.List) == 0 {
+					continue
+				}
+				typ := d.Recv.List[0].Type
+				if star, ok := typ.(*ast.StarExpr); ok {
+					typ = star.X
+				}
+				if id, ok := typ.(*ast.Ident); ok {
+					add(id.Name, d.Name.Name)
+				}
+			}
+		}
+	}
+	return members
+}
+
+// scanDocs calls visit on every line of README.md, docs/*.md, the
+// .claude/skills notes and the CI workflow, and on every Go comment in
+// the repository outside perfbench/ (which belongs to the benchmark)
+// and hidden directories. where locates the text; goDir is the Go
+// file's directory, or "" for a line of a non-Go file.
+func scanDocs(t *testing.T, visit func(where, goDir, text string)) {
+	t.Helper()
+	visitLines := func(path string) {
 		data, err := os.ReadFile(path)
 		if err != nil {
 			t.Fatal(err)
 		}
 		for i, line := range strings.Split(string(data), "\n") {
-			check(fmt.Sprintf("%s:%d", path, i+1), line)
+			visit(fmt.Sprintf("%s:%d", path, i+1), "", line)
 		}
 	}
 
@@ -178,11 +282,11 @@ func TestSndbenchExperimentsExist(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, path := range append(docs, "README.md", ".github/workflows/ci.yml") {
-		checkLines(path)
+		visitLines(path)
 	}
 	err = filepath.WalkDir(".claude/skills", func(path string, d fs.DirEntry, err error) error {
 		if err == nil && !d.IsDir() {
-			checkLines(path)
+			visitLines(path)
 		}
 		return err
 	})
@@ -210,7 +314,7 @@ func TestSndbenchExperimentsExist(t *testing.T) {
 		}
 		for _, group := range file.Comments {
 			for _, c := range group.List {
-				check(fset.Position(c.Pos()).String(), c.Text)
+				visit(fset.Position(c.Pos()).String(), filepath.Dir(path), c.Text)
 			}
 		}
 		return nil

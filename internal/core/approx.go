@@ -7,6 +7,7 @@ import (
 	"snd/internal/emd"
 	"snd/internal/flow"
 	"snd/internal/graph"
+	"snd/internal/pqueue"
 	"snd/internal/sssp"
 )
 
@@ -153,7 +154,7 @@ func termApproxMultilevel(g *graph.Digraph, spec termSpec, red reduction, o Opti
 				continue
 			}
 		}
-		sssp.DijkstraFrontierInto(colGraph, colW, int(c), o.Heap, maxCost, &sc.res, &sc.fr)
+		sssp.DijkstraFrontierInto(colGraph, colW, int(c), pqueue.KindAuto, maxCost, &sc.res, &sc.fr)
 		fill(j, sc.res.Dist)
 		runs++
 	}
@@ -161,7 +162,7 @@ func termApproxMultilevel(g *graph.Digraph, spec termSpec, red reduction, o Opti
 		if err := tc.cancelled(); err != nil {
 			return termVal{}, false, err
 		}
-		sssp.MultiSourceFrontierInto(colGraph, colW, red.banks[b].members, o.Heap, maxCost, &sc.res, &sc.fr)
+		sssp.MultiSourceFrontierInto(colGraph, colW, red.banks[b].members, pqueue.KindAuto, maxCost, &sc.res, &sc.fr)
 		fill(nOpp+b, sc.res.Dist)
 		runs++
 	}
@@ -271,7 +272,7 @@ func termApproxMultilevel(g *graph.Digraph, spec termSpec, red reduction, o Opti
 		}
 	}
 	solveStart := time.Now()
-	cost, _, err := solveBipartite(tc.ctx, nw, o.Heap, inf+o.Gamma)
+	cost, _, err := solveBipartite(tc.ctx, nw)
 	if tc.stats != nil {
 		addPhase(&tc.stats.flowNanos, solveStart)
 		if err == nil {

@@ -2,6 +2,7 @@ package core
 
 import (
 	"context"
+	"errors"
 	"math"
 	"math/rand"
 	"reflect"
@@ -9,7 +10,6 @@ import (
 
 	"snd/internal/graph"
 	"snd/internal/opinion"
-	"snd/internal/pqueue"
 )
 
 func randState(n int, activeFrac float64, rng *rand.Rand) opinion.State {
@@ -162,27 +162,6 @@ func TestSolversAgreeWithinEngines(t *testing.T) {
 	}
 }
 
-func TestHeapsAgree(t *testing.T) {
-	rng := rand.New(rand.NewSource(6))
-	g := graph.ErdosRenyi(30, 200, 11)
-	a := randState(30, 0.5, rng)
-	b := perturb(a, 5, rng)
-	var ref float64
-	for i, heap := range []pqueue.Kind{pqueue.KindBinary, pqueue.KindDial, pqueue.KindRadix} {
-		opts := DefaultOptions()
-		opts.Heap = heap
-		res, err := Distance(g, a, b, opts)
-		if err != nil {
-			t.Fatalf("heap %v: %v", heap, err)
-		}
-		if i == 0 {
-			ref = res.SND
-		} else if res.SND != ref {
-			t.Errorf("heap %v: SND %v != %v", heap, res.SND, ref)
-		}
-	}
-}
-
 func TestDisconnectedGraph(t *testing.T) {
 	// Two components; opinion moves across require the escape hatch and
 	// both routes and the oracle must agree on the saturated cost.
@@ -312,15 +291,17 @@ func TestSeries(t *testing.T) {
 	for i := 0; i < 3; i++ {
 		states = append(states, perturb(states[len(states)-1], 3, rng))
 	}
-	out, err := Series(context.Background(), g, states, DefaultOptions())
+	e := NewEngine(g, DefaultOptions(), EngineConfig{})
+	defer e.Close()
+	out, err := e.Series(context.Background(), states)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(out) != 3 {
 		t.Fatalf("len = %d, want 3", len(out))
 	}
-	if _, err := Series(context.Background(), g, states[:1], DefaultOptions()); err == nil {
-		t.Error("single-state series accepted")
+	if _, err := e.Series(context.Background(), states[:1]); !errors.Is(err, ErrShortSeries) {
+		t.Errorf("single-state series: err = %v, want ErrShortSeries", err)
 	}
 }
 

@@ -100,7 +100,7 @@ func NewEngine(g *graph.Digraph, opts Options, cfg EngineConfig) *Engine {
 		if budget == 0 {
 			budget = defaultGroundCacheBytes
 		}
-		prov = newGroundProvider(g, dopts.Costs, dopts.Heap, budget,
+		prov = newGroundProvider(g, dopts.Costs, budget,
 			infCost(g.N(), dopts.Costs.MaxCost(), dopts.EscapeHops))
 	}
 	// Build the transpose up front for the bipartite route's reverse

@@ -359,7 +359,7 @@ func TestEngineClose(t *testing.T) {
 func TestGroundProviderEvictRef(t *testing.T) {
 	g := engineTestGraph(80, 11)
 	opts := DefaultOptions().withDefaults()
-	p := newGroundProvider(g, opts.Costs, opts.Heap, 1<<20, infCost(g.N(), opts.Costs.MaxCost(), opts.EscapeHops))
+	p := newGroundProvider(g, opts.Costs, 1<<20, infCost(g.N(), opts.Costs.MaxCost(), opts.EscapeHops))
 	budget0 := p.budgetRemaining()
 	states := engineTestStates(g.N(), 2, 10, 12)
 	hA, hB := hashState(states[0]), hashState(states[1])

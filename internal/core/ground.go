@@ -88,7 +88,6 @@ import (
 type groundProvider struct {
 	g       *graph.Digraph
 	costs   opinion.GroundCosts
-	heap    pqueue.Kind
 	maxCost int64
 	// capAt is the term pipeline's saturation cost (infCost under the
 	// engine's options): every distance beyond it is charged exactly
@@ -222,12 +221,11 @@ func opIdx(op opinion.Opinion) int {
 	return 0
 }
 
-func newGroundProvider(g *graph.Digraph, costs opinion.GroundCosts, heap pqueue.Kind, budget, capAt int64) *groundProvider {
+func newGroundProvider(g *graph.Digraph, costs opinion.GroundCosts, budget, capAt int64) *groundProvider {
 	_, local := costs.Model.(opinion.LocalPenaltyModel)
 	p := &groundProvider{
 		g:         g,
 		costs:     costs,
-		heap:      heap,
 		maxCost:   costs.MaxCost(),
 		capAt:     capAt,
 		local:     local,
@@ -704,7 +702,7 @@ func (p *groundProvider) rowGoals(ref hashKey, st opinion.State, op opinion.Opin
 		if reversed {
 			srcGraph = p.g.Reverse()
 		}
-		sssp.DijkstraFrontierInto(srcGraph, w, int(src), p.heap, p.maxCost, &sc.res, &sc.fr)
+		sssp.DijkstraFrontierInto(srcGraph, w, int(src), pqueue.KindAuto, p.maxCost, &sc.res, &sc.fr)
 		c := make([]int32, n)
 		capAt := int32(p.capAt)
 		for v, d := range sc.res.Dist {
@@ -879,13 +877,13 @@ func (p *groundProvider) row(ref hashKey, st opinion.State, op opinion.Opinion, 
 		if rs == nil {
 			rs = &sssp.RepairScratch{}
 		}
-		sssp.RepairInto(srcGraph, w, int(src), p.heap, p.maxCost, &res, dirty, dirtyTails, n/4+16, rs)
+		sssp.RepairInto(srcGraph, w, int(src), pqueue.KindAuto, p.maxCost, &res, dirty, dirtyTails, n/4+16, rs)
 		p.repairPool.Put(rs)
 		repaired = true
 		break
 	}
 	if !repaired {
-		sssp.DijkstraInto(srcGraph, w, int(src), p.heap, p.maxCost, &res)
+		sssp.DijkstraInto(srcGraph, w, int(src), pqueue.KindAuto, p.maxCost, &res)
 	}
 	tr.dist = res.Dist
 	if p.local {

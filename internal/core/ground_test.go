@@ -8,6 +8,7 @@ import (
 
 	"snd/internal/graph"
 	"snd/internal/opinion"
+	"snd/internal/pqueue"
 	"snd/internal/sssp"
 )
 
@@ -34,7 +35,7 @@ func applyFlips(st opinion.State, k int, rng *rand.Rand) (opinion.State, []int32
 func TestProviderDeltaDerivationExact(t *testing.T) {
 	g := engineTestGraph(250, 21)
 	opts := DefaultOptions().withDefaults()
-	p := newGroundProvider(g, opts.Costs, opts.Heap, 8<<20, infCost(g.N(), opts.Costs.MaxCost(), opts.EscapeHops))
+	p := newGroundProvider(g, opts.Costs, 8<<20, infCost(g.N(), opts.Costs.MaxCost(), opts.EscapeHops))
 	rng := rand.New(rand.NewSource(33))
 	st := engineTestStates(g.N(), 1, 0, 23)[0]
 	// Seed the chain's first entry so derivations have an ancestor.
@@ -70,7 +71,7 @@ func TestProviderDeltaDerivationExact(t *testing.T) {
 				if !ok {
 					t.Fatalf("tick %d: provider declined within budget", tick)
 				}
-				fresh := sssp.Dijkstra(g, wantW, int(src), opts.Heap, opts.Costs.MaxCost())
+				fresh := sssp.Dijkstra(g, wantW, int(src), pqueue.KindAuto, opts.Costs.MaxCost())
 				if !reflect.DeepEqual(row, fresh.Dist) {
 					t.Fatalf("tick %d op %v src %d: repaired row diverges from fresh Dijkstra", tick, op, src)
 				}
@@ -78,7 +79,7 @@ func TestProviderDeltaDerivationExact(t *testing.T) {
 				if !ok {
 					t.Fatalf("tick %d: provider declined reversed row", tick)
 				}
-				rfresh := sssp.Dijkstra(g.Reverse(), graph.PermuteToReverse(g, wantW), int(src), opts.Heap, opts.Costs.MaxCost())
+				rfresh := sssp.Dijkstra(g.Reverse(), graph.PermuteToReverse(g, wantW), int(src), pqueue.KindAuto, opts.Costs.MaxCost())
 				if !reflect.DeepEqual(rrow, rfresh.Dist) {
 					t.Fatalf("tick %d op %v src %d: repaired reverse row diverges", tick, op, src)
 				}
@@ -94,7 +95,7 @@ func TestProviderDeltaDerivationExact(t *testing.T) {
 func TestProviderWindowRetention(t *testing.T) {
 	g := engineTestGraph(120, 5)
 	opts := DefaultOptions().withDefaults()
-	p := newGroundProvider(g, opts.Costs, opts.Heap, 4<<20, infCost(g.N(), opts.Costs.MaxCost(), opts.EscapeHops))
+	p := newGroundProvider(g, opts.Costs, 4<<20, infCost(g.N(), opts.Costs.MaxCost(), opts.EscapeHops))
 	budget0 := p.budgetRemaining()
 	rng := rand.New(rand.NewSource(8))
 	st := engineTestStates(g.N(), 1, 0, 9)[0]
@@ -149,7 +150,7 @@ func TestProviderNonLocalModel(t *testing.T) {
 	opts := DefaultOptions()
 	opts.Costs = opinion.DefaultGroundCosts(opinion.DefaultICC)
 	opts = opts.withDefaults()
-	p := newGroundProvider(g, opts.Costs, opts.Heap, 4<<20, infCost(g.N(), opts.Costs.MaxCost(), opts.EscapeHops))
+	p := newGroundProvider(g, opts.Costs, 4<<20, infCost(g.N(), opts.Costs.MaxCost(), opts.EscapeHops))
 	if p.local {
 		t.Fatal("ICC must not be treated as a local model")
 	}

@@ -48,7 +48,6 @@ import (
 
 	"snd/internal/graph"
 	"snd/internal/opinion"
-	"snd/internal/pqueue"
 )
 
 // ComputeEngine labels the strategy that produced a term
@@ -95,11 +94,6 @@ type Options struct {
 	// Larger values weight pure activation-volume change more heavily
 	// relative to placement.
 	Gamma int64
-	// Heap selects the Dijkstra priority queue for the SSSP runs.
-	// pqueue.KindAuto (HeapAuto) resolves against the cost model's
-	// MaxCost when the options are applied: Dial's bucket queue while
-	// the edge-cost bound buckets cheaply, the radix heap beyond.
-	Heap pqueue.Kind
 	// Clusters optionally groups users for bank allocation (nil =
 	// one bank per user, the Theorem 4 setting).
 	Clusters []int
@@ -154,29 +148,16 @@ const (
 
 func (o Options) ablated(a ablation) bool { return o.ablate&a != 0 }
 
-// HeapAuto selects the Dijkstra queue by the cost model's edge-cost
-// bound: Dial's bucket queue while the bound is small (the Assumption 2
-// setting), the radix heap beyond (see Options.Heap).
-const HeapAuto = pqueue.KindAuto
-
 // DefaultOptions returns the configuration used by the paper's
-// experiments: agnostic ground costs, automatic queue selection (Dial's
-// bucket queue under Assumption 2's small cost bound).
+// experiments: agnostic ground costs.
 func DefaultOptions() Options {
-	return Options{
-		Costs: opinion.DefaultGroundCosts(opinion.DefaultAgnostic),
-		Heap:  HeapAuto,
-	}
+	return Options{Costs: opinion.DefaultGroundCosts(opinion.DefaultAgnostic)}
 }
 
 func (o Options) withDefaults() Options {
 	if o.Costs.Model == nil {
 		o.Costs = opinion.DefaultGroundCosts(opinion.DefaultAgnostic)
 	}
-	// Resolve HeapAuto once, here, so every downstream consumer — the
-	// SSSP fan-out, tree repair, the SSP flow solver — sees a concrete
-	// queue kind chosen against the model's true cost bound.
-	o.Heap = pqueue.Resolve(o.Heap, o.Costs.MaxCost())
 	if o.Gamma <= 0 {
 		o.Gamma = 1
 	}

@@ -9,6 +9,7 @@ import (
 	"snd/internal/flow"
 	"snd/internal/graph"
 	"snd/internal/opinion"
+	"snd/internal/pqueue"
 	"snd/internal/sssp"
 )
 
@@ -18,7 +19,7 @@ func termDense(g *graph.Digraph, spec termSpec, o Options) (float64, error) {
 	w := o.Costs.EdgeCosts(g, spec.ref, spec.op)
 	maxCost := o.Costs.MaxCost()
 	inf := infCost(g.N(), maxCost, o.EscapeHops)
-	d := sssp.Johnson(g, w, o.Heap, maxCost)
+	d := sssp.Johnson(g, w, pqueue.KindAuto, maxCost)
 	distFn := func(i, j int) float64 {
 		v := d[i][j]
 		if v >= sssp.Unreachable || v > inf {
@@ -58,12 +59,12 @@ var (
 )
 
 // solveWith runs one named min-cost-flow solver on nw from zero flow.
-func solveWith(nw *flow.Network, costScaling bool, o Options, maxArcCost int64) (int64, error) {
+func solveWith(nw *flow.Network, costScaling bool) (int64, error) {
 	nw.ResetFlow()
 	if costScaling {
 		return nw.SolveCostScaling(context.Background())
 	}
-	return nw.SolveSSP(context.Background(), o.Heap, maxArcCost)
+	return nw.SolveSSP(context.Background())
 }
 
 // viaBipartiteSolver is the bipartite route with its flow instance
@@ -76,8 +77,7 @@ func viaBipartiteSolver(costScaling bool) termFn {
 		if err != nil {
 			return 0, err
 		}
-		inf := infCost(g.N(), o.Costs.MaxCost(), o.EscapeHops)
-		cost, err := solveWith(nw, costScaling, o, inf+o.Gamma)
+		cost, err := solveWith(nw, costScaling)
 		return float64(cost) / float64(red.scale), err
 	}
 }
@@ -86,7 +86,7 @@ func viaBipartiteSolver(costScaling bool) termFn {
 func viaNetworkSolver(costScaling bool) termFn {
 	return func(g *graph.Digraph, spec termSpec, red reduction, o Options) (float64, error) {
 		nw := networkInstance(g, spec, red, o, termCtx{})
-		cost, err := solveWith(nw, costScaling, o, o.Costs.MaxCost())
+		cost, err := solveWith(nw, costScaling)
 		return float64(cost) / float64(red.scale), err
 	}
 }

@@ -1,12 +1,12 @@
 package core
 
 import (
-	"context"
 	"fmt"
 
 	"snd/internal/emd"
 	"snd/internal/graph"
 	"snd/internal/opinion"
+	"snd/internal/pqueue"
 	"snd/internal/sssp"
 )
 
@@ -70,7 +70,7 @@ func Direct(g *graph.Digraph, a, b opinion.State, opts Options) (Result, error) 
 	inf := infCost(g.N(), maxCost, opts.EscapeHops)
 	for i, spec := range specs {
 		w := opts.Costs.EdgeCosts(g, spec.ref, spec.op)
-		d := sssp.Johnson(g, w, opts.Heap, maxCost)
+		d := sssp.Johnson(g, w, pqueue.KindAuto, maxCost)
 		distFn := func(x, y int) float64 {
 			v := d[x][y]
 			if v >= sssp.Unreachable || v > inf {
@@ -83,7 +83,6 @@ func Direct(g *graph.Digraph, a, b opinion.State, opts Options) (Result, error) 
 		v, err := emd.StarUnreduced(p, q, distFn, emd.StarConfig{
 			Clusters:   opts.Clusters,
 			GammaFloor: float64(opts.Gamma),
-			Solver:     emd.SolverSimplex,
 		})
 		if err != nil {
 			return Result{}, fmt.Errorf("core: direct term %d: %w", i, err)
@@ -95,15 +94,4 @@ func Direct(g *graph.Digraph, a, b opinion.State, opts Options) (Result, error) 
 	res.SND = (res.Terms[0] + res.Terms[1] + res.Terms[2] + res.Terms[3]) / 2
 	res.LB, res.UB = res.SND, res.SND
 	return res, nil
-}
-
-// Series computes the distances between every adjacent pair of a state
-// series: out[i] = SND(states[i], states[i+1]). It runs on a transient
-// Engine (one worker per CPU), released before returning; construct an
-// Engine directly to control worker count and cache budget across many
-// series.
-func Series(ctx context.Context, g *graph.Digraph, states []opinion.State, opts Options) ([]float64, error) {
-	e := NewEngine(g, opts, EngineConfig{})
-	defer e.Close()
-	return e.Series(ctx, states)
 }

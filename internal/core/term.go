@@ -529,12 +529,12 @@ func termBipartiteNetwork(g *graph.Digraph, spec termSpec, red reduction, o Opti
 		// and drain the residual imbalance from its potentials. The
 		// optimum is unique, so the value matches a cold solve exactly.
 		tc.sc.transplant(nw, red, donor)
-		cost, err = nw.SolveSSPWarm(tc.ctx, o.Heap, inf+o.Gamma)
+		cost, err = nw.SolveSSPWarm(tc.ctx)
 		if tc.stats != nil && err == nil {
 			tc.stats.termsWarmSolved.Add(1)
 		}
 	} else {
-		cost, usedCostScaling, err = solveBipartite(tc.ctx, nw, o.Heap, inf+o.Gamma)
+		cost, usedCostScaling, err = solveBipartite(tc.ctx, nw)
 		if tc.stats != nil && err == nil {
 			tc.stats.flowSolves.Add(1)
 		}
@@ -612,11 +612,11 @@ func (tc termCtx) fanOutRows(srcGraph *graph.Digraph, srcW []int32, spec termSpe
 		if noPrune || len(out) > pruneLimit {
 			// Unpruned: settle the whole graph into the worker's result
 			// buffer, then fold out the queried columns.
-			sssp.DijkstraFrontierInto(srcGraph, srcW, int(s), o.Heap, maxCost, &sc.res, &sc.fr)
+			sssp.DijkstraFrontierInto(srcGraph, srcW, int(s), pqueue.KindAuto, maxCost, &sc.res, &sc.fr)
 			foldCols(out, sc.res.Dist, targets, cols)
 			return
 		}
-		sssp.DijkstraGoalsInto(srcGraph, srcW, int(s), targets, cols, o.Heap, maxCost, cutoff, out, &sc.goals)
+		sssp.DijkstraGoalsInto(srcGraph, srcW, int(s), targets, cols, pqueue.KindAuto, maxCost, cutoff, out, &sc.goals)
 	}
 	owner := tc.sc
 	if owner == nil {
@@ -729,9 +729,9 @@ func bankUnits(red reduction) int64 {
 // lets the solvers abandon a cancelled request between flow pushes.
 // usedCostScaling reports which solver ran — warm-basis retention
 // needs it to renormalize cost-scaling's scaled potentials.
-func solveBipartite(ctx context.Context, nw *flow.Network, heap pqueue.Kind, maxArcCost int64) (cost int64, usedCostScaling bool, err error) {
+func solveBipartite(ctx context.Context, nw *flow.Network) (cost int64, usedCostScaling bool, err error) {
 	if nw.N() <= sspNodeLimit {
-		cost, err = nw.SolveSSP(ctx, heap, maxArcCost)
+		cost, err = nw.SolveSSP(ctx)
 		return cost, false, err
 	}
 	cost, err = nw.SolveCostScaling(ctx)

@@ -44,7 +44,7 @@ func TestBoundsAdmissible(t *testing.T) {
 			t.Fatalf("seed %d: NewBounds: %v", seed, err)
 		}
 
-		exactEMD, err := EMD(p, q, d, SolverSSP)
+		exactEMD, err := EMD(p, q, d)
 		if err != nil {
 			t.Fatalf("seed %d: EMD: %v", seed, err)
 		}
@@ -53,14 +53,14 @@ func TestBoundsAdmissible(t *testing.T) {
 		}
 
 		alpha := 0.5 + rng.Float64()*1.5
-		exactHat, err := Hat(p, q, d, alpha, SolverSSP)
+		exactHat, err := Hat(p, q, d, alpha)
 		if err != nil {
 			t.Fatalf("seed %d: Hat: %v", seed, err)
 		}
 		if lb := b.Hat(alpha); lb > exactHat+slack {
 			t.Fatalf("seed %d: Hat bound %v > exact %v (alpha %v)", seed, lb, exactHat, alpha)
 		}
-		exactAlpha, err := Alpha(p, q, d, alpha, SolverSSP)
+		exactAlpha, err := Alpha(p, q, d, alpha)
 		if err != nil {
 			t.Fatalf("seed %d: Alpha: %v", seed, err)
 		}

@@ -28,23 +28,6 @@ import (
 // DistFn returns the ground distance between bins i and j.
 type DistFn func(i, j int) float64
 
-// Solver selects the dense transportation solver.
-type Solver int
-
-const (
-	// SolverSSP uses successive shortest paths with potentials.
-	SolverSSP Solver = iota
-	// SolverSimplex uses the transportation simplex (MODI).
-	SolverSimplex
-)
-
-func solveDense(p flow.Dense, s Solver) (flow.Plan, error) {
-	if s == SolverSimplex {
-		return flow.SimplexDense(p)
-	}
-	return flow.SSPDense(p)
-}
-
 func sum(v []float64) float64 {
 	total := 0.0
 	for _, x := range v {
@@ -74,7 +57,7 @@ func checkHistograms(p, q []float64) error {
 // minimum transportation cost of matching min(sum P, sum Q) mass,
 // divided by that mass. It returns 0 when either histogram is empty
 // (no mass moves).
-func EMD(p, q []float64, d DistFn, solver Solver) (float64, error) {
+func EMD(p, q []float64, d DistFn) (float64, error) {
 	if err := checkHistograms(p, q); err != nil {
 		return 0, err
 	}
@@ -83,7 +66,7 @@ func EMD(p, q []float64, d DistFn, solver Solver) (float64, error) {
 		return 0, nil
 	}
 	prob, _, _ := flow.Balance(p, q, d)
-	plan, err := solveDense(prob, solver)
+	plan, err := flow.SSPDense(prob)
 	if err != nil {
 		return 0, err
 	}
@@ -109,8 +92,8 @@ func MaxDist(n int, d DistFn) float64 {
 //	Hat = EMD * min(sum P, sum Q) + alpha * max(D) * |sum P - sum Q|.
 //
 // alpha >= 0.5 with a metric D makes Hat a metric.
-func Hat(p, q []float64, d DistFn, alpha float64, solver Solver) (float64, error) {
-	raw, err := EMD(p, q, d, solver)
+func Hat(p, q []float64, d DistFn, alpha float64) (float64, error) {
+	raw, err := EMD(p, q, d)
 	if err != nil {
 		return 0, err
 	}
@@ -124,7 +107,7 @@ func Hat(p, q []float64, d DistFn, alpha float64, solver Solver) (float64, error
 // is scaled by (sum P + sum Q), the total mass of the extended
 // histograms (equivalently: the raw optimal cost of the extended
 // balanced problem).
-func Alpha(p, q []float64, d DistFn, alpha float64, solver Solver) (float64, error) {
+func Alpha(p, q []float64, d DistFn, alpha float64) (float64, error) {
 	if err := checkHistograms(p, q); err != nil {
 		return 0, err
 	}
@@ -144,7 +127,7 @@ func Alpha(p, q []float64, d DistFn, alpha float64, solver Solver) (float64, err
 			return d(i, j)
 		}
 	}
-	plan, err := solveDense(flow.Dense{Supply: pExt, Demand: qExt, Cost: dExt}, solver)
+	plan, err := flow.SSPDense(flow.Dense{Supply: pExt, Demand: qExt, Cost: dExt})
 	if err != nil {
 		return 0, err
 	}

@@ -30,7 +30,7 @@ func TestEMDIdentical(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
 	d := lineMetric(6, rng)
 	p := []float64{1, 0, 2, 0, 3, 0}
-	got, err := EMD(p, p, d, SolverSSP)
+	got, err := EMD(p, p, d)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -49,7 +49,7 @@ func TestEMDSimpleShift(t *testing.T) {
 	}
 	p := []float64{2, 0}
 	q := []float64{0, 2}
-	got, err := EMD(p, q, d, SolverSSP)
+	got, err := EMD(p, q, d)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -64,7 +64,7 @@ func TestEMDPartialMatching(t *testing.T) {
 	d := func(i, j int) float64 { return math.Abs(float64(i - j)) }
 	p := []float64{1, 0}
 	q := []float64{1, 7}
-	got, err := EMD(p, q, d, SolverSSP)
+	got, err := EMD(p, q, d)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -75,20 +75,20 @@ func TestEMDPartialMatching(t *testing.T) {
 
 func TestEMDEmpty(t *testing.T) {
 	d := func(i, j int) float64 { return 1 }
-	if got, err := EMD([]float64{0, 0}, []float64{1, 2}, d, SolverSSP); err != nil || got != 0 {
+	if got, err := EMD([]float64{0, 0}, []float64{1, 2}, d); err != nil || got != 0 {
 		t.Errorf("EMD(empty, Q) = %v, %v", got, err)
 	}
 }
 
 func TestEMDErrors(t *testing.T) {
 	d := func(i, j int) float64 { return 1 }
-	if _, err := EMD([]float64{1}, []float64{1, 2}, d, SolverSSP); err == nil {
+	if _, err := EMD([]float64{1}, []float64{1, 2}, d); err == nil {
 		t.Error("length mismatch accepted")
 	}
-	if _, err := EMD([]float64{-1}, []float64{1}, d, SolverSSP); err == nil {
+	if _, err := EMD([]float64{-1}, []float64{1}, d); err == nil {
 		t.Error("negative mass accepted")
 	}
-	if _, err := EMD([]float64{math.NaN()}, []float64{1}, d, SolverSSP); err == nil {
+	if _, err := EMD([]float64{math.NaN()}, []float64{1}, d); err == nil {
 		t.Error("NaN mass accepted")
 	}
 }
@@ -103,11 +103,11 @@ func TestTheorem2AlphaEqualsHat(t *testing.T) {
 		p := randHist(n, rng, 4)
 		q := randHist(n, rng, 4)
 		for _, alpha := range []float64{0.5, 0.8, 1.5} {
-			hat, err := Hat(p, q, d, alpha, SolverSSP)
+			hat, err := Hat(p, q, d, alpha)
 			if err != nil {
 				t.Fatal(err)
 			}
-			al, err := Alpha(p, q, d, alpha, SolverSSP)
+			al, err := Alpha(p, q, d, alpha)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -134,7 +134,7 @@ func TestCorollary1(t *testing.T) {
 		for i, j := range perm {
 			q[j] = p[i]
 		}
-		base, err := EMD(p, q, d, SolverSSP)
+		base, err := EMD(p, q, d)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -202,7 +202,9 @@ func TestStarMassMismatchPenalized(t *testing.T) {
 }
 
 // TestStarReducedMatchesUnreduced: the Lemma 1/2 reduction path must be
-// exact (semimetric ground distance).
+// exact (semimetric ground distance). It also cross-checks the two dense
+// solvers: Star solves the reduced problem by successive shortest paths,
+// StarUnreduced the full one by the transportation simplex.
 func TestStarReducedMatchesUnreduced(t *testing.T) {
 	rng := rand.New(rand.NewSource(17))
 	for trial := 0; trial < 40; trial++ {
@@ -353,7 +355,7 @@ func TestStarGlobalBankEqualsAlpha(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		al, err := Alpha(p, q, d, alpha, SolverSSP)
+		al, err := Alpha(p, q, d, alpha)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -393,11 +395,11 @@ func TestFig5Scenario(t *testing.T) {
 		t.Errorf("EMD*: propagated %v should be closer than teleported %v", d12, d13)
 	}
 
-	a12, err := Alpha(g1, g2, d, 0.5, SolverSSP)
+	a12, err := Alpha(g1, g2, d, 0.5)
 	if err != nil {
 		t.Fatal(err)
 	}
-	a13, err := Alpha(g1, g3, d, 0.5, SolverSSP)
+	a13, err := Alpha(g1, g3, d, 0.5)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -405,37 +407,16 @@ func TestFig5Scenario(t *testing.T) {
 		t.Errorf("EMD-alpha should not distinguish: %v vs %v", a12, a13)
 	}
 
-	e12, err := EMD(g1, g2, d, SolverSSP)
+	e12, err := EMD(g1, g2, d)
 	if err != nil {
 		t.Fatal(err)
 	}
-	e13, err := EMD(g1, g3, d, SolverSSP)
+	e13, err := EMD(g1, g3, d)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if e12 != 0 || e13 != 0 {
 		t.Errorf("EMD should see both as identical to G1: %v, %v", e12, e13)
-	}
-}
-
-func TestStarSolversAgree(t *testing.T) {
-	rng := rand.New(rand.NewSource(31))
-	for trial := 0; trial < 20; trial++ {
-		n := 2 + rng.Intn(6)
-		d := lineMetric(n, rng)
-		p := randHist(n, rng, 4)
-		q := randHist(n, rng, 4)
-		a, err := Star(p, q, d, StarConfig{Solver: SolverSSP})
-		if err != nil {
-			t.Fatal(err)
-		}
-		b, err := Star(p, q, d, StarConfig{Solver: SolverSimplex})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if math.Abs(a-b) > 1e-6*math.Max(1, a) {
-			t.Fatalf("trial %d: SSP %v != simplex %v", trial, a, b)
-		}
 	}
 }
 

@@ -24,8 +24,6 @@ type StarConfig struct {
 	// GammaStep separates the Nb banks of one cluster: bank j sits at
 	// gamma(c) + j*GammaStep. Defaults to 0 (all banks equidistant).
 	GammaStep float64
-	// Solver selects the transportation solver.
-	Solver Solver
 }
 
 func (c StarConfig) withDefaults(n int) StarConfig {
@@ -220,15 +218,17 @@ func Star(p, q []float64, d DistFn, cfg StarConfig) (float64, error) {
 		Demand: rq,
 		Cost:   func(i, j int) float64 { return ext.Dist(idx[i], idx[j]) },
 	}
-	plan, err := solveDense(prob, cfg.Solver)
+	plan, err := flow.SSPDense(prob)
 	if err != nil {
 		return 0, err
 	}
 	return plan.Cost, nil
 }
 
-// StarUnreduced computes EMD* without the Lemma 1/2 reduction, as a
-// cross-check oracle for the reduction path.
+// StarUnreduced computes EMD* without the Lemma 1/2 reduction, solved
+// by the transportation simplex: the general-purpose baseline behind
+// core.Direct and a cross-check oracle for the reduction path, which
+// Star solves by successive shortest paths.
 func StarUnreduced(p, q []float64, d DistFn, cfg StarConfig) (float64, error) {
 	ext, err := Extend(p, q, d, cfg)
 	if err != nil {
@@ -237,7 +237,7 @@ func StarUnreduced(p, q []float64, d DistFn, cfg StarConfig) (float64, error) {
 	if sum(ext.P) <= flow.Eps {
 		return 0, nil
 	}
-	plan, err := solveDense(flow.Dense{Supply: ext.P, Demand: ext.Q, Cost: ext.Dist}, cfg.Solver)
+	plan, err := flow.SimplexDense(flow.Dense{Supply: ext.P, Demand: ext.Q, Cost: ext.Dist})
 	if err != nil {
 		return 0, err
 	}

@@ -7,8 +7,6 @@ import (
 	"math/rand"
 	"testing"
 	"testing/quick"
-
-	"snd/internal/pqueue"
 )
 
 // brute enumerates optimal transportation cost for tiny balanced
@@ -277,7 +275,7 @@ func TestNetworkSolversMatchDense(t *testing.T) {
 			t.Fatal(err)
 		}
 		nw := buildBipartiteNetwork(p, 1)
-		got, err := nw.SolveSSP(context.Background(), pqueue.KindBinary, 20)
+		got, err := nw.SolveSSP(context.Background())
 		if err != nil {
 			t.Fatalf("trial %d: network SSP: %v", trial, err)
 		}
@@ -302,7 +300,7 @@ func TestNetworkResetFlow(t *testing.T) {
 		Cost:   CostMatrix([][]float64{{1, 4}, {2, 6}}),
 	}
 	nw := buildBipartiteNetwork(p, 1)
-	c1, err := nw.SolveSSP(context.Background(), pqueue.KindRadix, 6)
+	c1, err := nw.SolveSSP(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -321,12 +319,12 @@ func TestNetworkInfeasible(t *testing.T) {
 	nw.SetExcess(0, 1)
 	nw.SetExcess(1, -1)
 	// No arcs at all: stranded excess.
-	if _, err := nw.SolveSSP(context.Background(), pqueue.KindBinary, 1); err == nil {
+	if _, err := nw.SolveSSP(context.Background()); err == nil {
 		t.Error("SolveSSP accepted disconnected instance")
 	}
 	nw2 := NewNetwork(2, 1)
 	nw2.SetExcess(0, 1)
-	if _, err := nw2.SolveSSP(context.Background(), pqueue.KindBinary, 1); err == nil {
+	if _, err := nw2.SolveSSP(context.Background()); err == nil {
 		t.Error("SolveSSP accepted unbalanced instance")
 	}
 	if _, err := nw2.SolveCostScaling(context.Background()); err == nil {
@@ -341,7 +339,7 @@ func TestNetworkCapacityRespected(t *testing.T) {
 	nw.SetExcess(1, -3)
 	cheap := nw.AddArc(0, 1, 1, 1)
 	exp := nw.AddArc(0, 1, 10, 5)
-	cost, err := nw.SolveSSP(context.Background(), pqueue.KindBinary, 5)
+	cost, err := nw.SolveSSP(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -366,7 +364,7 @@ func TestNetworkThroughIntermediate(t *testing.T) {
 	for name, solve := range map[string]func() (int64, error){
 		// Map iteration order is random, so each solver must reset the
 		// network itself — running after the other is part of the test.
-		"ssp":  func() (int64, error) { nw.ResetFlow(); return nw.SolveSSP(context.Background(), pqueue.KindBinary, 4) },
+		"ssp":  func() (int64, error) { nw.ResetFlow(); return nw.SolveSSP(context.Background()) },
 		"cost": func() (int64, error) { nw.ResetFlow(); return nw.SolveCostScaling(context.Background()) },
 	} {
 		got, err := solve()
@@ -403,7 +401,7 @@ func TestQuickNetworkSolversAgree(t *testing.T) {
 			nw.SetExcess(n-1, -total)
 			return nw
 		}
-		a, errA := build().SolveSSP(context.Background(), pqueue.KindRadix, 9)
+		a, errA := build().SolveSSP(context.Background())
 		b, errB := build().SolveCostScaling(context.Background())
 		if (errA == nil) != (errB == nil) {
 			return false
@@ -469,13 +467,13 @@ func TestNetworkSolversCancelled(t *testing.T) {
 		nw.AddArc(1, 2, 5, 1)
 		return nw
 	}
-	if _, err := build().SolveSSP(ctx, pqueue.KindBinary, 2); !errors.Is(err, context.Canceled) {
+	if _, err := build().SolveSSP(ctx); !errors.Is(err, context.Canceled) {
 		t.Errorf("SolveSSP cancelled: err = %v, want context.Canceled", err)
 	}
 	if _, err := build().SolveCostScaling(ctx); !errors.Is(err, context.Canceled) {
 		t.Errorf("SolveCostScaling cancelled: err = %v, want context.Canceled", err)
 	}
-	if _, err := build().SolveSSP(nil, pqueue.KindBinary, 2); err != nil {
+	if _, err := build().SolveSSP(nil); err != nil {
 		t.Errorf("SolveSSP nil ctx: %v", err)
 	}
 	if _, err := build().SolveCostScaling(nil); err != nil {

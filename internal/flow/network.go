@@ -181,9 +181,9 @@ func (nw *Network) totalSupply() (supply, demand int64) {
 // reuse it only via Reset. A nil ctx means no cancellation.
 //
 // Reduced costs are not bounded by the original arc costs, so Dial's
-// bucket queue cannot be used here; KindDial is silently promoted to
-// KindRadix (which only needs monotonicity).
-func (nw *Network) SolveSSP(ctx context.Context, kind pqueue.Kind, maxArcCost int64) (int64, error) {
+// bucket queue cannot be used here; the Dijkstra runs use the radix
+// heap, which only needs monotonicity.
+func (nw *Network) SolveSSP(ctx context.Context) (int64, error) {
 	supply, demand := nw.totalSupply()
 	if supply != demand {
 		return 0, fmt.Errorf("flow: unbalanced network: supply %d != demand %d", supply, demand)
@@ -195,7 +195,7 @@ func (nw *Network) SolveSSP(ctx context.Context, kind pqueue.Kind, maxArcCost in
 	for i := range nw.price {
 		nw.price[i] = 0
 	}
-	if err := nw.drainSSP(ctx, kind, maxArcCost, ex, supply); err != nil {
+	if err := nw.drainSSP(ctx, ex, supply); err != nil {
 		return 0, err
 	}
 	return nw.TotalCost(), nil
@@ -208,16 +208,13 @@ func (nw *Network) SolveSSP(ctx context.Context, kind pqueue.Kind, maxArcCost in
 // have non-negative reduced cost on entry — true for a cold start
 // (zero prices, non-negative costs) and re-established by the warm
 // path's saturation repair.
-func (nw *Network) drainSSP(ctx context.Context, kind pqueue.Kind, maxArcCost int64, ex []int64, remaining int64) error {
-	if kind == pqueue.KindDial {
-		kind = pqueue.KindRadix
-	}
+func (nw *Network) drainSSP(ctx context.Context, ex []int64, remaining int64) error {
 	n := nw.numNodes
 	nw.scDist = growInt64(nw.scDist, n)
 	nw.scVisited = growBool(nw.scVisited, n)
 	nw.scParent = growInt32(nw.scParent, n)
 	dist, visited, parentArc := nw.scDist, nw.scVisited, nw.scParent
-	q := pqueue.New(kind, maxArcCost, n)
+	q := pqueue.NewRadix(n)
 	for remaining > 0 {
 		if ctx != nil {
 			if err := ctx.Err(); err != nil {

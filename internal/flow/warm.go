@@ -3,8 +3,6 @@ package flow
 import (
 	"context"
 	"fmt"
-
-	"snd/internal/pqueue"
 )
 
 // This file is the warm-start substrate of the flow stage: a solved
@@ -72,7 +70,7 @@ func (nw *Network) PreloadFlow(arcID int, x int64) int64 {
 // The solve checks ctx between augmentations exactly as SolveSSP does,
 // returning ctx.Err() when cancelled with the network in an undefined
 // partially-routed state.
-func (nw *Network) SolveSSPWarm(ctx context.Context, kind pqueue.Kind, maxArcCost int64) (int64, error) {
+func (nw *Network) SolveSSPWarm(ctx context.Context) (int64, error) {
 	supply, demand := nw.totalSupply()
 	if supply != demand {
 		return 0, fmt.Errorf("flow: unbalanced network: supply %d != demand %d", supply, demand)
@@ -122,7 +120,7 @@ func (nw *Network) SolveSSPWarm(ctx context.Context, kind pqueue.Kind, maxArcCos
 		copy(ex, nw.excess[:n])
 		remaining = supply
 	}
-	if err := nw.drainSSP(ctx, kind, maxArcCost, ex, remaining); err != nil {
+	if err := nw.drainSSP(ctx, ex, remaining); err != nil {
 		return 0, err
 	}
 	return nw.TotalCost(), nil

@@ -3,8 +3,6 @@ package flow
 import (
 	"math/rand"
 	"testing"
-
-	"snd/internal/pqueue"
 )
 
 // bipInstance is one random complete-bipartite transportation instance
@@ -81,11 +79,11 @@ func (inst bipInstance) perturb(rng *rand.Rand, maxCost int64, changes int) bipI
 	return out
 }
 
-func coldCost(t *testing.T, inst bipInstance, maxCost int64) int64 {
+func coldCost(t *testing.T, inst bipInstance) int64 {
 	t.Helper()
 	nw := NewNetwork(inst.nodes(), inst.arcs())
 	inst.build(nw)
-	got, err := nw.SolveSSP(nil, pqueue.KindBinary, maxCost)
+	got, err := nw.SolveSSP(nil)
 	if err != nil {
 		t.Fatalf("cold SolveSSP: %v", err)
 	}
@@ -103,7 +101,7 @@ func TestSolveSSPWarmMatchesCold(t *testing.T) {
 
 		donor := NewNetwork(inst.nodes(), inst.arcs())
 		inst.build(donor)
-		donorCost, err := donor.SolveSSP(nil, pqueue.KindBinary, maxCost)
+		donorCost, err := donor.SolveSSP(nil)
 		if err != nil {
 			t.Fatalf("seed %d: donor solve: %v", seed, err)
 		}
@@ -119,11 +117,11 @@ func TestSolveSSPWarmMatchesCold(t *testing.T) {
 		for v := 0; v < inst.nodes(); v++ {
 			warm.SetPrice(v, donor.Price(v))
 		}
-		warmCost, err := warm.SolveSSPWarm(nil, pqueue.KindBinary, maxCost)
+		warmCost, err := warm.SolveSSPWarm(nil)
 		if err != nil {
 			t.Fatalf("seed %d: warm solve: %v", seed, err)
 		}
-		wantCold := coldCost(t, next, maxCost)
+		wantCold := coldCost(t, next)
 		if warmCost != wantCold {
 			t.Fatalf("seed %d: warm cost %d != cold cost %d", seed, warmCost, wantCold)
 		}
@@ -147,7 +145,7 @@ func TestSolveSSPWarmMatchesCold(t *testing.T) {
 		for v := 0; v < inst.nodes(); v++ {
 			same.SetPrice(v, donor.Price(v))
 		}
-		sameCost, err := same.SolveSSPWarm(nil, pqueue.KindBinary, maxCost)
+		sameCost, err := same.SolveSSPWarm(nil)
 		if err != nil {
 			t.Fatalf("seed %d: identity warm solve: %v", seed, err)
 		}
@@ -159,7 +157,7 @@ func TestSolveSSPWarmMatchesCold(t *testing.T) {
 		// prices zeroed) and the warm entry point must reproduce the
 		// cold optimum from scratch on the same network object.
 		warm.ResetFlow()
-		resetCost, err := warm.SolveSSPWarm(nil, pqueue.KindBinary, maxCost)
+		resetCost, err := warm.SolveSSPWarm(nil)
 		if err != nil {
 			t.Fatalf("seed %d: post-ResetFlow warm solve: %v", seed, err)
 		}
@@ -176,14 +174,14 @@ func TestSolveSSPWarmGarbagePrices(t *testing.T) {
 	for seed := int64(0); seed < 200; seed++ {
 		rng := rand.New(rand.NewSource(1000 + seed))
 		inst := randBipInstance(rng, maxCost)
-		want := coldCost(t, inst, maxCost)
+		want := coldCost(t, inst)
 
 		nw := NewNetwork(inst.nodes(), inst.arcs())
 		inst.build(nw)
 		for v := 0; v < inst.nodes(); v++ {
 			nw.SetPrice(v, rng.Int63n(2*maxCost+1)-maxCost)
 		}
-		got, err := nw.SolveSSPWarm(nil, pqueue.KindBinary, maxCost)
+		got, err := nw.SolveSSPWarm(nil)
 		if err != nil {
 			t.Fatalf("seed %d: warm solve: %v", seed, err)
 		}

@@ -35,15 +35,12 @@ type StateDistance interface {
 	Name() string
 }
 
-// SNDMeasure adapts SND to the StateDistance interface. When Engine is
-// set, every call runs on its worker pool (with scratch reuse and
-// ground-distance caching) and the batch entry points Series and
-// DistancePairs parallelize across all requested pairs; otherwise each
-// call falls back to sequential core.Distance. The Engine is borrowed:
-// its owner (a snd.Network) releases it.
+// SNDMeasure adapts SND to the StateDistance interface. Every call runs
+// on Engine's worker pool (with scratch reuse and ground-distance
+// caching), and the batch entry points Series and DistancePairs
+// parallelize across all requested pairs. Engine is required and
+// borrowed: its owner (a snd.Network) releases it.
 type SNDMeasure struct {
-	G      *graph.Digraph
-	Opts   core.Options
 	Engine *core.Engine
 }
 
@@ -52,13 +49,7 @@ func (SNDMeasure) Name() string { return "snd" }
 
 // Distance implements StateDistance.
 func (m SNDMeasure) Distance(a, b opinion.State) (float64, error) {
-	var res core.Result
-	var err error
-	if m.Engine != nil {
-		res, err = m.Engine.Distance(context.Background(), a, b)
-	} else {
-		res, err = core.Distance(m.G, a, b, m.Opts)
-	}
+	res, err := m.Engine.Distance(context.Background(), a, b)
 	if err != nil {
 		return 0, err
 	}
@@ -67,42 +58,19 @@ func (m SNDMeasure) Distance(a, b opinion.State) (float64, error) {
 
 // Series returns the distances between every adjacent pair of states.
 func (m SNDMeasure) Series(ctx context.Context, states []opinion.State) ([]float64, error) {
-	if m.Engine != nil {
-		return m.Engine.Series(ctx, states)
-	}
-	return core.Series(ctx, m.G, states, m.Opts)
+	return m.Engine.Series(ctx, states)
 }
 
 // DistancePairs evaluates every requested (A, B) pair, scheduling all
-// of them across the engine's workers when one is attached.
+// of them across the engine's workers.
 func (m SNDMeasure) DistancePairs(ctx context.Context, pairs [][2]opinion.State) ([]float64, error) {
-	if m.Engine != nil {
-		sp := make([]core.StatePair, len(pairs))
-		for i, p := range pairs {
-			sp[i] = core.StatePair{A: p[0], B: p[1]}
-		}
-		results, err := m.Engine.Pairs(ctx, sp)
-		if err != nil {
-			return nil, err
-		}
-		out := make([]float64, len(results))
-		for i, r := range results {
-			out[i] = r.SND
-		}
-		return out, nil
+	results, err := m.Engine.Pairs(ctx, statePairs(pairs))
+	if err != nil {
+		return nil, err
 	}
-	out := make([]float64, len(pairs))
-	for i, p := range pairs {
-		if ctx != nil {
-			if err := ctx.Err(); err != nil {
-				return nil, err
-			}
-		}
-		v, err := m.Distance(p[0], p[1])
-		if err != nil {
-			return nil, err
-		}
-		out[i] = v
+	out := make([]float64, len(results))
+	for i, r := range results {
+		out[i] = r.SND
 	}
 	return out, nil
 }
@@ -110,23 +78,22 @@ func (m SNDMeasure) DistancePairs(ctx context.Context, pairs [][2]opinion.State)
 // DistanceLowerBounds returns admissible lower bounds on every pair's
 // SND — bounds[i] <= the exact distance, always — computed without any
 // shortest-path or flow work (the engine's mass-mismatch term plus
-// cached-row minima). It returns nil (with nil error) when the measure
-// cannot bound cheaply, that is, without an attached engine.
-// Bound-first consumers (the search index's nearest-neighbor scan)
-// treat nil as "evaluate exhaustively".
+// cached-row minima). Bound-first consumers (the search index's
+// nearest-neighbor scan) use them to skip exact evaluations.
 func (m SNDMeasure) DistanceLowerBounds(ctx context.Context, pairs [][2]opinion.State) ([]float64, error) {
-	if m.Engine == nil {
-		return nil, nil
-	}
+	return m.Engine.LowerBounds(ctx, statePairs(pairs))
+}
+
+func statePairs(pairs [][2]opinion.State) []core.StatePair {
 	sp := make([]core.StatePair, len(pairs))
 	for i, p := range pairs {
 		sp[i] = core.StatePair{A: p[0], B: p[1]}
 	}
-	return m.Engine.LowerBounds(ctx, sp)
+	return sp
 }
 
 // PairDistancer is satisfied by measures that can evaluate many state
-// pairs in one batch (SNDMeasure with an attached engine).
+// pairs in one batch (SNDMeasure).
 type PairDistancer interface {
 	DistancePairs(ctx context.Context, pairs [][2]opinion.State) ([]float64, error)
 }

@@ -167,7 +167,9 @@ func TestDistanceBasedWithSND(t *testing.T) {
 	}
 	current := Blank(truth, targets)
 	past := states[:len(states)-1]
-	m := SNDMeasure{G: g, Opts: core.DefaultOptions()}
+	eng := core.NewEngine(g, core.DefaultOptions(), core.EngineConfig{})
+	defer eng.Close()
+	m := SNDMeasure{Engine: eng}
 	p := DistanceBased{Measure: m, Assignments: 40, Seed: 13}
 	got, err := p.Predict(context.Background(), past, current, targets)
 	if err != nil {

@@ -223,7 +223,7 @@ func (nw *Network) Explain(ctx context.Context, a, b State) (Result, [4]TermPlan
 // lifetime: it fails once the handle is closed. Like the handle, the
 // returned measure is safe for concurrent use.
 func (nw *Network) Measure() Measure {
-	return predict.SNDMeasure{G: nw.g, Opts: nw.opts, Engine: nw.eng}
+	return predict.SNDMeasure{Engine: nw.eng}
 }
 
 // Index builds a metric-space index over states under the handle's SND

@@ -15,7 +15,6 @@ import (
 	"snd/internal/emd"
 	"snd/internal/graph"
 	"snd/internal/opinion"
-	"snd/internal/pqueue"
 	"snd/internal/predict"
 	"snd/internal/search"
 )
@@ -70,9 +69,8 @@ func NewState(n int) State { return opinion.NewState(n) }
 // ReadState parses the state format written by State.Encode.
 func ReadState(r io.Reader) (State, error) { return opinion.DecodeState(r) }
 
-// Options configures SND: ground-cost model, bank-bin distance,
-// Dijkstra heap, bank clustering, certified error budget, and escape
-// threshold. Every optimization of the pipeline is exact and always on.
+// Options configures SND: ground-cost model, bank-bin distance, bank
+// clustering, certified error budget, and escape threshold. Every optimization of the pipeline is exact and always on.
 // Options is a value: copies are independent, and an Engine or Network
 // snapshots the options it was constructed with, so mutating the
 // caller's copy afterwards has no effect and no concurrency hazard.
@@ -99,21 +97,6 @@ const (
 	EngineBipartite = core.EngineBipartite
 	EngineNetwork   = core.EngineNetwork
 	EngineDense     = core.EngineDense
-)
-
-// HeapKind selects the Dijkstra priority queue for the SSSP runs (see
-// Options.Heap).
-type HeapKind = pqueue.Kind
-
-// The available queues: HeapAuto picks by the cost model's edge-cost
-// bound — Dial's bucket queue while the bound buckets cheaply (the
-// Assumption 2 setting), the radix heap beyond. The zero value is the
-// binary heap, matching the paper's released implementation.
-const (
-	HeapBinary = pqueue.KindBinary
-	HeapDial   = pqueue.KindDial
-	HeapRadix  = pqueue.KindRadix
-	HeapAuto   = pqueue.KindAuto
 )
 
 // Engine is a reusable, concurrency-safe SND compute layer over one
@@ -217,7 +200,7 @@ func EMDStar(p, q []float64, dist func(i, j int) float64, cfg EMDStarConfig) (fl
 
 // EMD computes the original Earth Mover's Distance (eq. 1).
 func EMD(p, q []float64, dist func(i, j int) float64) (float64, error) {
-	return emd.EMD(p, q, dist, emd.SolverSSP)
+	return emd.EMD(p, q, dist)
 }
 
 // AnomalyReport is the outcome of the Section 6.2 anomaly pipeline for
