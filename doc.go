@@ -179,7 +179,9 @@
 // negative-reduced-cost residual arcs, and resumes successive shortest
 // paths from the retained potentials; past an invalidation threshold
 // (the saturation moved more than half the supply) it falls back to a
-// cold solve on the spot. The transportation optimum is unique, so
+// cold solve by the same shape rule as any cold term. Both cold
+// solvers leave exact potentials, so either one's basis can donate.
+// The transportation optimum is unique, so
 // distances are bit-identical either way; a negative
 // EngineConfig.WarmCacheBytes pins the cold pipeline, and Engine.Stats
 // reports exact hits, transplants, and phase timings.

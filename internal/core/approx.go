@@ -272,7 +272,7 @@ func termApproxMultilevel(g *graph.Digraph, spec termSpec, red reduction, o Opti
 		}
 	}
 	solveStart := time.Now()
-	cost, _, err := solveBipartite(tc.ctx, nw)
+	cost, err := solveBipartite(tc.ctx, nw, red)
 	if tc.stats != nil {
 		addPhase(&tc.stats.flowNanos, solveStart)
 		if err == nil {

@@ -399,3 +399,36 @@ func TestEngineNames(t *testing.T) {
 		t.Errorf("engine names collide: %v", names)
 	}
 }
+
+// TestColdSSPRule pins coldSSP's choice on the probe shapes of
+// BenchmarkColdSolveShape at the last size each solver won: 64
+// clustered banks with 200 and 400 residual suppliers (banks absorb)
+// and 50 and 100 residual consumers (banks supply), 200 singleton banks
+// against 400 residual suppliers (600 nodes), and 859 singleton banks
+// against 25 users.
+func TestColdSSPRule(t *testing.T) {
+	shape := func(users, banks int, banksOnSupplier bool) reduction {
+		red := reduction{banksOnSupplier: banksOnSupplier, banks: make([]bankGroup, banks)}
+		side := make([]int32, users)
+		if banksOnSupplier {
+			red.C = side
+		} else {
+			red.S = side
+		}
+		return red
+	}
+	for _, c := range []struct {
+		users, banks    int
+		banksOnSupplier bool
+		ssp             bool
+	}{
+		{200, 64, false, true}, {400, 64, false, false},
+		{50, 64, true, true}, {100, 64, true, false},
+		{400, 200, false, true}, {200, 200, true, true},
+		{25, 859, false, false}, {25, 859, true, false},
+	} {
+		if got := coldSSP(shape(c.users, c.banks, c.banksOnSupplier)); got != c.ssp {
+			t.Errorf("%d users, %d banks, banksOnSupplier=%v: coldSSP = %v, want %v", c.users, c.banks, c.banksOnSupplier, got, c.ssp)
+		}
+	}
+}

@@ -19,8 +19,9 @@
 //     path run per residual supplier (or per residual consumer, on the
 //     reversed graph, when the banks sit on the supplier side), then
 //     an integer min-cost flow on the reduced bipartite instance,
-//     solved by successive shortest paths on small instances and by
-//     cost-scaling beyond. Taken while the reduced instance has at
+//     solved by successive shortest paths on small instances whose
+//     residual users do not outnumber the bank side (coldSSP) and by
+//     cost-scaling otherwise. Taken while the reduced instance has at
 //     most max(n/4, 1000) nodes and 4e6 arcs.
 //
 //   - Network — routes opinion mass through the social network

@@ -201,7 +201,7 @@ func exactVal(v float64, runs int) termVal {
 	return termVal{val: v, lb: v, ub: v, runs: runs}
 }
 
-// Strategy thresholds, fixed by measurement (the BENCH_sssp.json
+// Route thresholds, fixed by measurement (the BENCH_sssp.json
 // crossover probe; docs/PERFORMANCE.md, "Strategy selection").
 const (
 	// bipartiteArcLimit caps the supplier x consumer arc count of a
@@ -211,9 +211,24 @@ const (
 	// bipartiteMinNodes floors the reduced-node limit max(n/4, 1000)
 	// of the bipartite route.
 	bipartiteMinNodes = 1000
-	// sspNodeLimit is the largest bipartite flow instance solved cold
-	// by successive shortest paths; cost-scaling solves larger ones.
-	sspNodeLimit = 600
+)
+
+// Cold-solver thresholds, fixed by BenchmarkColdSolveShape
+// (term_bench_test.go; numbers in docs/PERFORMANCE.md, "Strategy
+// selection"). See coldSSP.
+const (
+	// sspMaxNodes caps a cold SSP instance. Singleton banks make every
+	// active user a bank node; at 600 nodes (200 absorbing banks) SSP
+	// still beat cost-scaling by 1.5x, at 884 nodes (859 banks) it lost
+	// by 3-5x.
+	sspMaxNodes = 600
+	// sspUsersPerBankSink and sspUsersPerBankSource cap the residual
+	// users per node of the bank side, with the banks absorbing
+	// (residual suppliers) or supplying (residual consumers). On 64
+	// clustered banks SSP won at 3.1 and lost at 6.25 users per sink,
+	// and won at 0.78 and lost at 1.56 users per source.
+	sspUsersPerBankSink   = 4
+	sspUsersPerBankSource = 1
 )
 
 // computeTerm evaluates one EMD* term. With tc.epsTerm == 0 every
@@ -523,24 +538,25 @@ func termBipartiteNetwork(g *graph.Digraph, spec termSpec, red reduction, o Opti
 	solveStart := time.Now()
 	var cost int64
 	var err error
-	usedCostScaling := false
+	warm := false
 	if donor != nil {
 		// Warm solve: replay the donor's basis onto the fresh instance
 		// and drain the residual imbalance from its potentials. The
 		// optimum is unique, so the value matches a cold solve exactly.
+		// A basis the repair finds to be junk comes back unsolved.
 		tc.sc.transplant(nw, red, donor)
-		cost, err = nw.SolveSSPWarm(tc.ctx)
-		if tc.stats != nil && err == nil {
-			tc.stats.termsWarmSolved.Add(1)
-		}
-	} else {
-		cost, usedCostScaling, err = solveBipartite(tc.ctx, nw)
-		if tc.stats != nil && err == nil {
-			tc.stats.flowSolves.Add(1)
-		}
+		cost, warm, err = nw.SolveSSPWarm(tc.ctx)
+	}
+	if !warm && err == nil {
+		cost, err = solveBipartite(tc.ctx, nw, red)
 	}
 	if tc.stats != nil {
 		addPhase(&tc.stats.flowNanos, solveStart)
+		if err == nil && donor != nil {
+			tc.stats.termsWarmSolved.Add(1)
+		} else if err == nil {
+			tc.stats.flowSolves.Add(1)
+		}
 	}
 	if err != nil {
 		return termVal{runs: len(sources)}, nil, nil, err
@@ -549,13 +565,12 @@ func termBipartiteNetwork(g *graph.Digraph, spec termSpec, red reduction, o Opti
 		// Retain the solved instance as the newest basis. The network
 		// moves into the ring (the scratch arena rebuilds from the
 		// ring's evictions), and reduce()'s freshly allocated slices
-		// make the reduction safe to keep by reference. Cost-scaling
-		// leaves its potentials in the (n+1)-scaled domain; record the
-		// divisor so transplants renormalize.
-		priceDiv := int64(1)
-		if usedCostScaling {
-			priceDiv = int64(nw.N() + 1)
-		}
+		// make the reduction safe to keep by reference. Both solvers
+		// leave exact potentials in cost units, so any basis donates.
+		// A transplant reads only arcs, flow and prices, which is all
+		// netFootprint counts against the budget; the solver scratch
+		// goes.
+		nw.ReleaseScratch()
 		tc.sc.warm.store(&warmBasis{
 			refHash:     tc.refHash,
 			op:          spec.op,
@@ -563,7 +578,6 @@ func termBipartiteNetwork(g *graph.Digraph, spec termSpec, red reduction, o Opti
 			red:         red,
 			arcs:        nw.NumArcs(),
 			cost:        cost,
-			priceDiv:    priceDiv,
 			nw:          nw,
 			netBytes:    netFootprint(nw),
 			structBytes: structFootprint(red),
@@ -719,21 +733,34 @@ func bankUnits(red reduction) int64 {
 	return total
 }
 
-// solveBipartite solves a cold bipartite instance: successive shortest
-// paths up to sspNodeLimit nodes (few augmentations), cost-scaling
-// beyond. Measured on the pruned pipeline (BENCH_sssp.json crossover
-// probe): cost-scaling beats SSP 6x at ~1900 reduced nodes and 14x at
-// ~3300, and is already level by ~600. With singleton banks a
-// realistic active fraction pushes the instance past 600 nodes, so SSP
-// effectively serves clustered-bank reductions. ctx (which may be nil)
-// lets the solvers abandon a cancelled request between flow pushes.
-// usedCostScaling reports which solver ran — warm-basis retention
-// needs it to renormalize cost-scaling's scaled potentials.
-func solveBipartite(ctx context.Context, nw *flow.Network) (cost int64, usedCostScaling bool, err error) {
-	if nw.N() <= sspNodeLimit {
-		cost, err = nw.SolveSSP(ctx)
-		return cost, false, err
+// coldSSP reports whether red's cold bipartite instance is solved by
+// successive shortest paths; cost-scaling solves the rest. The measure
+// is the residual users against the nodes on the bank side. SSP routes
+// about one augmentation per residual user, and each augmentation's
+// multi-source Dijkstra scans every arc of the nodes still holding
+// excess. When users outnumber the bank-side nodes they contend for
+// the banks' capacity, augmenting paths reroute through filled banks,
+// and SSP's work grows much faster than cost-scaling's, which stays
+// near-linear in the arcs. Banks that supply keep their excess to the
+// end of the solve, so every Dijkstra scans all arcs: that orientation
+// tolerates fewer users per bank-side node. Independently, a large
+// bank side (singleton banks) costs SSP one augmentation per bank;
+// sspMaxNodes caps it.
+func coldSSP(red reduction) bool {
+	users, bankSide, perNode := len(red.S), len(red.C)+len(red.banks), sspUsersPerBankSink
+	if red.banksOnSupplier {
+		users, bankSide, perNode = len(red.C), len(red.S)+len(red.banks), sspUsersPerBankSource
 	}
-	cost, err = nw.SolveCostScaling(ctx)
-	return cost, true, err
+	return users+bankSide <= sspMaxNodes && users <= perNode*bankSide
+}
+
+// solveBipartite solves nw, the cold bipartite instance of red, with
+// the solver coldSSP picks. The optimum is unique, so the choice moves
+// no bit of the result. ctx (which may be nil) lets the solvers
+// abandon a cancelled request between flow pushes.
+func solveBipartite(ctx context.Context, nw *flow.Network, red reduction) (int64, error) {
+	if coldSSP(red) {
+		return nw.SolveSSP(ctx)
+	}
+	return nw.SolveCostScaling(ctx)
 }

@@ -1,9 +1,13 @@
 package core
 
 import (
+	"fmt"
 	"math/rand"
 	"testing"
 
+	"snd/internal/cluster"
+	"snd/internal/dynamics"
+	"snd/internal/flow"
 	"snd/internal/graph"
 	"snd/internal/opinion"
 )
@@ -78,6 +82,107 @@ func BenchmarkTermBipartite(b *testing.B) {
 					}
 				}
 			})
+		}
+	}
+}
+
+// coldShapeInstance assembles one cold bipartite flow instance of the
+// shape analyze's terms have: next is base with `users` neutral users
+// activated, and the term is eq. 3's (base, next) term with banks on
+// the supplier side (banksOnSupplier: residual consumers, the banks
+// supply) or its (next, base) term with banks on the consumer side
+// (residual suppliers, the banks absorb the surplus), each with the
+// reference state of its supplier side. labels nil gives one singleton
+// bank per lighter-side active user; 64 BFS labels give the 64
+// clustered banks analyze runs with.
+func coldShapeInstance(b *testing.B, g *graph.Digraph, labels []int, base opinion.State, users int, banksOnSupplier bool) (*flow.Network, reduction) {
+	b.Helper()
+	next, pos, neg := base.Clone(), users, users
+	for _, u := range rand.New(rand.NewSource(int64(users))).Perm(g.N()) {
+		switch {
+		case next[u] != opinion.Neutral:
+		case pos > 0:
+			next[u] = opinion.Positive
+			pos--
+		case neg > 0:
+			next[u] = opinion.Negative
+			neg--
+		}
+	}
+	spec := termSpec{op: opinion.Positive, p: base, q: next, ref: base}
+	if !banksOnSupplier {
+		spec = termSpec{op: opinion.Positive, p: next, q: base, ref: next}
+	}
+	o := DefaultOptions().withDefaults()
+	o.Clusters = labels
+	red := reduce(spec, labels, g.N())
+	if red.banksOnSupplier != banksOnSupplier {
+		b.Fatalf("reduced with banksOnSupplier=%v, want %v", red.banksOnSupplier, banksOnSupplier)
+	}
+	_, nw, _, err := termBipartiteNetwork(g, spec, red, o, termCtx{}, true, 0)
+	if err != nil {
+		b.Fatal(err)
+	}
+	return nw, red
+}
+
+// BenchmarkColdSolveShape is the probe behind coldSSP: SSP and
+// cost-scaling on the same cold bipartite instance. It covers 64
+// clustered banks and singleton banks, both orientations, and sizes on
+// both sides of each crossover; each name carries the instance's size
+// and the solver coldSSP picks for it. The graph and the grown base
+// state follow perfbench's analyze workload (20 000 users, 64 BFS
+// clusters, 1 000 adopters grown for seven ticks; its singleton banks
+// number in the hundreds); the sparse base is 400 fresh adopters.
+// Both solvers must reach the same optimum.
+func BenchmarkColdSolveShape(b *testing.B) {
+	g := graph.ScaleFree(graph.ScaleFreeConfig{
+		N: 20000, OutDeg: 6, Exponent: -2.3, Reciprocity: 0.2, Seed: 1_000_014,
+	})
+	ev := dynamics.NewEvolution(g, 1000, 29)
+	for t := 0; t < 7; t++ {
+		ev.StepSample(400, 0.5, 0.05)
+	}
+	grown := ev.State()
+	sparse := dynamics.NewEvolution(g, 400, 29).State()
+	for _, shape := range []struct {
+		name   string
+		labels []int
+		base   opinion.State
+		users  []int
+	}{
+		{"banks64", cluster.BFSPartition(g, 64), grown, []int{50, 100, 200, 400}},
+		{"singleton", nil, grown, []int{25}},
+		{"singleton-sparse", nil, sparse, []int{50, 200, 400}},
+	} {
+		for _, onSupplier := range []bool{false, true} {
+			for _, users := range shape.users {
+				nw, red := coldShapeInstance(b, g, shape.labels, shape.base, users, onSupplier)
+				rule := "costscaling"
+				if coldSSP(red) {
+					rule = "ssp"
+				}
+				name := fmt.Sprintf("%s/banksOnSupplier=%v/users=%d/banks=%d/nodes=%d/arcs=%d/rule=%s",
+					shape.name, onSupplier, users, len(red.banks), nw.N(), nw.NumArcs(), rule)
+				sspCost, err1 := solveWith(nw, false)
+				csCost, err2 := solveWith(nw, true)
+				if err1 != nil || err2 != nil || sspCost != csCost {
+					b.Fatalf("%s: ssp %d (%v) vs cost-scaling %d (%v)", name, sspCost, err1, csCost, err2)
+				}
+				for _, cs := range []bool{false, true} {
+					solver := "ssp"
+					if cs {
+						solver = "costscaling"
+					}
+					b.Run(name+"/"+solver, func(b *testing.B) {
+						for n := 0; n < b.N; n++ {
+							if _, err := solveWith(nw, cs); err != nil {
+								b.Fatal(err)
+							}
+						}
+					})
+				}
+			}
 		}
 	}
 }

@@ -74,7 +74,6 @@ type warmBasis struct {
 	red                   reduction // reduce() output; slices are owned (fresh per reduce)
 	arcs                  int       // forward-arc count of the instance
 	cost                  int64     // optimal scaled cost
-	priceDiv              int64     // divide retained prices by this: 1, or n+1 for cost-scaling bases
 	nw                    *flow.Network
 	netBytes, structBytes int64
 }
@@ -372,7 +371,6 @@ func (sc *scratch) transplant(nw *flow.Network, red reduction, wb *warmBasis) {
 	rev := red.banksOnSupplier
 	nS, nC, nB := len(red.S), len(red.C), len(red.banks)
 	dnS, dnC, dnB := len(wb.red.S), len(wb.red.C), len(wb.red.banks)
-	div := wb.priceDiv
 
 	// Map donor slots to new slots once.
 	supMap := sc.takeMap(&sc.mapSup, dnS)
@@ -407,7 +405,7 @@ func (sc *scratch) transplant(nw *flow.Network, red reduction, wb *warmBasis) {
 	// are safe at zero (arcs into them only gain reduced cost).
 	var pMax int64
 	seed := func(node, donorNode int) {
-		p := wb.nw.Price(donorNode) / div
+		p := wb.nw.Price(donorNode)
 		nw.SetPrice(node, p)
 		if p > pMax {
 			pMax = p

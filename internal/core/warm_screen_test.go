@@ -333,9 +333,9 @@ func TestMatrixValidatesDuplicateInvalidStates(t *testing.T) {
 
 // TestWarmStartCostScaledBasis drives a transplant whose donor was
 // solved cold by cost-scaling: both positive terms reduce to 602-node
-// bipartite instances, past sspNodeLimit, so the first pair retains
-// bases with cost-scaled potentials, and the second pair — one consumer
-// swapped for another — must renormalize them on transplant. Both pairs
+// bipartite instances that coldSSP sends to cost-scaling, so the first
+// pair retains bases with cost-scaling's potentials, and the second
+// pair — one consumer swapped for another — transplants them. Both pairs
 // go in one single-worker batch, so one scratch arena carries the
 // bases: between batches the arena sits in a sync.Pool, which the race
 // detector empties at random. Results are pinned bit-identical to a
@@ -353,8 +353,8 @@ func TestWarmStartCostScaledBasis(t *testing.T) {
 	for _, spec := range eqSpecs(a, b2) {
 		red := reduce(spec, nil, n)
 		nodes := len(red.S) + len(red.C) + len(red.banks)
-		if nodes > 0 && (nodes <= sspNodeLimit || !bipartiteRoute(red, n)) {
-			t.Fatalf("%s term: %d reduced nodes, want a bipartite instance past %d", spec.op, nodes, sspNodeLimit)
+		if nodes > 0 && (coldSSP(red) || !bipartiteRoute(red, n)) {
+			t.Fatalf("%s term: %d reduced nodes, want a bipartite instance solved cold by cost-scaling", spec.op, nodes)
 		}
 	}
 

@@ -3,6 +3,7 @@ package flow
 import (
 	"context"
 	"fmt"
+	"math"
 )
 
 // cancelCheckInterval is how many FIFO queue pops the cost-scaling
@@ -169,6 +170,80 @@ func (nw *Network) SolveCostScaling(ctx context.Context) (int64, error) {
 		}
 		eps /= 2
 	}
-	copy(nw.price, price)
+	if err := nw.exactPrices(price, scale); err != nil {
+		return 0, err
+	}
 	return nw.TotalCost(), nil
+}
+
+// exactPrices turns cost-scaling's final potentials, which live in the
+// scale-multiplied domain and are only 1-optimal there, into
+// non-negative node potentials in cost units under which every
+// residual arc has a non-negative reduced cost, as SolveSSP leaves
+// them. Rounding the scaled potentials down leaves some residual arcs
+// at reduced cost -1; a label-correcting pass (FIFO Bellman-Ford over
+// residual arcs) lowers potentials until none is negative. The flow is
+// optimal, so the residual graph has no negative cycle and the pass
+// terminates, after few relabels because it starts within 1 of
+// feasibility. A solved network is then a sound warm-start donor
+// whichever solver produced it.
+func (nw *Network) exactPrices(scaled []int64, scale int64) error {
+	n := nw.numNodes
+	for v := 0; v < n; v++ {
+		p := scaled[v] / scale
+		if scaled[v]%scale < 0 {
+			p-- // floor, not truncation, for negative potentials
+		}
+		nw.price[v] = p
+	}
+	// Ring-buffer FIFO: inQueue keeps each node queued at most once,
+	// so n slots suffice.
+	if cap(nw.scQueue) < n {
+		nw.scQueue = make([]int32, n)
+	}
+	queue := nw.scQueue[:n]
+	inQueue := nw.scInQueue[:n]
+	for v := 0; v < n; v++ {
+		queue[v] = int32(v)
+		inQueue[v] = true
+	}
+	head, size := 0, n
+	// FIFO Bellman-Ford settles within n passes over the queue, each
+	// popping a node at most once; more means a negative cycle, which
+	// an optimal flow cannot have.
+	budget := int64(n) * int64(n+1)
+	for size > 0 {
+		if budget--; budget < 0 {
+			return fmt.Errorf("flow: cost-scaling potentials did not converge (negative residual cycle)")
+		}
+		v := int(queue[head])
+		head = (head + 1) % n
+		size--
+		inQueue[v] = false
+		for a := nw.firstArc[v]; a >= 0; a = nw.nextArc[a] {
+			if nw.res[a] <= 0 {
+				continue
+			}
+			w := int(nw.to[a])
+			if p := nw.price[v] + nw.cost[a]; p < nw.price[w] {
+				nw.price[w] = p
+				if !inQueue[w] {
+					queue[(head+size)%n] = int32(w)
+					size++
+					inQueue[w] = true
+				}
+			}
+		}
+	}
+	// Shift to a zero minimum (reduced costs are shift-invariant): the
+	// potentials are then non-negative like SSP's, which the transplant
+	// seeding of unmatched nodes relies on.
+	lo := int64(math.MaxInt64)
+	for _, p := range nw.price[:n] {
+		lo = min(lo, p)
+	}
+	for v := range nw.price[:n] {
+		nw.price[v] -= lo
+	}
+	return nil
 }

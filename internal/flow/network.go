@@ -43,6 +43,7 @@ type Network struct {
 	scQueue   []int32
 	scInQueue []bool
 	scCur     []int32
+	scHeap    pqueue.Radix
 }
 
 // NewNetwork returns an empty network with n nodes and capacity hints
@@ -214,7 +215,7 @@ func (nw *Network) drainSSP(ctx context.Context, ex []int64, remaining int64) er
 	nw.scVisited = growBool(nw.scVisited, n)
 	nw.scParent = growInt32(nw.scParent, n)
 	dist, visited, parentArc := nw.scDist, nw.scVisited, nw.scParent
-	q := pqueue.NewRadix(n)
+	q := &nw.scHeap
 	for remaining > 0 {
 		if ctx != nil {
 			if err := ctx.Err(); err != nil {
@@ -300,6 +301,17 @@ func (nw *Network) drainSSP(ctx context.Context, ex []int64, remaining int64) er
 		remaining -= bottleneck
 	}
 	return nil
+}
+
+// ReleaseScratch drops the solver scratch (labels, queues, the heap,
+// scaled costs) and keeps the arcs, the routed flow and the prices. A
+// network kept only for its solved basis need not hold it; the next
+// solve on it regrows what it uses.
+func (nw *Network) ReleaseScratch() {
+	nw.scDist, nw.scVisited, nw.scParent = nil, nil, nil
+	nw.scEx, nw.scCost, nw.scPrice = nil, nil, nil
+	nw.scQueue, nw.scInQueue, nw.scCur = nil, nil, nil
+	nw.scHeap = pqueue.Radix{}
 }
 
 // ResetFlow clears any routed flow, restoring residual capacities to

@@ -32,9 +32,10 @@ import (
 // exactly the value a cold SolveSSP or SolveCostScaling would — the
 // basis only decides how much work the solve performs. With a perfect
 // transplant (identical instance) the drain routes nothing; with a
-// small instance delta it performs a handful of augmentations; with a
-// useless transplant it degrades to roughly a cold solve plus the
-// saturation scan.
+// small instance delta it performs a handful of augmentations; a
+// useless transplant is detected by the repair and handed back to the
+// caller for a cold solve. Both solvers leave exact potentials, so a
+// network solved by either is a donor.
 
 // Price returns node v's current potential.
 func (nw *Network) Price(v int) int64 { return nw.price[v] }
@@ -67,13 +68,21 @@ func (nw *Network) PreloadFlow(arcID int, x int64) int64 {
 // solve would — the optimum is unique — after, typically, far fewer
 // augmentations.
 //
+// When the saturation repair has to move more than half the declared
+// supply, the transplanted basis was mostly junk (stale potentials or
+// costs) and draining it would out-cost a cold solve. SolveSSPWarm
+// then clears the flow and potentials (ResetFlow) and returns
+// warm == false without solving, so the caller can pick the cold
+// solver that suits the instance; only the replay and the saturation
+// scan are wasted.
+//
 // The solve checks ctx between augmentations exactly as SolveSSP does,
 // returning ctx.Err() when cancelled with the network in an undefined
 // partially-routed state.
-func (nw *Network) SolveSSPWarm(ctx context.Context) (int64, error) {
+func (nw *Network) SolveSSPWarm(ctx context.Context) (cost int64, warm bool, err error) {
 	supply, demand := nw.totalSupply()
 	if supply != demand {
-		return 0, fmt.Errorf("flow: unbalanced network: supply %d != demand %d", supply, demand)
+		return 0, false, fmt.Errorf("flow: unbalanced network: supply %d != demand %d", supply, demand)
 	}
 	n := nw.numNodes
 	nw.scEx = growInt64(nw.scEx, n)
@@ -110,18 +119,12 @@ func (nw *Network) SolveSSPWarm(ctx context.Context) (int64, error) {
 			remaining += e
 		}
 	}
-	// Invalidation threshold: when the saturation repair had to move
-	// more than half the declared supply, the transplanted basis was
-	// mostly junk (wildly stale potentials or costs) and draining it
-	// would out-cost a cold solve. Throw the basis away and solve cold
-	// on the spot — only the replay and the saturation scan are wasted.
 	if remaining > supply/2 {
 		nw.ResetFlow()
-		copy(ex, nw.excess[:n])
-		remaining = supply
+		return 0, false, nil
 	}
 	if err := nw.drainSSP(ctx, ex, remaining); err != nil {
-		return 0, err
+		return 0, true, err
 	}
-	return nw.TotalCost(), nil
+	return nw.TotalCost(), true, nil
 }

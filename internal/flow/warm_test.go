@@ -1,6 +1,7 @@
 package flow
 
 import (
+	"fmt"
 	"math/rand"
 	"testing"
 )
@@ -90,6 +91,59 @@ func coldCost(t *testing.T, inst bipInstance) int64 {
 	return got
 }
 
+// warmOrCold is the caller's side of SolveSSPWarm: a basis the repair
+// discards must come back with the flow cleared, and is then solved
+// cold.
+func warmOrCold(nw *Network) (int64, error) {
+	cost, ok, err := nw.SolveSSPWarm(nil)
+	if err != nil || ok {
+		return cost, err
+	}
+	for a := 0; a < 2*nw.NumArcs(); a += 2 {
+		if nw.Flow(a) != 0 {
+			return 0, fmt.Errorf("discarded basis left flow %d on arc %d", nw.Flow(a), a)
+		}
+	}
+	return nw.SolveSSP(nil)
+}
+
+// TestCostScalingLeavesExactPrices pins that SolveCostScaling leaves
+// potentials in cost units under which no residual arc has a negative
+// reduced cost, so its solved network transplants like an SSP-solved
+// one: replayed onto the identical instance, the warm solve keeps the
+// basis and returns the optimum.
+func TestCostScalingLeavesExactPrices(t *testing.T) {
+	const maxCost = 50
+	for seed := int64(0); seed < 200; seed++ {
+		rng := rand.New(rand.NewSource(2000 + seed))
+		inst := randBipInstance(rng, maxCost)
+		nw := NewNetwork(inst.nodes(), inst.arcs())
+		inst.build(nw)
+		cost, err := nw.SolveCostScaling(nil)
+		if err != nil {
+			t.Fatalf("seed %d: %v", seed, err)
+		}
+		for a := range nw.to {
+			v, w := nw.to[a^1], nw.to[a]
+			if rc := nw.cost[a] + nw.price[v] - nw.price[w]; nw.res[a] > 0 && rc < 0 {
+				t.Fatalf("seed %d: residual arc %d->%d has reduced cost %d", seed, v, w, rc)
+			}
+		}
+		same := NewNetwork(inst.nodes(), inst.arcs())
+		inst.build(same)
+		for a := 0; a < 2*inst.arcs(); a += 2 {
+			same.PreloadFlow(a, nw.Flow(a))
+		}
+		for v := 0; v < inst.nodes(); v++ {
+			same.SetPrice(v, nw.Price(v))
+		}
+		got, ok, err := same.SolveSSPWarm(nil)
+		if err != nil || !ok || got != cost {
+			t.Fatalf("seed %d: identity transplant of a cost-scaled basis: cost %d ok=%v err=%v, want %d", seed, got, ok, err, cost)
+		}
+	}
+}
+
 // TestSolveSSPWarmMatchesCold transplants a solved basis onto perturbed
 // instances and pins the warm-solved cost to the cold SolveSSP and
 // SolveCostScaling optima, across 200 seeds.
@@ -117,7 +171,7 @@ func TestSolveSSPWarmMatchesCold(t *testing.T) {
 		for v := 0; v < inst.nodes(); v++ {
 			warm.SetPrice(v, donor.Price(v))
 		}
-		warmCost, err := warm.SolveSSPWarm(nil)
+		warmCost, err := warmOrCold(warm)
 		if err != nil {
 			t.Fatalf("seed %d: warm solve: %v", seed, err)
 		}
@@ -145,9 +199,9 @@ func TestSolveSSPWarmMatchesCold(t *testing.T) {
 		for v := 0; v < inst.nodes(); v++ {
 			same.SetPrice(v, donor.Price(v))
 		}
-		sameCost, err := same.SolveSSPWarm(nil)
-		if err != nil {
-			t.Fatalf("seed %d: identity warm solve: %v", seed, err)
+		sameCost, ok, err := same.SolveSSPWarm(nil)
+		if err != nil || !ok {
+			t.Fatalf("seed %d: identity warm solve: ok=%v err=%v", seed, ok, err)
 		}
 		if sameCost != donorCost {
 			t.Fatalf("seed %d: identity warm cost %d != donor cost %d", seed, sameCost, donorCost)
@@ -157,7 +211,7 @@ func TestSolveSSPWarmMatchesCold(t *testing.T) {
 		// prices zeroed) and the warm entry point must reproduce the
 		// cold optimum from scratch on the same network object.
 		warm.ResetFlow()
-		resetCost, err := warm.SolveSSPWarm(nil)
+		resetCost, err := warmOrCold(warm)
 		if err != nil {
 			t.Fatalf("seed %d: post-ResetFlow warm solve: %v", seed, err)
 		}
@@ -181,7 +235,7 @@ func TestSolveSSPWarmGarbagePrices(t *testing.T) {
 		for v := 0; v < inst.nodes(); v++ {
 			nw.SetPrice(v, rng.Int63n(2*maxCost+1)-maxCost)
 		}
-		got, err := nw.SolveSSPWarm(nil)
+		got, err := warmOrCold(nw)
 		if err != nil {
 			t.Fatalf("seed %d: warm solve: %v", seed, err)
 		}

@@ -71,12 +71,14 @@ func (r *Radix) Pop() (item int, key int64, ok bool) {
 			}
 		}
 		moved := r.buckets[b]
-		r.buckets[b] = nil
 		r.last = minKey
 		for _, e := range moved {
 			nb := r.bucketOf(e.key)
 			r.buckets[nb] = append(r.buckets[nb], e)
 		}
+		// Every entry moved to a bucket below b, so the drained slice
+		// keeps its backing array for reuse instead of regrowing.
+		r.buckets[b] = moved[:0]
 	}
 	b0 := r.buckets[0]
 	e := b0[len(b0)-1]
