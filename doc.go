@@ -227,13 +227,14 @@
 // reduced instance — one run per residual consumer plus one
 // multi-source run per cluster bank on the transpose graph — so the
 // coarsened cost matrix is exact while the fan-out collapses from one
-// run per supplier to one per column, with the envelope refined on
-// that same matrix (row bounds, then an entropic solve, finally an
-// exact min-cost-flow solve); the row-level screening bounds of the
-// exact pipeline, accepted when their gap fits the budget rather than
-// only when they coincide; and an entropic (Sinkhorn) transport solve
-// whose rounded plan and repaired duals certify an envelope on
-// mid-size instances. Terms no stage decides fall through to the
+// run per supplier to one per column, with that matrix handed to the
+// exact pipeline's own tail (row bounds, then an entropic solve,
+// finally an exact min-cost-flow solve); the row-level screening
+// bounds of the exact pipeline, accepted when their gap fits the
+// budget rather than only when they coincide; and an entropic
+// (Sinkhorn) transport solve whose rounded plan and repaired duals
+// certify an envelope on mid-size instances. Terms no stage decides
+// fall through to the
 // exact solver, so the contract holds for every input — Epsilon only
 // controls how often the cheap stages win.
 //

@@ -5,7 +5,6 @@ import (
 	"time"
 
 	"snd/internal/emd"
-	"snd/internal/flow"
 	"snd/internal/graph"
 	"snd/internal/pqueue"
 	"snd/internal/sssp"
@@ -25,16 +24,17 @@ import (
 //     distance is gamma plus the minimum over its members, which is
 //     exactly what a multi-source run computes, so the coarsened
 //     S x (C + banks) cost matrix is exact while the instance collapses
-//     from one row per source to one run per column. The row-bound
-//     construction then certifies an envelope; a term whose gap exceeds
-//     the tolerance is refined *on the same matrix* — first by the
+//     from one row per source to one run per column. The matrix is the
+//     exact fan-out's rows matrix, so it goes to the same tail as the
+//     exact pipeline (solveTerm): the row bounds certify an envelope,
+//     and a term whose gap exceeds the tolerance is refined by the
 //     entropic solver, finally by an exact min-cost-flow solve — so the
 //     expensive per-source fan-out is never paid once this pass is
 //     profitable.
 //
-//  2. Relaxed row gate (in termBipartiteNetwork): the exact pipeline's
-//     LB/UB scan over the full fan-out rows, accepting ub - lb within
-//     budget instead of requiring equality.
+//  2. Relaxed row gate (in solveTerm): the exact pipeline's LB/UB scan
+//     over the full fan-out rows, accepting ub - lb within budget
+//     instead of requiring equality.
 //
 //  3. Entropic envelope (termSinkhorn): on instances where the exact
 //     flow solve is the bottleneck, the Sinkhorn solver of package emd
@@ -65,15 +65,13 @@ func termApproxMultilevel(g *graph.Digraph, spec termSpec, red reduction, o Opti
 	// SSSP per entity for; columns live on the other side. Column runs
 	// go over the transpose of the source graph, so a run from column
 	// entity c settles d(s -> c) for every source s at once.
+	bp := newBipartite(red, o.Gamma, infCost(g.N(), o.Costs.MaxCost(), o.EscapeHops))
+	sources, opposite, reversed := bp.sources, bp.opposite, bp.rev
 	colGraph := g.Reverse()
-	sources, opposite := red.S, red.C
-	reversed := red.banksOnSupplier
 	if reversed {
 		colGraph = g
-		sources, opposite = red.C, red.S
 	}
-	nS, nOpp, nB := len(sources), len(opposite), len(red.banks)
-	cols := nOpp + nB
+	nS, nOpp, cols := len(sources), len(opposite), bp.nCols()
 	if nS == 0 || cols == 0 {
 		return termVal{}, false, nil
 	}
@@ -105,7 +103,6 @@ func termApproxMultilevel(g *graph.Digraph, spec termSpec, red reduction, o Opti
 	}
 
 	maxCost := o.Costs.MaxCost()
-	inf := infCost(g.N(), maxCost, o.EscapeHops)
 	sc := tc.sc
 	if sc == nil {
 		sc = &scratch{}
@@ -114,21 +111,14 @@ func termApproxMultilevel(g *graph.Digraph, spec termSpec, red reduction, o Opti
 	if tc.stats != nil {
 		tc.stats.terms.Add(1)
 	}
-	capDist := func(d int64) int64 {
-		if d >= sssp.Unreachable || d > inf {
-			return inf
-		}
-		return d
-	}
 
-	// mat[i*cols+j]: capped ground distance from sources[i] to column j
-	// — opposite entity j for j < nOpp, then one aggregated column per
-	// bank holding its min-member distance (gamma is added by the
-	// consumers below, mirroring the exact pipeline's bankDist).
+	// mat[i*cols+j]: ground distance from sources[i] to column j of the
+	// instance — opposite entity j for j < nOpp, then one aggregated
+	// column per bank holding its min-member distance.
 	mat := make([]int64, nS*cols)
 	fill := func(j int, dist []int64) {
 		for i, s := range sources {
-			mat[i*cols+j] = capDist(dist[s])
+			mat[i*cols+j] = dist[s]
 		}
 	}
 	runs := 0
@@ -148,7 +138,7 @@ func termApproxMultilevel(g *graph.Digraph, spec termSpec, red reduction, o Opti
 			colBuf = colBuf[:nS]
 			if tc.prov.rowGoals(tc.refHash, spec.ref, spec.op, !reversed, c, colW, sources, nil, colBuf, !tc.series, sc) {
 				for i, d := range colBuf {
-					mat[i*cols+j] = capDist(d)
+					mat[i*cols+j] = d
 				}
 				runs++
 				continue
@@ -170,179 +160,45 @@ func termApproxMultilevel(g *graph.Digraph, spec termSpec, red reduction, o Opti
 		addPhase(&tc.stats.ssspNanos, fanStart)
 	}
 
-	// Certification: the exact pipeline's bound construction over the
-	// coarsened matrix. Each bank is one aggregated column at nOpp+b,
-	// the layout the exact fan-out's rows use.
-	boundStart := time.Now()
-	rows := make([][]int64, nS)
-	for i := range rows {
-		rows[i] = mat[i*cols : (i+1)*cols]
+	// The coarsened matrix is the exact fan-out's rows matrix, so the
+	// term takes the exact pipeline's tail from here: certification by
+	// the row bounds, refinement by the entropic envelope, and finally
+	// the exact flow solve, whose optimum matches a full per-source
+	// solve. Approx terms neither read nor store warm bases.
+	bp.rows = make([][]int64, nS)
+	for i := range bp.rows {
+		bp.rows[i] = mat[i*cols : (i+1)*cols]
 	}
-	ident := func(d int64) int64 { return d } // mat is pre-capped
-	lb, ub := termBoundsFromRows(red, rows, nOpp, o.Gamma, ident, sc)
-	if tc.stats != nil {
-		addPhase(&tc.stats.boundNanos, boundStart)
-	}
-	fs := float64(red.scale)
-	if lb == ub {
-		if tc.stats != nil {
-			tc.stats.termsBoundDecided.Add(1)
-		}
-		return termVal{val: float64(ub) / fs, lb: float64(lb) / fs, ub: float64(ub) / fs, runs: runs}, true, nil
-	}
-	if ub != math.MaxInt64 && ub-lb <= budgetScaled {
-		if tc.stats != nil {
-			tc.stats.termsApproxCoarse.Add(1)
-		}
-		return termVal{val: float64(ub) / fs, lb: float64(lb) / fs, ub: float64(ub) / fs, runs: runs}, true, nil
-	}
-
-	// Refinement, still on the coarsened matrix: entropic envelope
-	// first, exact flow solve last. distSC/bankDist follow the exact
-	// pipeline's index convention (S index, C index).
-	var distSC func(i, j int) int64
-	if reversed {
-		distSC = func(i, j int) int64 { return mat[j*cols+i] }
-	} else {
-		distSC = func(i, j int) int64 { return mat[i*cols+j] }
-	}
-	bankDist := func(b, k int) int64 { return o.Gamma + mat[k*cols+nOpp+b] }
-	if budgetScaled > 0 {
-		rowsUB := ub
-		if ub == math.MaxInt64 {
-			rowsUB = math.MaxInt64
-		}
-		if tv, ok := termSinkhorn(red, distSC, bankDist, lb, rowsUB, budgetScaled, runs, tc); ok {
-			return tv, true, nil
-		}
-	}
-
-	// Exact flow solve over the aggregated instance: identical costs
-	// and capacities to the exact pipeline's assembly, so the optimum —
-	// and the returned value — matches a full per-source solve.
-	nSred, nC := len(red.S), len(red.C)
-	var nw *flow.Network
-	if red.banksOnSupplier {
-		nw = sc.network(nSred+nB+nC, (nSred+nB)*nC)
-		for i := 0; i < nSred; i++ {
-			nw.SetExcess(i, red.scale)
-		}
-		for b := 0; b < nB; b++ {
-			nw.SetExcess(nSred+b, red.banks[b].units)
-		}
-		for j := 0; j < nC; j++ {
-			nw.SetExcess(nSred+nB+j, -red.scale)
-		}
-		for i := 0; i < nSred; i++ {
-			for j := 0; j < nC; j++ {
-				nw.AddArc(i, nSred+nB+j, red.scale, distSC(i, j))
-			}
-		}
-		for b := 0; b < nB; b++ {
-			for j := 0; j < nC; j++ {
-				capacity := red.banks[b].units
-				if red.scale < capacity {
-					capacity = red.scale
-				}
-				nw.AddArc(nSred+b, nSred+nB+j, capacity, bankDist(b, j))
-			}
-		}
-	} else {
-		nw = sc.network(nSred+nC+nB, nSred*(nC+nB))
-		for i := 0; i < nSred; i++ {
-			nw.SetExcess(i, red.scale)
-		}
-		for j := 0; j < nC; j++ {
-			nw.SetExcess(nSred+j, -red.scale)
-		}
-		for b := 0; b < nB; b++ {
-			nw.SetExcess(nSred+nC+b, -red.banks[b].units)
-		}
-		for i := 0; i < nSred; i++ {
-			for j := 0; j < nC; j++ {
-				nw.AddArc(i, nSred+j, red.scale, distSC(i, j))
-			}
-			for b := 0; b < nB; b++ {
-				capacity := red.banks[b].units
-				if red.scale < capacity {
-					capacity = red.scale
-				}
-				nw.AddArc(i, nSred+nC+b, capacity, bankDist(b, i))
-			}
-		}
-	}
-	solveStart := time.Now()
-	cost, err := solveBipartite(tc.ctx, nw, red)
-	if tc.stats != nil {
-		addPhase(&tc.stats.flowNanos, solveStart)
-		if err == nil {
-			tc.stats.flowSolves.Add(1)
-		}
-	}
-	if err != nil {
-		return termVal{}, false, err
-	}
-	return exactVal(float64(cost)/float64(red.scale), runs), true, nil
+	tv, _, err := tc.solveTerm(&bp, o, budgetScaled, true, nil)
+	tv.runs = runs
+	return tv, true, err
 }
 
-// termSinkhorn is gate 3: the entropic envelope over the reduced
-// transportation instance. The arc capacities of the assembled flow
-// network (scale on opposite arcs, min(units, scale) on bank arcs) are
-// vacuous — each equals or exceeds the min of its row and column
-// marginal — so the instance is a pure transportation problem and the
-// rounded plan's cost bounds the same optimum the flow solve would
-// return. runs is the SSSP charge already incurred (the rows this
-// stage's bounds complement were produced by the exact fan-out).
-func termSinkhorn(red reduction, distSC func(i, j int) int64, bankDist func(b, k int) int64, rowsLB, rowsUB, budgetScaled int64, runs int, tc termCtx) (termVal, bool) {
-	nS, nC, nB := len(red.S), len(red.C), len(red.banks)
-	var sSide, tSide int
-	if red.banksOnSupplier {
-		sSide, tSide = nS+nB, nC
-	} else {
-		sSide, tSide = nS, nC+nB
-	}
-	if sSide == 0 || tSide == 0 {
+// termSinkhorn is gate 3: the entropic envelope over bp. The
+// assembled arc capacities are vacuous — each is the min of its row and
+// column marginal — so the instance is a pure transportation problem
+// and the rounded plan's cost bounds the same optimum the flow solve
+// would return.
+func (tc termCtx) termSinkhorn(bp *bipartite, rowsLB, rowsUB, budgetScaled int64) (termVal, bool) {
+	nSup, nDem := bp.shape()
+	if nSup == 0 || nDem == 0 {
 		return termVal{}, false
 	}
-	entries := sSide * tSide
+	entries := nSup * nDem
 	if entries < sinkhornMinEntries || entries > sinkhornMaxEntries {
 		return termVal{}, false
 	}
-	supply := make([]float64, sSide)
-	demand := make([]float64, tSide)
-	var cost emd.DistFn
-	if red.banksOnSupplier {
-		for i := 0; i < nS; i++ {
-			supply[i] = float64(red.scale)
-		}
-		for b := 0; b < nB; b++ {
-			supply[nS+b] = float64(red.banks[b].units)
-		}
-		for j := 0; j < nC; j++ {
-			demand[j] = float64(red.scale)
-		}
-		cost = func(i, j int) float64 {
-			if i < nS {
-				return float64(distSC(i, j))
-			}
-			return float64(bankDist(i-nS, j))
-		}
-	} else {
-		for i := 0; i < nS; i++ {
-			supply[i] = float64(red.scale)
-		}
-		for j := 0; j < nC; j++ {
-			demand[j] = float64(red.scale)
-		}
-		for b := 0; b < nB; b++ {
-			demand[nC+b] = float64(red.banks[b].units)
-		}
-		cost = func(i, j int) float64 {
-			if j < nC {
-				return float64(distSC(i, j))
-			}
-			return float64(bankDist(j-nC, i))
-		}
+	supply := make([]float64, nSup)
+	for u := range supply {
+		supply[u] = float64(bp.supMass(u))
+	}
+	demand := make([]float64, nDem)
+	for v := range demand {
+		demand[v] = float64(bp.demMass(v))
+	}
+	cost := func(u, v int) float64 {
+		k, j := bp.cell(u, v)
+		return float64(bp.cost(k, j))
 	}
 	start := time.Now()
 	slb, sub, err := emd.SinkhornBounds(supply, demand, cost, float64(budgetScaled), emd.SinkhornConfig{})
@@ -369,6 +225,6 @@ func termSinkhorn(red reduction, distSC func(i, j int) int64, bankDist func(b, k
 	if tc.stats != nil {
 		tc.stats.termsApproxSinkhorn.Add(1)
 	}
-	fs := float64(red.scale)
-	return termVal{val: ub / fs, lb: lb / fs, ub: ub / fs, runs: runs}, true
+	fs := float64(bp.red.scale)
+	return termVal{val: ub / fs, lb: lb / fs, ub: ub / fs}, true
 }

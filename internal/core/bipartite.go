@@ -1,0 +1,146 @@
+package core
+
+import (
+	"snd/internal/flow"
+	"snd/internal/sssp"
+)
+
+// bipartite is the Theorem 4 transportation instance of one reduced
+// EMD* term: the fan-out's sources against its columns, which are the
+// opposite residual users followed by one column per bank. rows[k][j]
+// is the ground distance from source k to column j (for a bank column,
+// to the bank's nearest member); a source and an opposite user each
+// carry red.scale units, and bank j-nOpp its units.
+//
+// The flow network numbers a supply block, then a demand block. The
+// sources supply in the forward orientation; when the banks sit on the
+// supplier side (rev) the columns supply and the sources demand. In
+// both orientations arc (u, v) of supply node u and demand node v is
+// the row-major forward arc 2*(u*nDem+v), its capacity is the smaller
+// of the two masses, and its cost is the capped cell plus gamma on a
+// bank column. Every consumer — bound gate, entropic stage, assembly,
+// warm transplant and Explain — reads the instance through this type.
+//
+// A bipartite with nil rows still names nodes and arcs; a warm donor's
+// layout is read that way.
+type bipartite struct {
+	red               reduction
+	rev               bool
+	sources, opposite []int32
+	rows              [][]int64
+	gamma, inf        int64 // bank-arc surcharge; saturated cost
+}
+
+func newBipartite(red reduction, gamma, inf int64) bipartite {
+	bp := bipartite{red: red, rev: red.banksOnSupplier, sources: red.S, opposite: red.C, gamma: gamma, inf: inf}
+	if bp.rev {
+		bp.sources, bp.opposite = red.C, red.S
+	}
+	return bp
+}
+
+func (bp *bipartite) nOpp() int  { return len(bp.opposite) }
+func (bp *bipartite) nCols() int { return len(bp.opposite) + len(bp.red.banks) }
+
+// numArcs is the instance's forward-arc count.
+func (bp *bipartite) numArcs() int { return len(bp.sources) * bp.nCols() }
+
+// shape returns the sizes of the supply and demand blocks.
+func (bp *bipartite) shape() (nSup, nDem int) {
+	if bp.rev {
+		return bp.nCols(), len(bp.sources)
+	}
+	return len(bp.sources), bp.nCols()
+}
+
+// cell returns the row and column of arc (u, v).
+func (bp *bipartite) cell(u, v int) (k, j int) {
+	if bp.rev {
+		return v, u
+	}
+	return u, v
+}
+
+// rowNode and colNode return the network node of source k and column j.
+func (bp *bipartite) rowNode(k int) int {
+	if bp.rev {
+		return bp.nCols() + k
+	}
+	return k
+}
+
+func (bp *bipartite) colNode(j int) int {
+	if bp.rev {
+		return j
+	}
+	return len(bp.sources) + j
+}
+
+// arc returns the forward-arc id joining source k and column j.
+func (bp *bipartite) arc(k, j int) int {
+	if bp.rev {
+		return 2 * (j*len(bp.sources) + k)
+	}
+	return 2 * (k*bp.nCols() + j)
+}
+
+// colMass returns the units column j carries (every source carries
+// red.scale).
+func (bp *bipartite) colMass(j int) int64 {
+	if j < len(bp.opposite) {
+		return bp.red.scale
+	}
+	return bp.red.banks[j-len(bp.opposite)].units
+}
+
+// supMass and demMass return the units of supply node u and demand
+// node v.
+func (bp *bipartite) supMass(u int) int64 {
+	if bp.rev {
+		return bp.colMass(u)
+	}
+	return bp.red.scale
+}
+
+func (bp *bipartite) demMass(v int) int64 {
+	if bp.rev {
+		return bp.red.scale
+	}
+	return bp.colMass(v)
+}
+
+// capped saturates a fan-out distance at the instance's inf cost.
+func (bp *bipartite) capped(d int64) int64 {
+	if d >= sssp.Unreachable || d > bp.inf {
+		return bp.inf
+	}
+	return d
+}
+
+// cost returns the unit cost between source k and column j.
+func (bp *bipartite) cost(k, j int) int64 {
+	d := bp.capped(bp.rows[k][j])
+	if j >= len(bp.opposite) {
+		d += bp.gamma
+	}
+	return d
+}
+
+// network assembles the scaled integral flow instance in sc's reusable
+// network.
+func (bp *bipartite) network(sc *scratch) *flow.Network {
+	nSup, nDem := bp.shape()
+	nw := sc.network(nSup+nDem, nSup*nDem)
+	for v := 0; v < nDem; v++ {
+		nw.SetExcess(nSup+v, -bp.demMass(v))
+	}
+	for u := 0; u < nSup; u++ {
+		sup := bp.supMass(u)
+		nw.SetExcess(u, sup)
+		for v := 0; v < nDem; v++ {
+			k, j := bp.cell(u, v)
+			nw.AddArc(u, nSup+v, min(sup, bp.demMass(v)), bp.cost(k, j))
+		}
+	}
+	return nw
+}

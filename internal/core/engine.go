@@ -637,8 +637,7 @@ type scratch struct {
 	slotGen                    uint32
 	slotEpoch                  []uint32
 	slotSup, slotCon, slotBank []int32
-	mapSup, mapCon, mapBank    []int32
-	mapNodes                   []int32
+	mapRows, mapCols, mapNodes []int32
 	boundBuf                   []int64
 }
 

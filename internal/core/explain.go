@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"sort"
 
+	"snd/internal/flow"
 	"snd/internal/graph"
 	"snd/internal/opinion"
 )
@@ -38,8 +39,9 @@ type TermPlan struct {
 // terms' transport plans — which users' opinion mass covered which
 // opinion changes, and what each unit cost. Every term takes the
 // bipartite route (it is the one that materializes user-level arcs),
-// whatever route Distance would choose. Cancellation via ctx is
-// observed between SSSP runs and flow pushes, like the Engine batch
+// whatever route Distance would choose, and is solved exactly: the
+// Result's envelope is degenerate (LB = UB = SND). Cancellation via ctx
+// is observed between SSSP runs and flow pushes, like the Engine batch
 // paths.
 func Explain(ctx context.Context, g *graph.Digraph, a, b opinion.State, opts Options) (Result, [4]TermPlan, error) {
 	opts = opts.withDefaults()
@@ -54,16 +56,16 @@ func Explain(ctx context.Context, g *graph.Digraph, a, b opinion.State, opts Opt
 		red := reduce(spec, opts.Clusters, g.N())
 		plans[i] = TermPlan{Op: spec.op, GroundState: refName(i)}
 		if len(red.S) == 0 && len(red.C) == 0 && len(red.banks) == 0 {
-			res.EnginesUsed[i] = EngineBipartite
-			continue
+			continue // no route, as Distance reports it (EngineAuto)
 		}
-		v, runs, err := termBipartiteCollect(ctx, g, spec, red, opts, &plans[i].Moves)
+		bp, nw, tv, err := solvedInstance(ctx, g, spec, red, opts)
 		if err != nil {
 			return Result{}, plans, fmt.Errorf("core: explain term %d: %w", i, err)
 		}
-		plans[i].Value = v
-		res.Terms[i] = v
-		res.SSSPRuns += runs
+		plans[i].Value = tv.val
+		plans[i].Moves = bp.moves(nw)
+		res.Terms[i] = tv.val
+		res.SSSPRuns += tv.runs
 		res.EnginesUsed[i] = EngineBipartite
 		sort.Slice(plans[i].Moves, func(x, y int) bool {
 			mx, my := plans[i].Moves[x], plans[i].Moves[y]
@@ -76,38 +78,50 @@ func Explain(ctx context.Context, g *graph.Digraph, a, b opinion.State, opts Opt
 		})
 	}
 	res.SND = (res.Terms[0] + res.Terms[1] + res.Terms[2] + res.Terms[3]) / 2
+	res.LB, res.UB = res.SND, res.SND
 	return res, plans, nil
 }
 
-// termBipartiteCollect runs the bipartite pipeline and harvests the
-// per-arc flows into user-level moves.
-func termBipartiteCollect(ctx context.Context, g *graph.Digraph, spec termSpec, red reduction, o Options, out *[]Move) (float64, int, error) {
-	tv, nw, arcs, err := termBipartiteNetwork(g, spec, red, o, termCtx{ctx: ctx}, true, 0)
-	v, runs := tv.val, tv.runs
-	if err != nil {
-		return 0, runs, err
+// solvedInstance runs red's bipartite fan-out and a cold flow solve,
+// with no gate and no warm basis, and returns the instance with its
+// solved network.
+func solvedInstance(ctx context.Context, g *graph.Digraph, spec termSpec, red reduction, o Options) (*bipartite, *flow.Network, termVal, error) {
+	bp := newBipartite(red, o.Gamma, infCost(g.N(), o.Costs.MaxCost(), o.EscapeHops))
+	tc := termCtx{ctx: ctx}
+	if err := tc.fanOut(g, spec, o, &bp); err != nil {
+		return nil, nil, termVal{}, err
 	}
-	for _, a := range arcs {
-		f := nw.Flow(a.id)
-		if f <= 0 {
-			continue
-		}
-		*out = append(*out, Move{
-			From:     a.from,
-			To:       a.to,
-			FromBank: a.fromBank,
-			ToBank:   a.toBank,
-			Amount:   float64(f) / float64(red.scale),
-			UnitCost: a.cost,
-		})
-	}
-	return v, runs, nil
+	tv, nw, err := tc.flowSolve(&bp, nil)
+	tv.runs = len(bp.sources)
+	return &bp, nw, tv, err
 }
 
-// arcRef remembers what a bipartite network arc meant in user terms.
-type arcRef struct {
-	id               int
-	from, to         int
-	fromBank, toBank bool
-	cost             int64
+// moves reads the user-level plan off nw, bp's solved network, in arc
+// order. A bank endpoint is reported as its anchor (first member) user.
+func (bp *bipartite) moves(nw *flow.Network) []Move {
+	var out []Move
+	nSup, nDem := bp.shape()
+	for u := 0; u < nSup; u++ {
+		for v := 0; v < nDem; v++ {
+			k, j := bp.cell(u, v)
+			f := nw.Flow(bp.arc(k, j))
+			if f <= 0 {
+				continue
+			}
+			src, col, bank := int(bp.sources[k]), 0, j >= bp.nOpp()
+			if bank {
+				col = int(bp.red.banks[j-bp.nOpp()].members[0])
+			} else {
+				col = int(bp.opposite[j])
+			}
+			mv := Move{From: src, To: col, ToBank: bank}
+			if bp.rev {
+				mv = Move{From: col, FromBank: bank, To: src}
+			}
+			mv.Amount = float64(f) / float64(bp.red.scale)
+			mv.UnitCost = bp.cost(k, j)
+			out = append(out, mv)
+		}
+	}
+	return out
 }

@@ -10,36 +10,48 @@ import (
 	"snd/internal/opinion"
 )
 
+// TestExplainMatchesDistance pins Explain's Result to Distance's —
+// value, envelope, n-delta and the route reported per term, including
+// an identical-states pair whose terms take no route — and each plan's
+// moves to its term's value.
 func TestExplainMatchesDistance(t *testing.T) {
 	rng := rand.New(rand.NewSource(71))
 	g := graph.ErdosRenyi(50, 300, 71)
 	a := randState(50, 0.4, rng)
-	b := perturb(a, 8, rng)
-	res, plans, err := Explain(context.Background(), g, a, b, DefaultOptions())
-	if err != nil {
-		t.Fatal(err)
-	}
-	ref, err := Distance(g, a, b, DefaultOptions())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if math.Abs(res.SND-ref.SND) > 1e-9*math.Max(1, ref.SND) {
-		t.Fatalf("Explain SND %v != Distance %v", res.SND, ref.SND)
-	}
-	// The moves of each term must add up to the term's value.
-	for i, plan := range plans {
-		total := 0.0
-		for _, mv := range plan.Moves {
-			if mv.Amount <= 0 {
-				t.Fatalf("term %d: non-positive move %+v", i, mv)
+	for _, b := range []opinion.State{perturb(a, 8, rng), a.Clone()} {
+		res, plans, err := Explain(context.Background(), g, a, b, DefaultOptions())
+		if err != nil {
+			t.Fatal(err)
+		}
+		ref, err := Distance(g, a, b, DefaultOptions())
+		if err != nil {
+			t.Fatal(err)
+		}
+		if math.Abs(res.SND-ref.SND) > 1e-9*math.Max(1, ref.SND) {
+			t.Fatalf("Explain SND %v != Distance %v", res.SND, ref.SND)
+		}
+		if res.LB != res.SND || res.UB != res.SND || math.Abs(res.LB-ref.LB) > 1e-9*math.Max(1, ref.LB) ||
+			math.Abs(res.UB-ref.UB) > 1e-9*math.Max(1, ref.UB) {
+			t.Fatalf("Explain envelope [%v, %v] around %v, Distance [%v, %v]", res.LB, res.UB, res.SND, ref.LB, ref.UB)
+		}
+		if res.NDelta != ref.NDelta || res.EnginesUsed != ref.EnginesUsed {
+			t.Fatalf("Explain n-delta %d engines %v, Distance %d %v", res.NDelta, res.EnginesUsed, ref.NDelta, ref.EnginesUsed)
+		}
+		// The moves of each term must add up to the term's value.
+		for i, plan := range plans {
+			total := 0.0
+			for _, mv := range plan.Moves {
+				if mv.Amount <= 0 {
+					t.Fatalf("term %d: non-positive move %+v", i, mv)
+				}
+				total += mv.Amount * float64(mv.UnitCost)
 			}
-			total += mv.Amount * float64(mv.UnitCost)
-		}
-		if math.Abs(total-plan.Value) > 1e-6*math.Max(1, plan.Value) {
-			t.Fatalf("term %d: moves total %v != term value %v", i, total, plan.Value)
-		}
-		if plan.Value != res.Terms[i] {
-			t.Fatalf("term %d: plan value %v != result term %v", i, plan.Value, res.Terms[i])
+			if math.Abs(total-plan.Value) > 1e-6*math.Max(1, plan.Value) {
+				t.Fatalf("term %d: moves total %v != term value %v", i, total, plan.Value)
+			}
+			if plan.Value != res.Terms[i] {
+				t.Fatalf("term %d: plan value %v != result term %v", i, plan.Value, res.Terms[i])
+			}
 		}
 	}
 }

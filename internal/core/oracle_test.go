@@ -71,9 +71,9 @@ func solveWith(nw *flow.Network, costScaling bool) (int64, error) {
 // solved by the named solver instead of solveBipartite's choice.
 func viaBipartiteSolver(costScaling bool) termFn {
 	return func(g *graph.Digraph, spec termSpec, red reduction, o Options) (float64, error) {
-		// Collecting arcs (as Explain does) skips the bound gate, so the
-		// instance is always assembled.
-		_, nw, _, err := termBipartiteNetwork(g, spec, red, o, termCtx{}, true, 0)
+		// Explain's solve skips the bound gate, so the instance is
+		// always assembled.
+		_, nw, _, err := solvedInstance(context.Background(), g, spec, red, o)
 		if err != nil {
 			return 0, err
 		}

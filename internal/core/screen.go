@@ -40,10 +40,9 @@ import (
 // Ablating bounds (package tests only) disables both.
 
 // termBoundsFromRows computes admissible integer bounds on the scaled
-// optimal transportation cost of the reduced instance red, given the
-// fan-out's column-indexed rows (rows[k][j]: source k to opposite
-// entity j for j < nOpp; rows[k][nOpp+b]: source k to bank b's nearest
-// member).
+// optimal transportation cost of the instance bp from its
+// column-indexed rows (rows[k][j]: source k to opposite entity j for
+// j < nOpp; rows[k][nOpp+b]: source k to bank b's nearest member).
 //
 // The lower bound is the larger of the two shipment partitions: every
 // source-side entity ships (or receives) red.scale units at no less
@@ -53,10 +52,11 @@ import (
 // bound is the cost of a feasible greedy plan (each source fills up at
 // its cheapest remaining targets). lb == ub therefore pins the exact
 // optimum.
-func termBoundsFromRows(red reduction, rows [][]int64, nOpp int, gamma int64, capDist func(int64) int64, sc *scratch) (lb, ub int64) {
+func termBoundsFromRows(bp *bipartite, sc *scratch) (lb, ub int64) {
+	rows, nOpp, gamma := bp.rows, bp.nOpp(), bp.gamma
 	nSrc := len(rows)
-	nB := len(red.banks)
-	scale := red.scale
+	nB := len(bp.red.banks)
+	scale := bp.red.scale
 	if nSrc == 0 {
 		return 0, 0 // no sources means an empty instance (balance forces it)
 	}
@@ -68,7 +68,7 @@ func termBoundsFromRows(red reduction, rows [][]int64, nOpp int, gamma int64, ca
 		rem[j] = scale
 	}
 	for b := 0; b < nB; b++ {
-		rem[nOpp+b] = red.banks[b].units
+		rem[nOpp+b] = bp.red.banks[b].units
 	}
 
 	// One pass per source computes its row minima (bank costs cached in
@@ -83,7 +83,7 @@ func termBoundsFromRows(red reduction, rows [][]int64, nOpp int, gamma int64, ca
 		row := rows[k]
 		best := int64(math.MaxInt64)
 		for j := 0; j < nOpp; j++ {
-			d := capDist(row[j])
+			d := bp.capped(row[j])
 			if d < best {
 				best = d
 			}
@@ -92,7 +92,7 @@ func termBoundsFromRows(red reduction, rows [][]int64, nOpp int, gamma int64, ca
 			}
 		}
 		for b := 0; b < nB; b++ {
-			d := gamma + capDist(row[nOpp+b])
+			d := gamma + bp.capped(row[nOpp+b])
 			bmins[b] = d
 			if d < best {
 				best = d
@@ -110,7 +110,7 @@ func termBoundsFromRows(red reduction, rows [][]int64, nOpp int, gamma int64, ca
 				if rem[j] <= 0 {
 					continue
 				}
-				if d := capDist(row[j]); d < best {
+				if d := bp.capped(row[j]); d < best {
 					best, bestJ = d, j
 				}
 			}
@@ -140,7 +140,7 @@ func termBoundsFromRows(red reduction, rows [][]int64, nOpp int, gamma int64, ca
 		tgtSide += scale * colMin[j]
 	}
 	for b := 0; b < nB; b++ {
-		tgtSide += red.banks[b].units * colMin[nOpp+b]
+		tgtSide += bp.red.banks[b].units * colMin[nOpp+b]
 	}
 	lb = srcSide
 	if tgtSide > lb {
@@ -238,31 +238,21 @@ func (e *Engine) termLowerBound(spec termSpec, ref hashKey) float64 {
 	// scale units at no less than its nearest-target cost. Only
 	// already-retained rows are consulted — the point is to bound
 	// without paying any shortest-path work.
-	sources, opposite := red.S, red.C
-	reversed := red.banksOnSupplier
-	if reversed {
-		sources, opposite = red.C, red.S
-	}
-	inf := infCost(n, e.opts.Costs.MaxCost(), e.opts.EscapeHops)
-	gamma := e.opts.Gamma
+	bp := newBipartite(red, e.opts.Gamma, infCost(n, e.opts.Costs.MaxCost(), e.opts.EscapeHops))
 	var rowSide int64
-	for _, s := range sources {
-		dist, compact, ok := e.prov.peekRow(ref, spec.op, reversed, s)
+	for _, s := range bp.sources {
+		dist, compact, ok := e.prov.peekRow(ref, spec.op, bp.rev, s)
 		if !ok {
 			continue
 		}
 		at := func(u int32) int64 {
 			if dist != nil {
-				d := dist[u]
-				if d > inf {
-					return inf
-				}
-				return d
+				return bp.capped(dist[u])
 			}
 			return int64(compact[u]) // compact rows are pre-capped at inf
 		}
 		best := int64(math.MaxInt64)
-		for _, u := range opposite {
+		for _, u := range bp.opposite {
 			if d := at(u); d < best {
 				best = d
 			}
@@ -274,7 +264,7 @@ func (e *Engine) termLowerBound(spec termSpec, ref hashKey) float64 {
 					bm = d
 				}
 			}
-			if d := gamma + bm; d < best {
+			if d := bp.gamma + bm; d < best {
 				best = d
 			}
 		}

@@ -49,9 +49,9 @@ type EngineStats struct {
 	// TermsBoundDecided of them were closed by the integer LB == UB
 	// gate, TermsWarmExact were served whole from a retained basis
 	// (identical instance), and TermsWarmSolved ran a warm SSP drain
-	// from a transplanted basis (or, when the repair discarded the
-	// basis as junk, a cold solve after the transplant). FlowSolves
-	// counts the cold solves of terms with no donor.
+	// from a transplanted basis. FlowSolves counts the cold solves: of
+	// terms with no donor, and of terms whose transplanted basis the
+	// repair discarded as junk.
 	Terms, TermsBoundDecided, TermsWarmExact, TermsWarmSolved, FlowSolves int64
 	// TermsApproxCoarse, TermsApproxGap, and TermsApproxSinkhorn count
 	// the terms the approximation tier decided within its certified

@@ -276,44 +276,19 @@ func computeTerm(g *graph.Digraph, spec termSpec, o Options, tc termCtx) (termVa
 // wins at ~1900 reduced nodes (2.1s vs 3.3s) and loses at ~3300 (5.1s
 // vs 3.3s), bracketing the crossover at roughly n/4.
 func bipartiteRoute(red reduction, n int) bool {
-	arcs := len(red.S) * (len(red.C) + len(red.banks))
-	if red.banksOnSupplier {
-		arcs = (len(red.S) + len(red.banks)) * len(red.C)
-	}
+	bp := newBipartite(red, 0, 0)
 	nodes := len(red.S) + len(red.C) + len(red.banks)
-	return arcs <= bipartiteArcLimit && nodes <= max(n/4, bipartiteMinNodes)
+	return bp.numArcs() <= bipartiteArcLimit && nodes <= max(n/4, bipartiteMinNodes)
 }
 
 // termBipartite is the Theorem 4 pipeline: one SSSP per residual
 // supplier (forward) or per residual consumer (reverse, when the banks
-// sit on the supplier side), then an integer min-cost flow over the
-// reduced bipartite instance.
+// sit on the supplier side), then solveTerm over the reduced bipartite
+// instance. budgetScaled > 0 admits the approximation gates; budget 0
+// is the exact pipeline.
 func termBipartite(g *graph.Digraph, spec termSpec, red reduction, o Options, tc termCtx, budgetScaled int64) (termVal, error) {
-	tv, _, _, err := termBipartiteNetwork(g, spec, red, o, tc, false, budgetScaled)
-	return tv, err
-}
-
-// termBipartiteNetwork is termBipartite exposing the solved flow
-// network and — when collectArcs is set (Explain) — the user-level
-// meaning of every arc. The engine path passes false, so no arc-ref
-// garbage is assembled per term. budgetScaled > 0 admits the
-// approximation gates: a term whose certified envelope (relaxed row
-// gate, then the entropic solver) closes within the budget returns it
-// without a flow solve; budget 0 is the exact pipeline unchanged.
-func termBipartiteNetwork(g *graph.Digraph, spec termSpec, red reduction, o Options, tc termCtx, collectArcs bool, budgetScaled int64) (termVal, *flow.Network, []arcRef, error) {
-	maxCost := o.Costs.MaxCost()
-	inf := infCost(g.N(), maxCost, o.EscapeHops)
-
-	// dist(i, j) below means shortest path from supplier-side entity i
-	// to consumer-side entity j in the ground distance.
-	var srcGraph = g
-	sources, opposite := red.S, red.C
-	reversed := red.banksOnSupplier
-	if reversed {
-		// Reverse runs: dist(x -> c) for every x, per consumer c.
-		srcGraph = g.Reverse()
-		sources, opposite = red.C, red.S
-	}
+	bp := newBipartite(red, o.Gamma, infCost(g.N(), o.Costs.MaxCost(), o.EscapeHops))
+	runs := len(bp.sources)
 	if tc.stats != nil {
 		tc.stats.terms.Add(1)
 	}
@@ -325,10 +300,10 @@ func termBipartiteNetwork(g *graph.Digraph, spec termSpec, red reduction, o Opti
 	// identical). Failing that, the best-overlapping basis becomes a
 	// transplant donor for the solve below.
 	var donor *warmBasis
-	warmable := tc.sc != nil && tc.sc.warm != nil && !collectArcs
+	warmable := tc.sc != nil && tc.sc.warm != nil
 	if warmable {
 		tc.sc.markInstance(g.N(), red)
-		exact, d := tc.sc.findWarm(tc.refHash, spec, red)
+		exact, d := tc.sc.findWarm(tc.refHash, spec, &bp)
 		// Tracked reference states never take the whole-instance
 		// shortcut: their fan-out materializes the exact trees the next
 		// delta tick repairs from, and skipping it would silently
@@ -339,7 +314,7 @@ func termBipartiteNetwork(g *graph.Digraph, spec termSpec, red reduction, o Opti
 				if tc.stats != nil {
 					tc.stats.termsWarmExact.Add(1)
 				}
-				return exactVal(float64(exact.cost)/float64(red.scale), len(sources)), nil, nil, nil
+				return exactVal(exact.val, runs), nil
 			}
 			// Shortcut declined (fan-out must run for the tracked
 			// state); the identical basis is still a perfect transplant
@@ -351,217 +326,15 @@ func termBipartiteNetwork(g *graph.Digraph, spec termSpec, red reduction, o Opti
 		}
 		donor = d
 	}
-	srcW := tc.groundWeights(g, spec, o, reversed)
-
-	// The term consumes, per source, only the distance to each opposite
-	// residual user and to each bank's nearest member: a bank costs
-	// gamma plus that distance (Lemmas 1 and 2), so no further member
-	// distance is ever read. Rows therefore have one column per
-	// opposite user (column j is opposite[j]) and one per bank (column
-	// nOpp+b), and the fan-out fills a bank column with the minimum
-	// over its members. targets lists the opposite users, then every
-	// bank's members; cols maps each target to its column. Everything
-	// past inf is saturated by capDist below, so the fan-out also never
-	// needs to settle beyond that radius — both prunes are exact on
-	// these columns.
-	nOpp, nB := len(opposite), len(red.banks)
-	targets, cols := tc.sc.takeTargets(nOpp + nB)
-	targets = append(targets, opposite...)
-	for j := range opposite {
-		cols = append(cols, int32(j))
+	if err := tc.fanOut(g, spec, o, &bp); err != nil {
+		return termVal{}, err
 	}
-	for b, bank := range red.banks {
-		targets = append(targets, bank.members...)
-		for range bank.members {
-			cols = append(cols, int32(nOpp+b))
-		}
-	}
-
-	// Fix row placement up front (rows[i] belongs to sources[i]) so the
-	// fan-out can run in any order — sequentially, or split across idle
-	// workers — with bit-identical results.
-	tc.sc.resetRows()
-	rows := tc.sc.takeRowHeaders(len(sources))
-	for i := range rows {
-		rows[i] = tc.sc.takeRow(nOpp + nB)
-	}
-	if tc.sc != nil {
-		tc.sc.targets, tc.sc.cols = targets, cols
-	}
-	fanStart := time.Now()
-	if err := tc.fanOutRows(srcGraph, srcW, spec, o, sources, targets, cols, rows, reversed, maxCost, inf); err != nil {
-		return termVal{}, nil, nil, err
-	}
-	if tc.stats != nil {
-		addPhase(&tc.stats.ssspNanos, fanStart)
-	}
-	capDist := func(d int64) int64 {
-		if d >= sssp.Unreachable || d > inf {
-			return inf
-		}
-		return d
-	}
-
-	// Bound gate: with the rows in hand, an admissible lower bound and
-	// a feasible greedy upper bound are a rows-scan away; when they
-	// coincide they pin the integer optimum and the flow solve is
-	// skipped. A positive error budget relaxes the gate: an envelope
-	// within budget decides the term at its feasible upper end. Explain
-	// always solves (it needs the realized plan).
-	rowsLB, rowsUB := int64(0), int64(math.MaxInt64)
-	if !o.ablated(ablateBounds) && !collectArcs {
-		boundStart := time.Now()
-		lb, ub := termBoundsFromRows(red, rows, nOpp, o.Gamma, capDist, tc.sc)
-		if tc.stats != nil {
-			addPhase(&tc.stats.boundNanos, boundStart)
-		}
-		if lb == ub {
-			if tc.stats != nil {
-				tc.stats.termsBoundDecided.Add(1)
-			}
-			return exactVal(float64(lb)/float64(red.scale), len(sources)), nil, nil, nil
-		}
-		if budgetScaled > 0 && ub != math.MaxInt64 && ub-lb <= budgetScaled {
-			if tc.stats != nil {
-				tc.stats.termsApproxGap.Add(1)
-			}
-			scale := float64(red.scale)
-			return termVal{val: float64(ub) / scale, lb: float64(lb) / scale, ub: float64(ub) / scale, runs: len(sources)}, nil, nil, nil
-		}
-		rowsLB, rowsUB = lb, ub
-	}
-	// distSC(i, j): ground distance from red.S[i] to red.C[j].
-	distSC := func(i, j int) int64 {
-		if red.banksOnSupplier {
-			return capDist(rows[j][i]) // target i is S[i] on reverse rows
-		}
-		return capDist(rows[i][j]) // target j is C[j] on forward rows
-	}
-	// bankDist(b, k): distance between bank b and the k-th entity on
-	// the opposite side (consumer C[k] when banks supply, supplier S[k]
-	// when banks consume); rows[k] is that entity's row either way, and
-	// its column nOpp+b holds the distance to bank b's nearest member.
-	bankDist := func(b, k int) int64 {
-		return o.Gamma + capDist(rows[k][nOpp+b])
-	}
-
-	// Entropic stage: on instances big enough that an exact solve
-	// hurts (and small enough that a dense entropic sweep is
-	// affordable), try the Sinkhorn envelope — a rounded feasible plan
-	// from above, a repaired dual from below — combined with the row
-	// bounds already in hand. Either it certifies the budget and the
-	// flow solve is skipped, or the exact solve below proceeds
-	// unaffected.
-	if budgetScaled > 0 {
-		if tv, ok := termSinkhorn(red, distSC, bankDist, rowsLB, rowsUB, budgetScaled, len(sources), tc); ok {
-			return tv, nil, nil, nil
-		}
-	}
-
-	// Assemble the bipartite min-cost-flow instance, scaled integral,
-	// recording each arc's user-level meaning for Explain. Bank arcs
-	// are anchored at the bank's first member user.
-	nS, nC := len(red.S), len(red.C)
-	var nw *flow.Network
-	var arcs []arcRef
-	if red.banksOnSupplier {
-		nw = tc.sc.network(nS+nB+nC, (nS+nB)*nC)
-		for i := 0; i < nS; i++ {
-			nw.SetExcess(i, red.scale)
-		}
-		for b := 0; b < nB; b++ {
-			nw.SetExcess(nS+b, red.banks[b].units)
-		}
-		for j := 0; j < nC; j++ {
-			nw.SetExcess(nS+nB+j, -red.scale)
-		}
-		for i := 0; i < nS; i++ {
-			for j := 0; j < nC; j++ {
-				c := distSC(i, j)
-				id := nw.AddArc(i, nS+nB+j, red.scale, c)
-				if collectArcs {
-					arcs = append(arcs, arcRef{id: id, from: int(red.S[i]), to: int(red.C[j]), cost: c})
-				}
-			}
-		}
-		for b := 0; b < nB; b++ {
-			for j := 0; j < nC; j++ {
-				capacity := red.banks[b].units
-				if red.scale < capacity {
-					capacity = red.scale
-				}
-				c := bankDist(b, j)
-				id := nw.AddArc(nS+b, nS+nB+j, capacity, c)
-				if collectArcs {
-					arcs = append(arcs, arcRef{
-						id: id, from: int(red.banks[b].members[0]), fromBank: true,
-						to: int(red.C[j]), cost: c,
-					})
-				}
-			}
-		}
-	} else {
-		nw = tc.sc.network(nS+nC+nB, nS*(nC+nB))
-		for i := 0; i < nS; i++ {
-			nw.SetExcess(i, red.scale)
-		}
-		for j := 0; j < nC; j++ {
-			nw.SetExcess(nS+j, -red.scale)
-		}
-		for b := 0; b < nB; b++ {
-			nw.SetExcess(nS+nC+b, -red.banks[b].units)
-		}
-		for i := 0; i < nS; i++ {
-			for j := 0; j < nC; j++ {
-				c := distSC(i, j)
-				id := nw.AddArc(i, nS+j, red.scale, c)
-				if collectArcs {
-					arcs = append(arcs, arcRef{id: id, from: int(red.S[i]), to: int(red.C[j]), cost: c})
-				}
-			}
-			for b := 0; b < nB; b++ {
-				capacity := red.banks[b].units
-				if red.scale < capacity {
-					capacity = red.scale
-				}
-				c := bankDist(b, i)
-				id := nw.AddArc(i, nS+nC+b, capacity, c)
-				if collectArcs {
-					arcs = append(arcs, arcRef{
-						id: id, from: int(red.S[i]),
-						to: int(red.banks[b].members[0]), toBank: true, cost: c,
-					})
-				}
-			}
-		}
-	}
-	solveStart := time.Now()
-	var cost int64
-	var err error
-	warm := false
-	if donor != nil {
-		// Warm solve: replay the donor's basis onto the fresh instance
-		// and drain the residual imbalance from its potentials. The
-		// optimum is unique, so the value matches a cold solve exactly.
-		// A basis the repair finds to be junk comes back unsolved.
-		tc.sc.transplant(nw, red, donor)
-		cost, warm, err = nw.SolveSSPWarm(tc.ctx)
-	}
-	if !warm && err == nil {
-		cost, err = solveBipartite(tc.ctx, nw, red)
-	}
-	if tc.stats != nil {
-		addPhase(&tc.stats.flowNanos, solveStart)
-		if err == nil && donor != nil {
-			tc.stats.termsWarmSolved.Add(1)
-		} else if err == nil {
-			tc.stats.flowSolves.Add(1)
-		}
-	}
+	tv, nw, err := tc.solveTerm(&bp, o, budgetScaled, false, donor)
+	tv.runs = runs
 	if err != nil {
-		return termVal{runs: len(sources)}, nil, nil, err
+		return tv, err
 	}
-	if warmable && nw == tc.sc.nw && nw.NumArcs() >= warmMinArcs {
+	if warmable && nw != nil && nw == tc.sc.nw && nw.NumArcs() >= warmMinArcs {
 		// Retain the solved instance as the newest basis. The network
 		// moves into the ring (the scratch arena rebuilds from the
 		// ring's evictions), and reduce()'s freshly allocated slices
@@ -574,29 +347,151 @@ func termBipartiteNetwork(g *graph.Digraph, spec termSpec, red reduction, o Opti
 		tc.sc.warm.store(&warmBasis{
 			refHash:     tc.refHash,
 			op:          spec.op,
-			reversed:    reversed,
 			red:         red,
 			arcs:        nw.NumArcs(),
-			cost:        cost,
+			val:         tv.val,
 			nw:          nw,
 			netBytes:    netFootprint(nw),
 			structBytes: structFootprint(red),
 		})
 		tc.sc.nw = nil
 	}
-	return exactVal(float64(cost)/float64(red.scale), len(sources)), nw, arcs, nil
+	return tv, nil
 }
 
-// fanOutRows fills rows[i] with the column-indexed ground-distance row
-// of sources[i] (column c: the nearest of the targets cols maps to c):
-// by the provider's fast paths when one is attached, by the grouped
-// goal search (cut off at the saturation radius) on the no-provider,
-// budget-exhausted and Series-miss paths, and by a full-graph run when
-// goal pruning is ablated or the columns are dense. When a help pool
-// is present the loop is split into per-source sub-tasks idle workers
-// steal; placement is fixed by index, so the rows — and every
-// downstream bit — are identical to the sequential order.
-func (tc termCtx) fanOutRows(srcGraph *graph.Digraph, srcW []int32, spec termSpec, o Options, sources, targets, cols []int32, rows [][]int64, reversed bool, maxCost, cutoff int64) error {
+// solveTerm is the tail every bipartite term shares once bp's rows are
+// in hand, whichever fan-out produced them.
+//
+// Bound gate: an admissible lower bound and a feasible greedy upper
+// bound are a rows-scan away; when they coincide they pin the integer
+// optimum and the flow solve is skipped. A positive error budget
+// relaxes the gate: an envelope within budget decides the term at its
+// feasible upper end (counted as coarse when the rows are the
+// multilevel pass's matrix).
+//
+// Entropic stage: with a budget, the Sinkhorn envelope (termSinkhorn)
+// combined with the row bounds may certify the term instead.
+//
+// Otherwise flowSolve computes the exact value, warm from donor when
+// one is given. The solved network is returned only in that case;
+// runs is left to the caller.
+func (tc termCtx) solveTerm(bp *bipartite, o Options, budgetScaled int64, coarse bool, donor *warmBasis) (termVal, *flow.Network, error) {
+	rowsLB, rowsUB := int64(0), int64(math.MaxInt64)
+	if !o.ablated(ablateBounds) {
+		boundStart := time.Now()
+		lb, ub := termBoundsFromRows(bp, tc.sc)
+		if tc.stats != nil {
+			addPhase(&tc.stats.boundNanos, boundStart)
+		}
+		scale := float64(bp.red.scale)
+		if lb == ub {
+			if tc.stats != nil {
+				tc.stats.termsBoundDecided.Add(1)
+			}
+			return exactVal(float64(lb)/scale, 0), nil, nil
+		}
+		if budgetScaled > 0 && ub != math.MaxInt64 && ub-lb <= budgetScaled {
+			if tc.stats != nil {
+				if coarse {
+					tc.stats.termsApproxCoarse.Add(1)
+				} else {
+					tc.stats.termsApproxGap.Add(1)
+				}
+			}
+			return termVal{val: float64(ub) / scale, lb: float64(lb) / scale, ub: float64(ub) / scale}, nil, nil
+		}
+		rowsLB, rowsUB = lb, ub
+	}
+	if budgetScaled > 0 {
+		if tv, ok := tc.termSinkhorn(bp, rowsLB, rowsUB, budgetScaled); ok {
+			return tv, nil, nil
+		}
+	}
+	return tc.flowSolve(bp, donor)
+}
+
+// flowSolve assembles bp and solves it exactly. With a donor, its basis
+// is replayed onto the fresh instance and SolveSSPWarm drains the
+// residual imbalance from its potentials; a basis the repair finds to
+// be junk comes back unsolved and the term is solved cold, by the
+// solver coldSSP picks. The optimum is unique, so every path returns
+// the same value.
+func (tc termCtx) flowSolve(bp *bipartite, donor *warmBasis) (termVal, *flow.Network, error) {
+	nw := bp.network(tc.sc)
+	solveStart := time.Now()
+	var cost int64
+	var err error
+	warm := false
+	if donor != nil {
+		tc.sc.transplant(nw, bp, donor)
+		cost, warm, err = nw.SolveSSPWarm(tc.ctx)
+	}
+	if !warm && err == nil {
+		cost, err = solveBipartite(tc.ctx, nw, bp.red)
+	}
+	if tc.stats != nil {
+		addPhase(&tc.stats.flowNanos, solveStart)
+		if err == nil && warm {
+			tc.stats.termsWarmSolved.Add(1)
+		} else if err == nil {
+			tc.stats.flowSolves.Add(1)
+		}
+	}
+	if err != nil {
+		return termVal{}, nil, err
+	}
+	return exactVal(float64(cost)/float64(bp.red.scale), 0), nw, nil
+}
+
+// fanOut fills bp.rows, one row per source: one SSSP per residual
+// supplier, or per residual consumer over the reverse graph when the
+// banks sit on the supplier side.
+//
+// The term consumes, per source, only the distance to each opposite
+// residual user and to each bank's nearest member: a bank costs gamma
+// plus that distance (Lemmas 1 and 2), so no further member distance is
+// ever read. targets lists the opposite users, then every bank's
+// members; cols maps each target to its column, and the fan-out fills
+// a bank column with the minimum over its members. Everything past inf
+// is saturated by bp.capped, so the fan-out also never needs to settle
+// beyond that radius — both prunes are exact on these columns.
+//
+// Each row is filled by the provider's fast paths when one is
+// attached, by the grouped goal search (cut off at the saturation
+// radius) on the no-provider, budget-exhausted and Series-miss paths,
+// and by a full-graph run when goal pruning is ablated or the columns
+// are dense. Row placement is fixed up front (rows[i] belongs to
+// sources[i]), so when a help pool is present the loop is split into
+// per-source sub-tasks idle workers steal, with rows — and every
+// downstream bit — identical to the sequential order.
+func (tc termCtx) fanOut(g *graph.Digraph, spec termSpec, o Options, bp *bipartite) error {
+	srcGraph := g
+	if bp.rev {
+		// Reverse runs: dist(x -> c) for every x, per consumer c.
+		srcGraph = g.Reverse()
+	}
+	srcW := tc.groundWeights(g, spec, o, bp.rev)
+	nOpp, nCols := bp.nOpp(), bp.nCols()
+	targets, cols := tc.sc.takeTargets(nCols)
+	targets = append(targets, bp.opposite...)
+	for j := 0; j < nOpp; j++ {
+		cols = append(cols, int32(j))
+	}
+	for b, bank := range bp.red.banks {
+		targets = append(targets, bank.members...)
+		for range bank.members {
+			cols = append(cols, int32(nOpp+b))
+		}
+	}
+	tc.sc.resetRows()
+	rows := tc.sc.takeRowHeaders(len(bp.sources))
+	for i := range rows {
+		rows[i] = tc.sc.takeRow(nCols)
+	}
+	if tc.sc != nil {
+		tc.sc.targets, tc.sc.cols = targets, cols
+	}
+
 	// A pruned search must settle a ball reaching every column; once
 	// columns are plentiful relative to the graph that ball is the
 	// graph itself and the epoch-stamped search only adds per-edge
@@ -610,15 +505,16 @@ func (tc termCtx) fanOutRows(srcGraph *graph.Digraph, srcW []int32, spec termSpe
 		pruneLimit = 64
 	}
 	noPrune := o.ablated(ablateGoalPrune)
+	maxCost := o.Costs.MaxCost()
 	fill := func(sc *scratch, i int) {
-		s := sources[i]
+		s := bp.sources[i]
 		out := rows[i]
 		if tc.prov != nil {
 			if !noPrune {
-				if tc.prov.rowGoals(tc.refHash, spec.ref, spec.op, reversed, s, srcW, targets, cols, out, !tc.series, sc) {
+				if tc.prov.rowGoals(tc.refHash, spec.ref, spec.op, bp.rev, s, srcW, targets, cols, out, !tc.series, sc) {
 					return
 				}
-			} else if row, ok := tc.prov.row(tc.refHash, spec.ref, spec.op, reversed, s, srcW); ok {
+			} else if row, ok := tc.prov.row(tc.refHash, spec.ref, spec.op, bp.rev, s, srcW); ok {
 				foldCols(out, row, targets, cols)
 				return
 			}
@@ -630,21 +526,29 @@ func (tc termCtx) fanOutRows(srcGraph *graph.Digraph, srcW []int32, spec termSpe
 			foldCols(out, sc.res.Dist, targets, cols)
 			return
 		}
-		sssp.DijkstraGoalsInto(srcGraph, srcW, int(s), targets, cols, pqueue.KindAuto, maxCost, cutoff, out, &sc.goals)
+		sssp.DijkstraGoalsInto(srcGraph, srcW, int(s), targets, cols, pqueue.KindAuto, maxCost, bp.inf, out, &sc.goals)
 	}
 	owner := tc.sc
 	if owner == nil {
 		owner = &scratch{} // one-shot callers (Explain) carry no arena
 	}
-	if tc.help != nil && len(sources) > 1 {
-		return tc.help.runFanout(tc.ctx, owner, len(sources), fill)
-	}
-	for i := range sources {
-		if err := tc.cancelled(); err != nil {
+	fanStart := time.Now()
+	if tc.help != nil && len(bp.sources) > 1 {
+		if err := tc.help.runFanout(tc.ctx, owner, len(bp.sources), fill); err != nil {
 			return err
 		}
-		fill(owner, i)
+	} else {
+		for i := range bp.sources {
+			if err := tc.cancelled(); err != nil {
+				return err
+			}
+			fill(owner, i)
+		}
 	}
+	if tc.stats != nil {
+		addPhase(&tc.stats.ssspNanos, fanStart)
+	}
+	bp.rows = rows
 	return nil
 }
 

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"fmt"
 	"math/rand"
 	"testing"
@@ -119,7 +120,7 @@ func coldShapeInstance(b *testing.B, g *graph.Digraph, labels []int, base opinio
 	if red.banksOnSupplier != banksOnSupplier {
 		b.Fatalf("reduced with banksOnSupplier=%v, want %v", red.banksOnSupplier, banksOnSupplier)
 	}
-	_, nw, _, err := termBipartiteNetwork(g, spec, red, o, termCtx{}, true, 0)
+	_, nw, _, err := solvedInstance(context.Background(), g, spec, red, o)
 	if err != nil {
 		b.Fatal(err)
 	}

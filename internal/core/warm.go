@@ -30,6 +30,9 @@ import (
 //     what monitoring and nearest-neighbor traffic over slowly
 //     evolving states hits.
 //
+// Donor and new instance share one layout (bipartite), so a matched
+// supplier-consumer or bank arc carries over by id.
+//
 // Either way the returned cost is the exact optimum (it is unique), so
 // distances are bit-identical to cold solves; a negative
 // EngineConfig.WarmCacheBytes pins the cold pipeline. The ring is
@@ -70,10 +73,9 @@ const maxWarmEntries = 768
 type warmBasis struct {
 	refHash               hashKey
 	op                    opinion.Opinion
-	reversed              bool
 	red                   reduction // reduce() output; slices are owned (fresh per reduce)
 	arcs                  int       // forward-arc count of the instance
-	cost                  int64     // optimal scaled cost
+	val                   float64   // the term value (optimal cost / scale)
 	nw                    *flow.Network
 	netBytes, structBytes int64
 }
@@ -212,25 +214,13 @@ func (sc *scratch) markInstance(n int, red reduction) {
 	}
 }
 
-func (sc *scratch) supSlot(u int32) (int32, bool) {
-	if sc.slotEpoch[u] != sc.slotGen || sc.slotSup[u] < 0 {
+// slot returns u's index in m, one of the instance's user->slot maps
+// (slotSup, slotCon or slotBank), if u holds that role.
+func (sc *scratch) slot(m []int32, u int32) (int32, bool) {
+	if sc.slotEpoch[u] != sc.slotGen || m[u] < 0 {
 		return -1, false
 	}
-	return sc.slotSup[u], true
-}
-
-func (sc *scratch) conSlot(u int32) (int32, bool) {
-	if sc.slotEpoch[u] != sc.slotGen || sc.slotCon[u] < 0 {
-		return -1, false
-	}
-	return sc.slotCon[u], true
-}
-
-func (sc *scratch) bankSlot(u int32) (int32, bool) {
-	if sc.slotEpoch[u] != sc.slotGen || sc.slotBank[u] < 0 {
-		return -1, false
-	}
-	return sc.slotBank[u], true
+	return m[u], true
 }
 
 // --- matching ---
@@ -273,22 +263,20 @@ func (wb *warmBasis) sameStructure(red reduction) bool {
 // the best-overlapping transplant donor, or neither. Every entry can
 // exact-match (the refHash/size prefilter makes misses O(1)); only
 // entries still holding their network can donate.
-func (sc *scratch) findWarm(refHash hashKey, spec termSpec, red reduction) (exact, donor *warmBasis) {
+func (sc *scratch) findWarm(refHash hashKey, spec termSpec, bp *bipartite) (exact, donor *warmBasis) {
 	wc := sc.warm
 	if wc == nil {
 		return nil, nil
 	}
+	red := bp.red
 	newSize := len(red.S) + len(red.C)
-	newArcs := len(red.S) * (len(red.C) + len(red.banks))
-	if red.banksOnSupplier {
-		newArcs = (len(red.S) + len(red.banks)) * len(red.C)
-	}
+	newArcs := bp.numArcs()
 	bestScore := 0
 	const maxScan = 12 // donors scored per lookup
 	scanned := 0
 	for i := len(wc.entries) - 1; i >= 0; i-- {
 		wb := wc.entries[i]
-		if wb.op != spec.op || wb.reversed != red.banksOnSupplier {
+		if wb.op != spec.op || wb.red.banksOnSupplier != red.banksOnSupplier {
 			continue
 		}
 		if wb.refHash == refHash && wb.sameStructure(red) {
@@ -305,12 +293,12 @@ func (sc *scratch) findWarm(refHash hashKey, spec termSpec, red reduction) (exac
 		scanned++
 		score := 0
 		for _, u := range wb.red.S {
-			if _, ok := sc.supSlot(u); ok {
+			if _, ok := sc.slot(sc.slotSup, u); ok {
 				score++
 			}
 		}
 		for _, u := range wb.red.C {
-			if _, ok := sc.conSlot(u); ok {
+			if _, ok := sc.slot(sc.slotCon, u); ok {
 				score++
 			}
 		}
@@ -327,71 +315,40 @@ func (sc *scratch) findWarm(refHash hashKey, spec termSpec, red reduction) (exac
 
 // --- transplant ---
 
-// arcID returns the forward-arc id of the (i, j)-th supplier-consumer
-// arc (or bank arc) under the deterministic assembly order of
-// termBipartiteNetwork: forward orientation lays out, per supplier, nC
-// consumer arcs then nB bank arcs; reverse orientation lays out all
-// nS*nC supplier-consumer arcs first, then per-bank consumer arcs.
-func arcSC(reversed bool, nS, nC, nB, i, j int) int {
-	if reversed {
-		return 2 * (i*nC + j)
-	}
-	return 2 * (i*(nC+nB) + j)
-}
-
-func arcBank(reversed bool, nS, nC, nB, b, k int) int {
-	if reversed {
-		return 2 * (nS*nC + b*nC + k) // bank b -> consumer k
-	}
-	return 2 * (k*(nC+nB) + nC + b) // supplier k -> bank b
-}
-
-// nodeIDs returns the network node index of supplier i, consumer j, and
-// bank b under the assembly layout.
-func nodeSup(reversed bool, nS, nB, i int) int { return i }
-func nodeCon(reversed bool, nS, nB, j int) int {
-	if reversed {
-		return nS + nB + j
-	}
-	return nS + j
-}
-func nodeBank(reversed bool, nS, nC, b int) int {
-	if reversed {
-		return nS + b
-	}
-	return nS + nC + b
-}
-
 // transplant replays donor wb's routed flow and node potentials onto
-// the freshly assembled nw (the new instance, excesses and fresh costs
-// already in place), matching suppliers, consumers, and banks by user
-// identity. markInstance must have been called for red. Unmatched
-// donor flow is simply dropped; SolveSSPWarm absorbs every imperfection.
-func (sc *scratch) transplant(nw *flow.Network, red reduction, wb *warmBasis) {
-	rev := red.banksOnSupplier
-	nS, nC, nB := len(red.S), len(red.C), len(red.banks)
-	dnS, dnC, dnB := len(wb.red.S), len(wb.red.C), len(wb.red.banks)
-
-	// Map donor slots to new slots once.
-	supMap := sc.takeMap(&sc.mapSup, dnS)
-	for i, u := range wb.red.S {
-		supMap[i] = -1
-		if ni, ok := sc.supSlot(u); ok {
-			supMap[i] = ni
+// the freshly assembled instance bp in nw (excesses and fresh costs
+// already in place), matching sources and columns by user identity:
+// opposite users by role, banks by anchor (first member) user. Both
+// instances share bp's layout rules, so a matched (source, column) arc
+// carries over by id. markInstance must have been called for bp.red.
+// Unmatched donor flow is simply dropped; SolveSSPWarm absorbs every
+// imperfection.
+func (sc *scratch) transplant(nw *flow.Network, bp *bipartite, wb *warmBasis) {
+	old := newBipartite(wb.red, 0, 0)
+	rowSlots, oppSlots := sc.slotSup, sc.slotCon
+	if bp.rev {
+		rowSlots, oppSlots = sc.slotCon, sc.slotSup
+	}
+	// Map donor rows and columns to new ones once.
+	rowMap := sc.takeMap(&sc.mapRows, len(old.sources))
+	for k, u := range old.sources {
+		rowMap[k] = -1
+		if nk, ok := sc.slot(rowSlots, u); ok {
+			rowMap[k] = nk
 		}
 	}
-	conMap := sc.takeMap(&sc.mapCon, dnC)
-	for j, u := range wb.red.C {
-		conMap[j] = -1
-		if nj, ok := sc.conSlot(u); ok {
-			conMap[j] = nj
+	colMap := sc.takeMap(&sc.mapCols, old.nCols())
+	for j, u := range old.opposite {
+		colMap[j] = -1
+		if nj, ok := sc.slot(oppSlots, u); ok {
+			colMap[j] = nj
 		}
 	}
-	bankMap := sc.takeMap(&sc.mapBank, dnB)
-	for b := range wb.red.banks {
-		bankMap[b] = -1
-		if nb, ok := sc.bankSlot(wb.red.banks[b].members[0]); ok {
-			bankMap[b] = nb
+	for b := range old.red.banks {
+		j := old.nOpp() + b
+		colMap[j] = -1
+		if nb, ok := sc.slot(sc.slotBank, old.red.banks[b].members[0]); ok {
+			colMap[j] = int32(bp.nOpp()) + nb
 		}
 	}
 
@@ -403,52 +360,29 @@ func (sc *scratch) transplant(nw *flow.Network, red reduction, wb *warmBasis) {
 	// unmapped supply-side nodes with the maximum mapped potential
 	// keeps all their arcs non-negative; unmapped demand-side nodes
 	// are safe at zero (arcs into them only gain reduced cost).
+	mapped := sc.takeMap(&sc.mapNodes, nw.N())
+	for i := range mapped {
+		mapped[i] = 0
+	}
 	var pMax int64
 	seed := func(node, donorNode int) {
 		p := wb.nw.Price(donorNode)
 		nw.SetPrice(node, p)
+		mapped[node] = 1
 		if p > pMax {
 			pMax = p
 		}
 	}
-	for i, ni := range supMap {
-		if ni >= 0 {
-			seed(nodeSup(rev, nS, nB, int(ni)), nodeSup(rev, dnS, dnB, i))
+	for k, nk := range rowMap {
+		if nk >= 0 {
+			seed(bp.rowNode(int(nk)), old.rowNode(k))
 		}
 	}
-	for j, nj := range conMap {
+	for j, nj := range colMap {
 		if nj >= 0 {
-			seed(nodeCon(rev, nS, nB, int(nj)), nodeCon(rev, dnS, dnB, j))
+			seed(bp.colNode(int(nj)), old.colNode(j))
 		}
 	}
-	for b, nb := range bankMap {
-		if nb >= 0 {
-			seed(nodeBank(rev, nS, nC, int(nb)), nodeBank(rev, dnS, dnC, b))
-		}
-	}
-	markMapped := func() []int32 { // mapped flags by new node id
-		m := sc.takeMap(&sc.mapNodes, nw.N())
-		for i := range m {
-			m[i] = 0
-		}
-		for _, ni := range supMap {
-			if ni >= 0 {
-				m[nodeSup(rev, nS, nB, int(ni))] = 1
-			}
-		}
-		for _, nj := range conMap {
-			if nj >= 0 {
-				m[nodeCon(rev, nS, nB, int(nj))] = 1
-			}
-		}
-		for _, nb := range bankMap {
-			if nb >= 0 {
-				m[nodeBank(rev, nS, nC, int(nb))] = 1
-			}
-		}
-		return m
-	}
-	mapped := markMapped()
 	for v := 0; v < nw.N(); v++ {
 		if mapped[v] == 0 && nw.Excess(v) > 0 {
 			nw.SetPrice(v, pMax)
@@ -457,45 +391,16 @@ func (sc *scratch) transplant(nw *flow.Network, red reduction, wb *warmBasis) {
 
 	// Routed flow, replayed arc by arc (PreloadFlow clamps to the new
 	// capacities).
-	for i, ni := range supMap {
-		if ni < 0 {
+	for k, nk := range rowMap {
+		if nk < 0 {
 			continue
 		}
-		for j, nj := range conMap {
+		for j, nj := range colMap {
 			if nj < 0 {
 				continue
 			}
-			f := wb.nw.Flow(arcSC(rev, dnS, dnC, dnB, i, j))
-			if f > 0 {
-				nw.PreloadFlow(arcSC(rev, nS, nC, nB, int(ni), int(nj)), f)
-			}
-		}
-	}
-	for b, nb := range bankMap {
-		if nb < 0 {
-			continue
-		}
-		// Bank arcs pair the bank with every opposite-side entity:
-		// consumers when reversed (bank supplies), suppliers otherwise.
-		if rev {
-			for j, nj := range conMap {
-				if nj < 0 {
-					continue
-				}
-				f := wb.nw.Flow(arcBank(rev, dnS, dnC, dnB, b, j))
-				if f > 0 {
-					nw.PreloadFlow(arcBank(rev, nS, nC, nB, int(nb), int(nj)), f)
-				}
-			}
-		} else {
-			for i, ni := range supMap {
-				if ni < 0 {
-					continue
-				}
-				f := wb.nw.Flow(arcBank(rev, dnS, dnC, dnB, b, i))
-				if f > 0 {
-					nw.PreloadFlow(arcBank(rev, nS, nC, nB, int(nb), int(ni)), f)
-				}
+			if f := wb.nw.Flow(old.arc(k, j)); f > 0 {
+				nw.PreloadFlow(bp.arc(int(nk), int(nj)), f)
 			}
 		}
 	}

@@ -178,14 +178,19 @@ func TestEngineLowerBoundsAdmissible(t *testing.T) {
 	}
 }
 
-// TestTransplantArcLayout validates the warm transplant's arc-id and
-// node-id formulas against the assembly itself (the Explain arc list is
-// ground truth). A wrong formula would not corrupt results — the warm
-// drain repairs anything — but it would silently replay flow onto the
-// wrong arcs and erase the speedup, which no exactness test can catch.
+// TestTransplantArcLayout checks the layout the warm transplant
+// indexes by against the assembled, solved network, in both
+// orientations: the node the layout names for each source and column
+// carries that entity's declared mass, the arcs it names carry exactly
+// each node's mass in flow, and the moves Explain reports ship each
+// user's mass out of (or into) the node the layout names for that
+// user. A wrong layout would not corrupt results — the warm drain
+// repairs anything — but it would silently replay flow onto the wrong
+// arcs and erase the speedup, which no exactness test can catch.
 func TestTransplantArcLayout(t *testing.T) {
 	g := engineTestGraph(150, 79)
 	rng := rand.New(rand.NewSource(80))
+	orientations := map[bool]bool{}
 	for trial := 0; trial < 40; trial++ {
 		a := randState(g.N(), 0.3, rng)
 		b := perturb(a, 5+rng.Intn(30), rng)
@@ -205,61 +210,81 @@ func TestTransplantArcLayout(t *testing.T) {
 			if len(red.S) == 0 && len(red.C) == 0 && len(red.banks) == 0 {
 				continue
 			}
-			_, nw, arcs, err := termBipartiteNetwork(g, spec, red, o, termCtx{}, true, 0)
+			bp, nw, _, err := solvedInstance(context.Background(), g, spec, red, o)
 			if err != nil {
 				t.Fatalf("trial %d term %d: %v", trial, term, err)
 			}
-			nS, nC, nB := len(red.S), len(red.C), len(red.banks)
-			rev := red.banksOnSupplier
-			supIdx := map[int]int{}
-			for i, u := range red.S {
-				supIdx[int(u)] = i
+			orientations[bp.rev] = true
+			if nw.NumArcs() != bp.numArcs() {
+				t.Fatalf("trial %d term %d: %d arcs assembled, layout names %d", trial, term, nw.NumArcs(), bp.numArcs())
 			}
-			conIdx := map[int]int{}
-			for j, u := range red.C {
-				conIdx[int(u)] = j
+			// Sources supply in the forward orientation, columns in the
+			// reversed one.
+			rowSign, colSign := int64(1), int64(-1)
+			if bp.rev {
+				rowSign, colSign = -1, 1
 			}
-			bankIdx := map[int]int{}
-			for bi := range red.banks {
-				bankIdx[int(red.banks[bi].members[0])] = bi
+			type entity struct {
+				user int
+				bank bool
 			}
-			for _, ar := range arcs {
-				var wantID int
-				switch {
-				case ar.fromBank:
-					wantID = arcBank(rev, nS, nC, nB, bankIdx[ar.from], conIdx[ar.to])
-				case ar.toBank:
-					wantID = arcBank(rev, nS, nC, nB, bankIdx[ar.to], supIdx[ar.from])
-				default:
-					wantID = arcSC(rev, nS, nC, nB, supIdx[ar.from], conIdx[ar.to])
+			nodeOf := map[entity]int{}
+			for k, u := range bp.sources {
+				node := bp.rowNode(k)
+				if got := nw.Excess(node); got != rowSign*red.scale {
+					t.Fatalf("trial %d term %d: source %d at node %d has excess %d, want %d", trial, term, k, node, got, rowSign*red.scale)
 				}
-				if ar.id != wantID {
-					t.Fatalf("trial %d term %d: arc %+v: layout id %d != assembly id %d",
-						trial, term, ar, wantID, ar.id)
+				var shipped int64
+				for j := 0; j < bp.nCols(); j++ {
+					shipped += nw.Flow(bp.arc(k, j))
+				}
+				if shipped != red.scale {
+					t.Fatalf("trial %d term %d: source %d: arcs carry %d, want %d", trial, term, k, shipped, red.scale)
+				}
+				nodeOf[entity{int(u), false}] = node
+			}
+			for j := 0; j < bp.nCols(); j++ {
+				node := bp.colNode(j)
+				if got := nw.Excess(node); got != colSign*bp.colMass(j) {
+					t.Fatalf("trial %d term %d: column %d at node %d has excess %d, want %d", trial, term, j, node, got, colSign*bp.colMass(j))
+				}
+				var shipped int64
+				for k := range bp.sources {
+					shipped += nw.Flow(bp.arc(k, j))
+				}
+				if shipped != bp.colMass(j) {
+					t.Fatalf("trial %d term %d: column %d: arcs carry %d, want %d", trial, term, j, shipped, bp.colMass(j))
+				}
+				if j < bp.nOpp() {
+					nodeOf[entity{int(bp.opposite[j]), false}] = node
+				} else {
+					nodeOf[entity{int(red.banks[j-bp.nOpp()].members[0]), true}] = node
 				}
 			}
-			// Node formulas, checked against the declared excesses.
-			for i := 0; i < nS; i++ {
-				want := red.scale
-				if got := nw.Excess(nodeSup(rev, nS, nB, i)); got != want {
-					t.Fatalf("trial %d term %d: supplier node %d excess %d != %d", trial, term, i, got, want)
+			sent, received := map[int]float64{}, map[int]float64{}
+			for _, mv := range bp.moves(nw) {
+				from, ok1 := nodeOf[entity{mv.From, mv.FromBank}]
+				to, ok2 := nodeOf[entity{mv.To, mv.ToBank}]
+				if !ok1 || !ok2 {
+					t.Fatalf("trial %d term %d: move %+v names an entity outside the instance", trial, term, mv)
+				}
+				sent[from] += mv.Amount
+				received[to] += mv.Amount
+			}
+			for node, amount := range sent {
+				if want := float64(nw.Excess(node)) / float64(red.scale); math.Abs(amount-want) > 1e-9*math.Max(1, want) {
+					t.Fatalf("trial %d term %d: node %d sends %v, excess says %v", trial, term, node, amount, want)
 				}
 			}
-			for j := 0; j < nC; j++ {
-				if got := nw.Excess(nodeCon(rev, nS, nB, j)); got != -red.scale {
-					t.Fatalf("trial %d term %d: consumer node %d excess %d", trial, term, j, got)
-				}
-			}
-			for bi := 0; bi < nB; bi++ {
-				want := red.banks[bi].units
-				if !rev {
-					want = -want
-				}
-				if got := nw.Excess(nodeBank(rev, nS, nC, bi)); got != want {
-					t.Fatalf("trial %d term %d: bank node %d excess %d != %d", trial, term, bi, got, want)
+			for node, amount := range received {
+				if want := -float64(nw.Excess(node)) / float64(red.scale); math.Abs(amount-want) > 1e-9*math.Max(1, want) {
+					t.Fatalf("trial %d term %d: node %d receives %v, excess says %v", trial, term, node, amount, want)
 				}
 			}
 		}
+	}
+	if !orientations[false] || !orientations[true] {
+		t.Fatalf("trials covered orientations %v, want both", orientations)
 	}
 }
 
@@ -386,5 +411,63 @@ func TestWarmStartCostScaledBasis(t *testing.T) {
 	}
 	if math.Abs(got[1].SND-dense.SND) > 1e-9*math.Max(1, dense.SND) {
 		t.Errorf("transplanted pair: %v != dense %v", got[1].SND, dense.SND)
+	}
+}
+
+// TestDiscardedTransplantCountsAsColdSolve pins the warm-solve counter
+// to the solve that actually ran. A donor whose potentials make every
+// arc's reduced cost negative is junk to SolveSSPWarm's repair: the
+// term is then solved cold and counts in FlowSolves, not in
+// TermsWarmSolved. The same donor with its own optimal potentials
+// drains warm. Both return the cold value.
+func TestDiscardedTransplantCountsAsColdSolve(t *testing.T) {
+	g := engineTestGraph(150, 81)
+	rng := rand.New(rand.NewSource(82))
+	a := randState(g.N(), 0.3, rng)
+	b := perturb(a, 30, rng)
+	o := DefaultOptions().withDefaults()
+	spec := eqSpec(a, b, 0)
+	red := reduce(spec, nil, g.N())
+	if len(red.S) < 2 || len(red.C) < 1 {
+		t.Fatalf("instance too small to make a junk basis: %d suppliers, %d consumers", len(red.S), len(red.C))
+	}
+	ctx := context.Background()
+	bp0, donorNw, cold, err := solvedInstance(ctx, g, spec, red, o)
+	if err != nil {
+		t.Fatal(err)
+	}
+	donor := &warmBasis{red: red, nw: donorNw}
+	solve := func() (termVal, *engineStats) {
+		stats := &engineStats{}
+		tc := termCtx{ctx: ctx, sc: &scratch{}, stats: stats}
+		tc.sc.markInstance(g.N(), red)
+		bp := newBipartite(red, o.Gamma, bp0.inf)
+		if err := tc.fanOut(g, spec, o, &bp); err != nil {
+			t.Fatal(err)
+		}
+		tv, _, err := tc.flowSolve(&bp, donor)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return tv, stats
+	}
+
+	tv, stats := solve()
+	if tv.val != cold.val || stats.termsWarmSolved.Load() != 1 || stats.flowSolves.Load() != 0 {
+		t.Fatalf("optimal donor: value %v (cold %v), warm solves %d, cold solves %d; want a warm solve",
+			tv.val, cold.val, stats.termsWarmSolved.Load(), stats.flowSolves.Load())
+	}
+
+	nSup, nDem := bp0.shape()
+	for v := 0; v < nDem; v++ {
+		donorNw.SetPrice(nSup+v, 1<<40)
+	}
+	for u := 0; u < nSup; u++ {
+		donorNw.SetPrice(u, 0)
+	}
+	tv, stats = solve()
+	if tv.val != cold.val || stats.termsWarmSolved.Load() != 0 || stats.flowSolves.Load() != 1 {
+		t.Fatalf("junk donor: value %v (cold %v), warm solves %d, cold solves %d; want the discarded basis counted as a cold solve",
+			tv.val, cold.val, stats.termsWarmSolved.Load(), stats.flowSolves.Load())
 	}
 }
