@@ -6,8 +6,6 @@ import (
 
 	"snd/internal/emd"
 	"snd/internal/graph"
-	"snd/internal/pqueue"
-	"snd/internal/sssp"
 )
 
 // This file implements the certified approximation tier of the
@@ -16,20 +14,20 @@ import (
 // optimum and deciding the term — at the feasible upper end — as soon
 // as ub - lb fits the term's scaled error budget:
 //
-//  1. Multilevel cluster-bank pass (termApproxMultilevel): instead of
-//     one shortest-path run per residual source, the fan-out runs
-//     column-wise from the *small* side of the reduced instance — one
-//     run per residual opposite user plus one multi-source run per
-//     cluster bank, on the transpose graph. A bank's aggregated ground
-//     distance is gamma plus the minimum over its members, which is
-//     exactly what a multi-source run computes, so the coarsened
-//     S x (C + banks) cost matrix is exact while the instance collapses
-//     from one row per source to one run per column. The matrix is the
-//     exact fan-out's rows matrix, so it goes to the same tail as the
+//  1. Multilevel cluster-bank pass (termApproxMultilevel): the term's
+//     fan-out runs on the column side (see fanOut) — one run per
+//     residual opposite user plus one multi-source run per cluster
+//     bank, on the transpose graph — whenever the pass's own margin
+//     proxy finds that profitable, also where the exact pipeline's rule
+//     would keep the row side. A bank's aggregated ground distance is
+//     gamma plus the minimum over its members, which is exactly what a
+//     multi-source run computes, so the S x (C + banks) cost matrix is
+//     the exact fan-out's rows matrix while the runs collapse from one
+//     per source to one per column. It goes to the same tail as the
 //     exact pipeline (solveTerm): the row bounds certify an envelope,
 //     and a term whose gap exceeds the tolerance is refined by the
-//     entropic solver, finally by an exact min-cost-flow solve — so the
-//     expensive per-source fan-out is never paid once this pass is
+//     entropic solver, finally by an exact min-cost-flow solve — so
+//     the per-source fan-out is never paid once this pass is
 //     profitable.
 //
 //  2. Relaxed row gate (in solveTerm): the exact pipeline's LB/UB scan
@@ -58,106 +56,41 @@ const (
 // carries a certified envelope (degenerate when the refinement chain
 // ended in the exact flow solve). Not-ok means the pass judged the
 // column orientation unprofitable and spent nothing; the caller
-// proceeds with the exact per-source fan-out (gates 2 and 3 ride on
-// that path).
+// proceeds with the exact pipeline, whose fan-out picks its side by
+// its own rule (gates 2 and 3 ride on that path).
 func termApproxMultilevel(g *graph.Digraph, spec termSpec, red reduction, o Options, tc termCtx, budgetScaled int64) (termVal, bool, error) {
-	// Orientation: sources is the side the exact fan-out would run one
-	// SSSP per entity for; columns live on the other side. Column runs
-	// go over the transpose of the source graph, so a run from column
-	// entity c settles d(s -> c) for every source s at once.
 	bp := newBipartite(red, o.Gamma, infCost(g.N(), o.Costs.MaxCost(), o.EscapeHops))
-	sources, opposite, reversed := bp.sources, bp.opposite, bp.rev
-	colGraph := g.Reverse()
-	if reversed {
-		colGraph = g
-	}
-	nS, nOpp, cols := len(sources), len(opposite), bp.nCols()
+	nS, nOpp, cols := len(bp.sources), bp.nOpp(), bp.nCols()
 	if nS == 0 || cols == 0 {
 		return termVal{}, false, nil
 	}
 
-	// Profitability: every column costs one run (a full-graph one for
-	// banks), against one per source on the exact path. The margin is
-	// wider when the bank members and opposite users together are few
-	// relative to the graph, a proxy for the exact fan-out's runs being
-	// cheap partial balls. The proxy counts every bank member, while the
-	// exact fan-out's density test counts columns (a bank is one column,
-	// settled by its nearest member), so the two can disagree. The
-	// proxy stays as it is: it picks which certified envelope approx
-	// returns, so retuning it moves results and needs its own benchmark
-	// change.
+	// Profitability: every column costs one run, against one per source
+	// on the exact path. The margin is wider when the bank members and
+	// opposite users together are few relative to the graph, a proxy
+	// for the exact fan-out's runs being cheap partial balls. The proxy
+	// counts every bank member, while the exact fan-out's rules count
+	// columns (a bank is one column, settled by its nearest member), so
+	// the two can disagree. The proxy stays as it is: it picks which
+	// certified envelope approx returns, so retuning it moves results
+	// and needs its own benchmark change.
 	totalTargets := nOpp
 	for _, b := range red.banks {
 		totalTargets += len(b.members)
 	}
-	pruneLimit := g.N() / 64
-	if pruneLimit < 64 {
-		pruneLimit = 64
-	}
 	margin := 2
-	if totalTargets <= pruneLimit {
+	if totalTargets <= pruneLimit(g.N()) {
 		margin = 6
 	}
 	if margin*cols >= nS {
 		return termVal{}, false, nil
 	}
 
-	maxCost := o.Costs.MaxCost()
-	sc := tc.sc
-	if sc == nil {
-		sc = &scratch{}
-	}
-	colW := tc.groundWeights(g, spec, o, !reversed)
 	if tc.stats != nil {
 		tc.stats.terms.Add(1)
 	}
-
-	// mat[i*cols+j]: ground distance from sources[i] to column j of the
-	// instance — opposite entity j for j < nOpp, then one aggregated
-	// column per bank holding its min-member distance.
-	mat := make([]int64, nS*cols)
-	fill := func(j int, dist []int64) {
-		for i, s := range sources {
-			mat[i*cols+j] = dist[s]
-		}
-	}
-	runs := 0
-	fanStart := time.Now()
-	var colBuf []int64
-	for j, c := range opposite {
-		if err := tc.cancelled(); err != nil {
-			return termVal{}, false, err
-		}
-		// A column for a residual opposite entity is exactly a
-		// transpose-direction row, so the ground provider's cache and
-		// goal pruning both apply to it.
-		if tc.prov != nil && !o.ablated(ablateGoalPrune) {
-			if cap(colBuf) < nS {
-				colBuf = make([]int64, nS)
-			}
-			colBuf = colBuf[:nS]
-			if tc.prov.rowGoals(tc.refHash, spec.ref, spec.op, !reversed, c, colW, sources, nil, colBuf, !tc.series, sc) {
-				for i, d := range colBuf {
-					mat[i*cols+j] = d
-				}
-				runs++
-				continue
-			}
-		}
-		sssp.DijkstraFrontierInto(colGraph, colW, int(c), pqueue.KindAuto, maxCost, &sc.res, &sc.fr)
-		fill(j, sc.res.Dist)
-		runs++
-	}
-	for b := range red.banks {
-		if err := tc.cancelled(); err != nil {
-			return termVal{}, false, err
-		}
-		sssp.MultiSourceFrontierInto(colGraph, colW, red.banks[b].members, pqueue.KindAuto, maxCost, &sc.res, &sc.fr)
-		fill(nOpp+b, sc.res.Dist)
-		runs++
-	}
-	if tc.stats != nil {
-		addPhase(&tc.stats.ssspNanos, fanStart)
+	if err := tc.fanOutAs(g, spec, o, &bp, true); err != nil {
+		return termVal{}, false, err
 	}
 
 	// The coarsened matrix is the exact fan-out's rows matrix, so the
@@ -165,12 +98,8 @@ func termApproxMultilevel(g *graph.Digraph, spec termSpec, red reduction, o Opti
 	// the row bounds, refinement by the entropic envelope, and finally
 	// the exact flow solve, whose optimum matches a full per-source
 	// solve. Approx terms neither read nor store warm bases.
-	bp.rows = make([][]int64, nS)
-	for i := range bp.rows {
-		bp.rows[i] = mat[i*cols : (i+1)*cols]
-	}
 	tv, _, err := tc.solveTerm(&bp, o, budgetScaled, true, nil)
-	tv.runs = runs
+	tv.runs = cols
 	return tv, true, err
 }
 

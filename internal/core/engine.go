@@ -614,7 +614,7 @@ func eqSpecs(a, b opinion.State) [4]termSpec {
 }
 
 // scratch is one worker's reusable arena: SSSP buffers (full-run
-// distance/parent storage, the goal-pruned run's epoch-stamped scratch,
+// distance/parent storage, the goal-pruned run's self-resetting scratch,
 // the pooled frontier queues), bulk row storage for the column-indexed
 // ground-distance rows plus their header slice, the term's target list
 // and its column map, and a flow network whose arc banks and solver
@@ -626,6 +626,7 @@ type scratch struct {
 	nw      *flow.Network
 	rowBuf  []int64
 	rows    [][]int64
+	colBuf  []int64 // one column of a column-side fan-out run
 	targets []int32
 	cols    []int32
 
@@ -717,6 +718,16 @@ func (sc *scratch) takeRow(n int) []int64 {
 	off := len(sc.rowBuf)
 	sc.rowBuf = sc.rowBuf[:off+n]
 	return sc.rowBuf[off : off+n : off+n]
+}
+
+// takeColumn returns the worker's n-sized column buffer, growing it as
+// needed. A column-side fan-out run fills it, then scatters it into its
+// column of the term's rows.
+func (sc *scratch) takeColumn(n int) []int64 {
+	if cap(sc.colBuf) < n {
+		sc.colBuf = make([]int64, n)
+	}
+	return sc.colBuf[:n]
 }
 
 // --- reference-state fingerprints ---

@@ -4,9 +4,12 @@ import (
 	"context"
 	"math/rand"
 	"reflect"
+	"sync"
 	"testing"
 
+	"snd/internal/graph"
 	"snd/internal/opinion"
+	"snd/internal/sssp"
 )
 
 // TestGoalPruningMatchesFullRows pins the tentpole's exactness claim at
@@ -268,6 +271,211 @@ func TestSeriesRetentionRule(t *testing.T) {
 		}
 		if retainedRows(e.prov) == 0 {
 			t.Fatalf("opts %d: Matrix retained no compact rows", oi)
+		}
+	}
+}
+
+// TestColumnFanOutMatchesRows pins the orientation rule's exactness:
+// the row side (one goal search per source) and the column side (one
+// per opposite user plus one multi-source run per bank, on the
+// transposed graph) fill bit-identical rows and give identical term
+// values. It covers forward and reversed terms, clustered and singleton
+// banks, terms with and without opposite users, sparse graphs whose
+// unreachable pairs and short escape radius saturate at the bp.inf
+// cutoff, columns dense enough for the row side's full-graph runs,
+// workers 1, 2 and 4 stealing through a help pool, and the arena-less
+// one-shot context Explain uses.
+func TestColumnFanOutMatchesRows(t *testing.T) {
+	type shape struct{ rev, clustered, opp bool }
+	seen := map[shape]bool{}
+	saturated, dense := false, false
+	for seed := int64(0); seed < 24; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		n, active := 60+rng.Intn(90), 0.35
+		if seed%6 == 5 {
+			n, active = 400+rng.Intn(100), 0.7
+		}
+		g := graph.ErdosRenyi(n, n+rng.Intn(3*n), seed+500)
+		o := DefaultOptions().withDefaults()
+		if seed%3 == 0 {
+			o.EscapeHops = 2
+		}
+		if seed%2 == 0 {
+			o.Clusters = make([]int, n)
+			for i := range o.Clusters {
+				o.Clusters[i] = i % 5
+			}
+		}
+		a := randState(n, active, rng)
+		b := a.Clone()
+		if seed%4 < 2 {
+			// Deactivations only: the forward terms have no opposite
+			// users, the reversed ones no sources past their banks.
+			for u := range b {
+				if b[u] != opinion.Neutral && rng.Intn(2) == 0 {
+					b[u] = opinion.Neutral
+				}
+			}
+		} else {
+			b = perturb(a, n/3, rng)
+		}
+		for ti := 0; ti < 4; ti++ {
+			spec := eqSpec(a, b, ti)
+			red := reduce(spec, o.Clusters, n)
+			bp := newBipartite(red, o.Gamma, infCost(n, o.Costs.MaxCost(), o.EscapeHops))
+			if len(bp.sources) == 0 || bp.nCols() == 0 {
+				continue
+			}
+			seen[shape{bp.rev, o.Clusters != nil, bp.nOpp() > 0}] = true
+			dense = dense || bp.nCols() > pruneLimit(n)
+			for _, workers := range []int{1, 2, 4} {
+				for _, arena := range []bool{true, false} {
+					tc := termCtx{}
+					if arena {
+						tc.sc = &scratch{}
+					}
+					stop := func() {}
+					if workers > 1 {
+						tc.help, stop = startHelpers(workers - 1)
+					}
+					// Rows fix the value; solving at one worker count
+					// keeps the flow solves from dominating the test.
+					solve := workers == 1
+					rows, rowVal := fanOutAndSolve(t, g, spec, o, tc, bp, false, solve)
+					cols, colVal := fanOutAndSolve(t, g, spec, o, tc, bp, true, solve)
+					stop()
+					if !reflect.DeepEqual(rows, cols) {
+						t.Fatalf("seed %d term %d workers %d arena %v: column rows diverged:\n%v\n%v",
+							seed, ti, workers, arena, cols, rows)
+					}
+					if rowVal != colVal {
+						t.Fatalf("seed %d term %d workers %d arena %v: term value %v by column, %v by row",
+							seed, ti, workers, arena, colVal, rowVal)
+					}
+					for _, row := range rows {
+						for _, d := range row {
+							saturated = saturated || d == sssp.Unreachable
+						}
+					}
+				}
+			}
+		}
+	}
+	for _, rev := range []bool{false, true} {
+		for _, clustered := range []bool{false, true} {
+			for _, opp := range []bool{false, true} {
+				if !seen[shape{rev, clustered, opp}] {
+					t.Errorf("no term with rev=%v clustered=%v opposite users=%v", rev, clustered, opp)
+				}
+			}
+		}
+	}
+	if !saturated {
+		t.Error("no fan-out cell saturated at the cutoff")
+	}
+	if !dense {
+		t.Error("no term had columns dense enough for full-graph row runs")
+	}
+}
+
+// startHelpers starts k idle workers stealing from a fresh help pool,
+// each with its own scratch; stop closes the pool and waits for them.
+func startHelpers(k int) (hp *helpPool, stop func()) {
+	hp = newHelpPool()
+	var wg sync.WaitGroup
+	for i := 0; i < k; i++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			hp.help(&scratch{})
+		}()
+	}
+	return hp, func() {
+		hp.close()
+		wg.Wait()
+	}
+}
+
+// fanOutAndSolve fills a copy of bp in the given orientation and, if
+// asked, solves it exactly; it returns a copy of the rows (the arena is
+// reused by the next fan-out) and the term value (0 unsolved).
+func fanOutAndSolve(t *testing.T, g *graph.Digraph, spec termSpec, o Options, tc termCtx, bp bipartite, byCols, solve bool) ([][]int64, float64) {
+	t.Helper()
+	if err := tc.fanOutAs(g, spec, o, &bp, byCols); err != nil {
+		t.Fatal(err)
+	}
+	rows := make([][]int64, len(bp.rows))
+	for k, row := range bp.rows {
+		rows[k] = append([]int64(nil), row...)
+	}
+	if !solve {
+		return rows, 0
+	}
+	tv, _, err := tc.solveTerm(&bp, o, 0, false, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return rows, tv.val
+}
+
+// TestTrackedRefKeepsRowFanOut pins where the column side may run. A
+// Series term over an untracked reference state with few columns runs
+// by column, but once the state is tracked the same term keeps the row
+// side, whose runs build the exact trees Step repairs from; a Pairs
+// term, which retains compact rows, keeps it too. The Series over the
+// tracked state must retain those trees and stay bit-identical to a
+// cold engine.
+func TestTrackedRefKeepsRowFanOut(t *testing.T) {
+	g := engineTestGraph(300, 81)
+	rng := rand.New(rand.NewSource(82))
+	o := DefaultOptions()
+	o.Clusters = make([]int, g.N())
+	for i := range o.Clusters {
+		o.Clusters[i] = i % 4
+	}
+	a := randState(g.N(), 0.3, rng)
+	b := a.Clone()
+	var changed []int32
+	for u := range b {
+		if b[u] != opinion.Neutral && rng.Intn(2) == 0 {
+			b[u] = opinion.Neutral
+			changed = append(changed, int32(u))
+		}
+	}
+	ctx := context.Background()
+	e := NewEngine(g, o, EngineConfig{Workers: 3})
+	spec := eqSpec(a, b, 0)
+	red := reduce(spec, o.Clusters, g.N())
+	bp := newBipartite(red, o.Gamma, 0)
+	series := termCtx{prov: e.prov, refHash: hashState(a), series: true}
+	if !series.byColumns(o, &bp) {
+		t.Fatalf("untracked Series term with %d sources and %d columns keeps the row side", len(bp.sources), bp.nCols())
+	}
+	if pairs := (termCtx{prov: e.prov, refHash: hashState(a)}); pairs.byColumns(o, &bp) {
+		t.Fatal("Pairs term takes the column side; its compact rows would go unretained")
+	}
+	e.AdvanceRef(a, b, changed)
+	if series.byColumns(o, &bp) {
+		t.Fatal("tracked Series term takes the column side; Step would lose its repair trees")
+	}
+	got, err := e.Series(ctx, []opinion.State{a, b})
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := NewEngine(g, o, EngineConfig{Workers: 1, GroundCacheBytes: -1}).Series(ctx, []opinion.State{a, b})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(got, want) {
+		t.Fatalf("tracked Series diverged from cold:\n%v\n%v", got, want)
+	}
+	ent := e.prov.lookup(hashState(a))
+	if ent == nil || !ent.tracked {
+		t.Fatal("reference state a not tracked after AdvanceRef")
+	}
+	for _, s := range bp.sources {
+		if ent.side[opIdx(spec.op)].trees[treeKey{reversed: bp.rev, src: s}] == nil {
+			t.Fatalf("tracked reference state retained no tree for source %d; its delta repairs have no donor", s)
 		}
 	}
 }

@@ -281,11 +281,12 @@ func bipartiteRoute(red reduction, n int) bool {
 	return bp.numArcs() <= bipartiteArcLimit && nodes <= max(n/4, bipartiteMinNodes)
 }
 
-// termBipartite is the Theorem 4 pipeline: one SSSP per residual
-// supplier (forward) or per residual consumer (reverse, when the banks
-// sit on the supplier side), then solveTerm over the reduced bipartite
-// instance. budgetScaled > 0 admits the approximation gates; budget 0
-// is the exact pipeline.
+// termBipartite is the Theorem 4 pipeline: the SSSP fan-out (fanOut,
+// charged as one run per residual supplier, or per residual consumer
+// when the banks sit on the supplier side, whichever side it runs
+// from), then solveTerm over the reduced bipartite instance.
+// budgetScaled > 0 admits the approximation gates; budget 0 is the
+// exact pipeline.
 func termBipartite(g *graph.Digraph, spec termSpec, red reduction, o Options, tc termCtx, budgetScaled int64) (termVal, error) {
 	bp := newBipartite(red, o.Gamma, infCost(g.N(), o.Costs.MaxCost(), o.EscapeHops))
 	runs := len(bp.sources)
@@ -443,28 +444,105 @@ func (tc termCtx) flowSolve(bp *bipartite, donor *warmBasis) (termVal, *flow.Net
 	return exactVal(float64(cost)/float64(bp.red.scale), 0), nw, nil
 }
 
-// fanOut fills bp.rows, one row per source: one SSSP per residual
-// supplier, or per residual consumer over the reverse graph when the
-// banks sit on the supplier side.
+// columnFanOutRatio is the sources per column past which the fan-out
+// runs by column (see byColumns), fixed by BenchmarkFanOutOrientation
+// (term_bench_test.go; numbers in docs/PERFORMANCE.md, "Strategy
+// selection"). Against 64 bank columns the row side won at 2 sources
+// per column and lost at 4. With 50 opposite users added, whose
+// scattered single-user columns make every row run cover more of the
+// graph, it won at 0.56 and lost at 1.12 and 2.25: the rule gives up
+// 1.06x at 1.12 rather than 1.9x at 2.25.
+const columnFanOutRatio = 2
+
+// byColumns reports whether bp's fan-out runs by column: one search per
+// column instead of one per source. Each run costs about a ball around
+// its source set, so the side with fewer runs wins once the other has
+// columnFanOutRatio times as many. The column side is taken only where
+// the row side would retain nothing in the ground provider: with no
+// provider, or in a Series over an untracked reference state. A tracked
+// state's source runs build the trees Step repairs from, and Pairs and
+// Matrix retain compact rows for their repeated queries, so those keep
+// the row side. Ablated goal pruning pins the row side too: it runs the
+// unoptimized fan-out. Both sides fill the same rows, so the choice
+// moves no bit.
+func (tc termCtx) byColumns(o Options, bp *bipartite) bool {
+	if o.ablated(ablateGoalPrune) || columnFanOutRatio*bp.nCols() >= len(bp.sources) {
+		return false
+	}
+	return tc.prov == nil || tc.series && !tc.prov.isTracked(tc.refHash)
+}
+
+// fanOut fills bp.rows, rows[k][j] being the ground distance from
+// source k to column j: to opposite residual user j, or for a bank
+// column to the bank's nearest member. The term consumes nothing else:
+// a bank costs gamma plus that distance (Lemmas 1 and 2), so no further
+// member distance is ever read, and everything past inf is saturated by
+// bp.capped, so no run needs to settle beyond that radius either. Both
+// prunes are exact on these columns.
 //
-// The term consumes, per source, only the distance to each opposite
-// residual user and to each bank's nearest member: a bank costs gamma
-// plus that distance (Lemmas 1 and 2), so no further member distance is
-// ever read. targets lists the opposite users, then every bank's
-// members; cols maps each target to its column, and the fan-out fills
-// a bank column with the minimum over its members. Everything past inf
-// is saturated by bp.capped, so the fan-out also never needs to settle
-// beyond that radius — both prunes are exact on these columns.
+// The matrix is filled from either side, as byColumns picks. By row,
+// one search per source: per residual supplier, or per residual
+// consumer over the reverse graph when the banks sit on the supplier
+// side. By column, one search per column over the transposed graph:
+// from each opposite user, and from each bank's whole member set at
+// once, which settles d(s -> nearest member) for every source s. Both
+// sides search with sssp.DijkstraGoalsInto cut off at inf and give the
+// same rows, bit for bit. The provider's retained rows and the row
+// side's dense fallback differ from them only past inf, where
+// bp.capped saturates every value alike.
 //
-// Each row is filled by the provider's fast paths when one is
-// attached, by the grouped goal search (cut off at the saturation
-// radius) on the no-provider, budget-exhausted and Series-miss paths,
-// and by a full-graph run when goal pruning is ablated or the columns
-// are dense. Row placement is fixed up front (rows[i] belongs to
-// sources[i]), so when a help pool is present the loop is split into
-// per-source sub-tasks idle workers steal, with rows — and every
-// downstream bit — identical to the sequential order.
+// Runs are sub-tasks with a fixed output slot (a row, or a column of
+// every row), so when a help pool is present idle workers steal them,
+// with rows — and every downstream bit — identical to the sequential
+// order.
 func (tc termCtx) fanOut(g *graph.Digraph, spec termSpec, o Options, bp *bipartite) error {
+	return tc.fanOutAs(g, spec, o, bp, tc.byColumns(o, bp))
+}
+
+// fanOutAs is fanOut with the orientation given.
+func (tc termCtx) fanOutAs(g *graph.Digraph, spec termSpec, o Options, bp *bipartite, byCols bool) error {
+	tc.sc.resetRows()
+	rows := tc.sc.takeRowHeaders(len(bp.sources))
+	for i := range rows {
+		rows[i] = tc.sc.takeRow(bp.nCols())
+	}
+	total, run := len(bp.sources), tc.sourceRuns(g, spec, o, bp, rows)
+	if byCols {
+		total, run = bp.nCols(), tc.columnRuns(g, spec, o, bp, rows)
+	}
+	owner := tc.sc
+	if owner == nil {
+		owner = &scratch{} // one-shot callers (Explain) carry no arena
+	}
+	fanStart := time.Now()
+	if tc.help != nil && total > 1 {
+		if err := tc.help.runFanout(tc.ctx, owner, total, run); err != nil {
+			return err
+		}
+	} else {
+		for i := 0; i < total; i++ {
+			if err := tc.cancelled(); err != nil {
+				return err
+			}
+			run(owner, i)
+		}
+	}
+	if tc.stats != nil {
+		addPhase(&tc.stats.ssspNanos, fanStart)
+	}
+	bp.rows = rows
+	return nil
+}
+
+// sourceRuns returns the row side's sub-task: run i fills rows[i], the
+// row of bp.sources[i]. The search's targets are the opposite users,
+// then every bank's members, with cols mapping each to its column.
+//
+// A row is filled by the provider's fast paths when one is attached,
+// by the grouped goal search on the no-provider, budget-exhausted and
+// Series-miss paths, and by a full-graph run when goal pruning is
+// ablated or the columns are dense.
+func (tc termCtx) sourceRuns(g *graph.Digraph, spec termSpec, o Options, bp *bipartite, rows [][]int64) func(sc *scratch, i int) {
 	srcGraph := g
 	if bp.rev {
 		// Reverse runs: dist(x -> c) for every x, per consumer c.
@@ -483,30 +561,14 @@ func (tc termCtx) fanOut(g *graph.Digraph, spec termSpec, o Options, bp *biparti
 			cols = append(cols, int32(nOpp+b))
 		}
 	}
-	tc.sc.resetRows()
-	rows := tc.sc.takeRowHeaders(len(bp.sources))
-	for i := range rows {
-		rows[i] = tc.sc.takeRow(nCols)
-	}
 	if tc.sc != nil {
 		tc.sc.targets, tc.sc.cols = targets, cols
 	}
 
-	// A pruned search must settle a ball reaching every column; once
-	// columns are plentiful relative to the graph that ball is the
-	// graph itself and the epoch-stamped search only adds per-edge
-	// overhead (measured ~10-30% on the delta workload's ~600
-	// scattered targets), so past this density the fallback runs a
-	// plain full row and folds it into columns. A bank is one column
-	// however many members it has: the search settles it with its
-	// nearest member. Either path is exact; the choice moves no bit.
-	pruneLimit := srcGraph.N() / 64
-	if pruneLimit < 64 {
-		pruneLimit = 64
-	}
+	dense := bp.nCols() > pruneLimit(g.N())
 	noPrune := o.ablated(ablateGoalPrune)
 	maxCost := o.Costs.MaxCost()
-	fill := func(sc *scratch, i int) {
+	return func(sc *scratch, i int) {
 		s := bp.sources[i]
 		out := rows[i]
 		if tc.prov != nil {
@@ -519,37 +581,64 @@ func (tc termCtx) fanOut(g *graph.Digraph, spec termSpec, o Options, bp *biparti
 				return
 			}
 		}
-		if noPrune || len(out) > pruneLimit {
+		if noPrune || dense {
 			// Unpruned: settle the whole graph into the worker's result
 			// buffer, then fold out the queried columns.
 			sssp.DijkstraFrontierInto(srcGraph, srcW, int(s), pqueue.KindAuto, maxCost, &sc.res, &sc.fr)
 			foldCols(out, sc.res.Dist, targets, cols)
+			// Read through the cutoff, as the goal search (and so the
+			// column side) reports it.
+			for c, d := range out {
+				if d > bp.inf {
+					out[c] = sssp.Unreachable
+				}
+			}
 			return
 		}
-		sssp.DijkstraGoalsInto(srcGraph, srcW, int(s), targets, cols, pqueue.KindAuto, maxCost, bp.inf, out, &sc.goals)
+		sssp.DijkstraGoalsInto(srcGraph, srcW, bp.sources[i:i+1], targets, cols, pqueue.KindAuto, maxCost, bp.inf, out, &sc.goals)
 	}
-	owner := tc.sc
-	if owner == nil {
-		owner = &scratch{} // one-shot callers (Explain) carry no arena
+}
+
+// columnRuns returns the column side's sub-task: run j fills column j
+// of every row. The runs go over the transpose of the row side's graph,
+// with the sources as targets, one column each, so a run from column
+// entity c settles d(s -> c) for every source s at once. An opposite
+// user's run is a row of the provider's transposed direction, so its
+// fast paths serve it when they can (retaining only outside a Series,
+// as on the row side); a bank's run starts from all its members.
+func (tc termCtx) columnRuns(g *graph.Digraph, spec termSpec, o Options, bp *bipartite, rows [][]int64) func(sc *scratch, j int) {
+	colGraph := g.Reverse()
+	if bp.rev {
+		colGraph = g
 	}
-	fanStart := time.Now()
-	if tc.help != nil && len(bp.sources) > 1 {
-		if err := tc.help.runFanout(tc.ctx, owner, len(bp.sources), fill); err != nil {
-			return err
-		}
-	} else {
-		for i := range bp.sources {
-			if err := tc.cancelled(); err != nil {
-				return err
+	colW := tc.groundWeights(g, spec, o, !bp.rev)
+	nOpp, maxCost := bp.nOpp(), o.Costs.MaxCost()
+	return func(sc *scratch, j int) {
+		out := sc.takeColumn(len(bp.sources))
+		if j < nOpp {
+			c := bp.opposite[j : j+1]
+			if tc.prov == nil || !tc.prov.rowGoals(tc.refHash, spec.ref, spec.op, !bp.rev, c[0], colW, bp.sources, nil, out, !tc.series, sc) {
+				sssp.DijkstraGoalsInto(colGraph, colW, c, bp.sources, nil, pqueue.KindAuto, maxCost, bp.inf, out, &sc.goals)
 			}
-			fill(owner, i)
+		} else {
+			sssp.DijkstraGoalsInto(colGraph, colW, bp.red.banks[j-nOpp].members, bp.sources, nil, pqueue.KindAuto, maxCost, bp.inf, out, &sc.goals)
+		}
+		for k, d := range out {
+			rows[k][j] = d
 		}
 	}
-	if tc.stats != nil {
-		addPhase(&tc.stats.ssspNanos, fanStart)
-	}
-	bp.rows = rows
-	return nil
+}
+
+// pruneLimit is the column count, on a graph of n users, past which a
+// row-side run settles the whole graph instead of running the goal
+// search. A goal search must settle a ball reaching every column; once
+// columns are plentiful relative to the graph that ball is the graph
+// itself, and the search's bookkeeping only adds per-edge overhead
+// (measured ~10-30% on the delta workload's ~600 scattered targets). A
+// bank is one column however many members it has: the search settles
+// it with its nearest member.
+func pruneLimit(n int) int {
+	return max(n/64, 64)
 }
 
 // termNetwork routes the reduced instance through the social network

@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"math/rand"
+	"reflect"
 	"testing"
 
 	"snd/internal/cluster"
@@ -182,6 +183,80 @@ func BenchmarkColdSolveShape(b *testing.B) {
 							}
 						}
 					})
+				}
+			}
+		}
+	}
+}
+
+// BenchmarkFanOutOrientation is the probe behind byColumns: the row
+// and column sides of one term's fan-out, on the graph and grown state
+// of BenchmarkColdSolveShape with 64 BFS banks. A term's first state
+// deactivates `sources` of the grown state's positive users, so its
+// sources are those users and its columns the 64 banks; the opp=50
+// variants add 50 neutral users as opposite-side columns (the fan-out
+// reads nothing of the reduction but its users and bank members). Each
+// name carries the column count and the side byColumns picks; both
+// sides must fill identical rows.
+func BenchmarkFanOutOrientation(b *testing.B) {
+	g := graph.ScaleFree(graph.ScaleFreeConfig{
+		N: 20000, OutDeg: 6, Exponent: -2.3, Reciprocity: 0.2, Seed: 1_000_014,
+	})
+	ev := dynamics.NewEvolution(g, 1000, 29)
+	for t := 0; t < 7; t++ {
+		ev.StepSample(400, 0.5, 0.05)
+	}
+	base := ev.State()
+	o := DefaultOptions().withDefaults()
+	o.Clusters = cluster.BFSPartition(g, 64)
+	perm := rand.New(rand.NewSource(31)).Perm(g.N())
+	var neutral []int32
+	for _, u := range perm {
+		if base[u] == opinion.Neutral && len(neutral) < 50 {
+			neutral = append(neutral, int32(u))
+		}
+	}
+	for _, sources := range []int{32, 64, 128, 256, 512} {
+		q, left := base.Clone(), sources
+		for _, u := range perm {
+			if left > 0 && q[u] == opinion.Positive {
+				q[u] = opinion.Neutral
+				left--
+			}
+		}
+		spec := termSpec{op: opinion.Positive, p: base, q: q, ref: base}
+		for _, opp := range []int{0, len(neutral)} {
+			red := reduce(spec, o.Clusters, g.N())
+			red.C = neutral[:opp]
+			bp := newBipartite(red, o.Gamma, infCost(g.N(), o.Costs.MaxCost(), o.EscapeHops))
+			if bp.rev || len(bp.sources) != sources || bp.nOpp() != opp {
+				b.Fatalf("instance has rev=%v, %d sources, %d opposite users", bp.rev, len(bp.sources), bp.nOpp())
+			}
+			rule := "rows"
+			if (termCtx{}).byColumns(o, &bp) {
+				rule = "columns"
+			}
+			name := fmt.Sprintf("sources=%d/opp=%d/cols=%d/rule=%s", sources, opp, bp.nCols(), rule)
+			var want [][]int64
+			for _, byCols := range []bool{false, true} {
+				side := "rows"
+				if byCols {
+					side = "columns"
+				}
+				tc := termCtx{sc: &scratch{}}
+				b.Run(name+"/"+side, func(b *testing.B) {
+					for i := 0; i < b.N; i++ {
+						if err := tc.fanOutAs(g, spec, o, &bp, byCols); err != nil {
+							b.Fatal(err)
+						}
+					}
+				})
+				if want == nil {
+					for _, row := range bp.rows {
+						want = append(want, append([]int64(nil), row...))
+					}
+				} else if !reflect.DeepEqual(bp.rows, want) {
+					b.Fatalf("%s: the column side's rows differ from the row side's", name)
 				}
 			}
 		}

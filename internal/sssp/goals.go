@@ -6,49 +6,59 @@ import (
 )
 
 // GoalsScratch holds the reusable buffers of DijkstraGoalsInto: the
-// epoch-stamped distance labels (so a run never pays an O(n) clear —
-// its cost scales with the region it actually explores), the target
-// marks with their per-vertex lists of target indices, and the pooled
-// frontier queues. One scratch serves any number of runs over graphs
-// of any size; the zero value is ready to use. A GoalsScratch must not
-// be shared between concurrent runs.
+// distance labels, the per-vertex lists of target indices, the list of
+// labelled vertices, and the pooled frontier queues. Between runs every
+// label reads Unreachable and every list is empty; a run resets only
+// what it touched, so its cost scales with the region it explores
+// rather than the graph. One scratch serves any number of runs over
+// graphs of any size; the zero value is ready to use. A GoalsScratch
+// must not be shared between concurrent runs.
 type GoalsScratch struct {
-	fr     Frontier
-	dist   []int64
-	seen   []int32 // epoch mark: dist[v] is a valid label this run
-	target []int32 // epoch mark: v is a queried target this run
-	head   []int32 // first index into targets naming v (valid when target[v] is marked)
-	next   []int32 // next[i]: the following index naming targets[i], or -1
-	epoch  int32
+	fr      Frontier
+	dist    []int64 // Unreachable between runs
+	head    []int32 // first index into targets naming v, -1 if none (always -1 between runs)
+	next    []int32 // next[i]: the following index naming targets[i], or -1
+	touched []int32 // the vertices whose dist this run has set
 }
 
 func (gs *GoalsScratch) ensure(n, k int) {
 	if len(gs.dist) < n {
 		gs.dist = make([]int64, n)
-		gs.seen = make([]int32, n)
-		gs.target = make([]int32, n)
 		gs.head = make([]int32, n)
-		gs.epoch = 0
+		for v := range gs.dist {
+			gs.dist[v] = Unreachable
+			gs.head[v] = -1
+		}
 	}
 	if len(gs.next) < k {
 		gs.next = make([]int32, k)
 	}
-	gs.epoch++
-	if gs.epoch == 0 { // wrapped: stamps are stale-but-nonzero, reset
-		for i := range gs.seen {
-			gs.seen[i] = 0
-			gs.target[i] = 0
+}
+
+// reset returns the labels this run set, and the target lists, to
+// their between-run values.
+func (gs *GoalsScratch) reset(targets []int32) {
+	if len(gs.touched) > len(gs.dist)/4 {
+		for v := range gs.dist {
+			gs.dist[v] = Unreachable
 		}
-		gs.epoch = 1
+	} else {
+		for _, v := range gs.touched {
+			gs.dist[v] = Unreachable
+		}
+	}
+	gs.touched = gs.touched[:0]
+	for _, t := range targets {
+		gs.head[t] = -1
 	}
 }
 
 // DijkstraGoals is DijkstraGoalsInto with one column per target,
 // allocating its own result row and scratch; intended for tests and
 // one-off callers.
-func DijkstraGoals(g *graph.Digraph, w []int32, src int, targets []int32, kind pqueue.Kind, maxCost, cutoff int64) []int64 {
+func DijkstraGoals(g *graph.Digraph, w []int32, srcs, targets []int32, kind pqueue.Kind, maxCost, cutoff int64) []int64 {
 	out := make([]int64, len(targets))
-	DijkstraGoalsInto(g, w, src, targets, nil, kind, maxCost, cutoff, out, &GoalsScratch{})
+	DijkstraGoalsInto(g, w, srcs, targets, nil, kind, maxCost, cutoff, out, &GoalsScratch{})
 	return out
 }
 
@@ -56,42 +66,52 @@ func DijkstraGoals(g *graph.Digraph, w []int32, src int, targets []int32, kind p
 // yet; distances are never negative, so the mark cannot collide.
 const unsettled = -1
 
-// DijkstraGoalsInto runs a goal-set-pruned Dijkstra from src that fills
-// one output column per group of targets: cols[i] names the column of
-// targets[i], and out[c] receives the distance from src to the nearest
+// DijkstraGoalsInto runs a goal-set-pruned Dijkstra from the source set
+// srcs (every source starts at distance 0) that fills one output column
+// per group of targets: cols[i] names the column of targets[i], and
+// out[c] receives the distance from the nearest source to the nearest
 // target of column c. With cols nil every target is its own column
-// (out[i] = dist(src, targets[i])). The search stops as soon as every
-// column holds a settled target (or the frontier minimum exceeds
-// cutoff), so a column of many targets costs only the ball reaching its
-// nearest one. Settled labels are exact and settle in distance order,
-// so on every column the result is provably identical to the minimum
-// over the full row a DijkstraInto from src would produce, while the
-// work scales with the ball that covers the columns rather than the
-// graph. This is the Theorem 4 fan-out's hot path: per EMD* term each
-// residual source needs the distance to every opposite-side residual
-// user and to the nearest member of every bank, and settling anything
-// further is waste.
+// (out[i] = min over srcs of dist(src, targets[i])). The search stops
+// as soon as every column holds a settled target (or the frontier
+// minimum exceeds cutoff), so a column of many targets costs only the
+// ball reaching its nearest one. Settled labels are exact and settle in
+// distance order, so on every column the result is provably identical
+// to the minimum over the full rows DijkstraInto from each source would
+// produce, while the work scales with the ball that covers the columns
+// rather than the graph.
+//
+// This is the Theorem 4 fan-out's hot path. Per EMD* term each residual
+// source needs the distance to every opposite-side residual user and to
+// the nearest member of every bank, and settling anything further is
+// waste. The fan-out runs either one search per source (srcs is that
+// source; targets are the opposite users and every bank's members,
+// grouped into columns) or, on the transpose graph, one search per
+// column (srcs is an opposite user or a whole bank; targets are the
+// sources, one column each).
 //
 // cutoff prunes the search radius: a column whose nearest target lies
 // beyond cutoff is reported Unreachable (pass Unreachable to disable),
 // as is a column with no reachable target or no target at all. Callers
 // that saturate long distances anyway — the term pipeline caps
 // everything beyond its escape cost — lose nothing by also not walking
-// them. A target may appear several times, in one column or in several
-// (a user can be both an opposite-side user and a bank member), and src
-// itself may be a target.
+// them. A source or target may appear several times, a target in one
+// column or in several (a user can be both an opposite-side user and a
+// bank member), and a source may itself be a target. An empty srcs
+// reaches nothing.
 //
 // len(out) is the column count: len(targets) when cols is nil, else any
 // length covering every cols entry. maxCost must bound every edge cost
 // when kind is (or resolves to) pqueue.KindDial; it is otherwise
 // advisory, as with DijkstraInto.
-func DijkstraGoalsInto(g *graph.Digraph, w []int32, src int, targets, cols []int32, kind pqueue.Kind, maxCost, cutoff int64, out []int64, gs *GoalsScratch) {
+func DijkstraGoalsInto(g *graph.Digraph, w []int32, srcs, targets, cols []int32, kind pqueue.Kind, maxCost, cutoff int64, out []int64, gs *GoalsScratch) {
 	n := g.N()
 	if len(w) != g.M() {
 		panic("sssp: weight array not aligned with graph edges")
 	}
-	if src < 0 || src >= n {
-		panic("sssp: source out of range")
+	for _, s := range srcs {
+		if s < 0 || int(s) >= n {
+			panic("sssp: source out of range")
+		}
 	}
 	if cols == nil && len(out) != len(targets) {
 		panic("sssp: output row not aligned with targets")
@@ -103,8 +123,8 @@ func DijkstraGoalsInto(g *graph.Digraph, w []int32, src int, targets, cols []int
 		gs = &GoalsScratch{}
 	}
 	gs.ensure(n, len(targets))
-	epoch := gs.epoch
-	dist, seen, target, head, next := gs.dist, gs.seen, gs.target, gs.head, gs.next
+	defer gs.reset(targets)
+	dist, head, next := gs.dist, gs.head, gs.next
 	for c := range out {
 		out[c] = Unreachable
 	}
@@ -120,18 +140,18 @@ func DijkstraGoalsInto(g *graph.Digraph, w []int32, src int, targets, cols []int
 			out[c] = unsettled
 			remaining++
 		}
-		if target[t] != epoch {
-			target[t] = epoch
-			head[t] = -1
-		}
 		next[i] = head[t]
 		head[t] = int32(i)
 	}
 	q, _ := gs.fr.acquire(kind, 0, maxCost, n)
-	dist[src] = 0
-	seen[src] = epoch
 	if remaining > 0 && cutoff >= 0 {
-		q.Push(src, 0)
+		for _, s := range srcs {
+			if dist[s] != 0 {
+				dist[s] = 0
+				gs.touched = append(gs.touched, s)
+				q.Push(int(s), 0)
+			}
+		}
 	}
 	for remaining > 0 {
 		u, key, ok := q.Pop()
@@ -144,7 +164,7 @@ func DijkstraGoalsInto(g *graph.Digraph, w []int32, src int, targets, cols []int
 		if key > dist[u] {
 			continue // stale lazy-deletion entry
 		}
-		if target[u] == epoch {
+		if head[u] >= 0 {
 			// u settles at its final distance, and nothing settled
 			// earlier was nearer: every column u belongs to that is
 			// still open has found its nearest target.
@@ -166,8 +186,10 @@ func DijkstraGoalsInto(g *graph.Digraph, w []int32, src int, targets, cols []int
 		for e := lo; e < hi; e++ {
 			v := g.Head(e)
 			nd := key + int64(w[e])
-			if seen[v] != epoch || nd < dist[v] {
-				seen[v] = epoch
+			if d := dist[v]; nd < d {
+				if d == Unreachable {
+					gs.touched = append(gs.touched, v)
+				}
 				dist[v] = nd
 				if nd <= cutoff {
 					q.Push(int(v), nd)

@@ -24,7 +24,7 @@ func (b *fuzzBytes) next(mod int) int {
 type goalsCase struct {
 	g       *graph.Digraph
 	w       []int32
-	src     int
+	srcs    []int32 // 1-4 sources, repeats allowed
 	targets []int32
 	cols    []int32 // nil: one column per target
 	nCols   int
@@ -33,11 +33,14 @@ type goalsCase struct {
 	cutoff  int64
 }
 
-// decodeGoalsCase builds a small digraph, its weights, a source, a
+// decodeGoalsCase builds a small digraph, its weights, a source set, a
 // cutoff, a queue kind and a target list with its column map from the
 // input bytes. Columns are drawn from a range wider than the targets
-// fill, so some stay empty; targets are drawn from a small vertex range,
-// so repeats — in one column or across columns — are common.
+// fill, so some stay empty; targets and sources are drawn from a small
+// vertex range, so repeats — of a target in one column or across
+// columns, of a source, of a source as a target — are common. The
+// sources past the first are decoded last, so an input written for
+// the single-source search decodes to the same case.
 func decodeGoalsCase(data []byte) goalsCase {
 	in := fuzzBytes(data)
 	kinds := []pqueue.Kind{pqueue.KindBinary, pqueue.KindDial, pqueue.KindRadix, pqueue.KindAuto}
@@ -45,7 +48,7 @@ func decodeGoalsCase(data []byte) goalsCase {
 	n := 1 + in.next(24)
 	c.kind = kinds[in.next(len(kinds))]
 	c.maxCost = int64(1 + in.next(20))
-	c.src = in.next(n)
+	c.srcs = []int32{int32(in.next(n))}
 	c.cutoff = Unreachable
 	if cb := in.next(256); cb < 192 {
 		c.cutoff = int64(cb) // below, at and above typical path lengths
@@ -74,14 +77,26 @@ func decodeGoalsCase(data []byte) goalsCase {
 	} else {
 		c.nCols = k
 	}
+	for extra := in.next(4); extra > 0; extra-- {
+		c.srcs = append(c.srcs, int32(in.next(n)))
+	}
 	return c
 }
 
 // wantGoals is the oracle: per column, the minimum Bellman-Ford
-// distance over the column's targets, Unreachable when that minimum
-// exceeds the cutoff or the column has no reachable target.
-func wantGoals(c goalsCase, src int) []int64 {
-	dist := BellmanFord(c.g, c.w, src).Dist
+// distance over the sources and the column's targets, Unreachable when
+// that minimum exceeds the cutoff or the column has no reachable
+// target.
+func wantGoals(c goalsCase, srcs []int32) []int64 {
+	dist := make([]int64, c.g.N())
+	for v := range dist {
+		dist[v] = Unreachable
+	}
+	for _, s := range srcs {
+		for v, d := range BellmanFord(c.g, c.w, int(s)).Dist {
+			dist[v] = min64(dist[v], d)
+		}
+	}
 	want := make([]int64, c.nCols)
 	for j := range want {
 		want[j] = Unreachable
@@ -104,24 +119,29 @@ func wantGoals(c goalsCase, src int) []int64 {
 }
 
 // FuzzDijkstraGoals checks the goal search against column minima of
-// the BellmanFord oracle over random small digraphs, weights, sources,
-// cutoffs, queue kinds and column maps (users in several columns,
+// the BellmanFord oracle over random small digraphs, weights, source
+// sets, cutoffs, queue kinds and column maps (users in several columns,
 // repeated targets in one column, empty and unreachable columns). Each
-// input runs twice on one scratch, from src and from the next vertex,
-// so stale epoch marks from the first run would show in the second.
-// The seed corpus is in testdata/fuzz/FuzzDijkstraGoals.
+// input runs twice on one scratch, from its sources and from each
+// source's next vertex, so labels or target lists the first run left
+// behind would show in the second. The seed corpus is in
+// testdata/fuzz/FuzzDijkstraGoals.
 func FuzzDijkstraGoals(f *testing.F) {
 	f.Fuzz(func(t *testing.T, data []byte) {
 		c := decodeGoalsCase(data)
 		gs := &GoalsScratch{}
 		out := make([]int64, c.nCols)
-		for _, src := range []int{c.src, (c.src + 1) % c.g.N()} {
-			DijkstraGoalsInto(c.g, c.w, src, c.targets, c.cols, c.kind, c.maxCost, c.cutoff, out, gs)
-			want := wantGoals(c, src)
+		shifted := make([]int32, len(c.srcs))
+		for i, s := range c.srcs {
+			shifted[i] = (s + 1) % int32(c.g.N())
+		}
+		for _, srcs := range [][]int32{c.srcs, shifted} {
+			DijkstraGoalsInto(c.g, c.w, srcs, c.targets, c.cols, c.kind, c.maxCost, c.cutoff, out, gs)
+			want := wantGoals(c, srcs)
 			for j := range want {
 				if out[j] != want[j] {
-					t.Fatalf("src %d kind %v cutoff %d targets %v cols %v: column %d = %d, want %d",
-						src, c.kind, c.cutoff, c.targets, c.cols, j, out[j], want[j])
+					t.Fatalf("srcs %v kind %v cutoff %d targets %v cols %v: column %d = %d, want %d",
+						srcs, c.kind, c.cutoff, c.targets, c.cols, j, out[j], want[j])
 				}
 			}
 		}

@@ -20,7 +20,7 @@ func TestDijkstraGoalsLine(t *testing.T) {
 	g := b.Build()
 	w := []int32{2, 3, 4}
 	targets := []int32{3, 0, 1, 4, 1}
-	got := DijkstraGoals(g, w, 0, targets, pqueue.KindBinary, 4, Unreachable)
+	got := DijkstraGoals(g, w, []int32{0}, targets, pqueue.KindBinary, 4, Unreachable)
 	want := []int64{9, 0, 2, Unreachable, 2}
 	for i := range want {
 		if got[i] != want[i] {
@@ -43,11 +43,54 @@ func TestDijkstraGoalsColumns(t *testing.T) {
 	targets := []int32{3, 2, 2, 1, 4, 3}
 	cols := []int32{0, 0, 1, 1, 3, 1}
 	out := make([]int64, 4)
-	DijkstraGoalsInto(g, w, 0, targets, cols, pqueue.KindBinary, 4, Unreachable, out, nil)
+	DijkstraGoalsInto(g, w, []int32{0}, targets, cols, pqueue.KindBinary, 4, Unreachable, out, nil)
 	want := []int64{5, 2, Unreachable, Unreachable}
 	for c := range want {
 		if out[c] != want[c] {
 			t.Errorf("column %d: dist = %d, want %d", c, out[c], want[c])
+		}
+	}
+}
+
+// TestDijkstraGoalsSourceSet pins multi-source runs on a hand-checkable
+// graph: every source starts at 0, so a source that is also a target
+// reports 0, repeated sources count once, a column reports its nearest
+// target from its nearest source, and an empty source set reaches
+// nothing.
+func TestDijkstraGoalsSourceSet(t *testing.T) {
+	// 0 -> 1 -> 2 -> 3 with weights 2, 3, 4, and 4 -> 3 with weight 1;
+	// node 5 isolated.
+	b := graph.NewBuilder(6)
+	b.AddEdge(0, 1)
+	b.AddEdge(1, 2)
+	b.AddEdge(2, 3)
+	b.AddEdge(4, 3)
+	g := b.Build()
+	w := []int32{2, 3, 4, 1}
+	const U = Unreachable
+	for _, tc := range []struct {
+		name          string
+		srcs, targets []int32
+		cols          []int32
+		cutoff        int64
+		want          []int64
+	}{
+		{"repeated source is a target", []int32{0, 0}, []int32{0, 3}, nil, U, []int64{0, 9}},
+		{"nearest source wins", []int32{0, 4}, []int32{3, 1, 4, 5}, nil, U, []int64{1, 2, 0, U}},
+		{"repeats among sources", []int32{2, 4, 2}, []int32{3, 2, 0}, nil, U, []int64{1, 0, U}},
+		{"grouped columns", []int32{1, 4}, []int32{0, 4, 3, 2}, []int32{0, 0, 1, 1}, U, []int64{0, 1}},
+		{"cutoff", []int32{0, 4}, []int32{2, 3}, nil, 2, []int64{U, 1}},
+		{"no source", nil, []int32{0, 3}, nil, U, []int64{U, U}},
+	} {
+		gs := &GoalsScratch{}
+		out := make([]int64, len(tc.want))
+		for _, kind := range []pqueue.Kind{pqueue.KindBinary, pqueue.KindDial} {
+			DijkstraGoalsInto(g, w, tc.srcs, tc.targets, tc.cols, kind, 4, tc.cutoff, out, gs)
+			for c := range tc.want {
+				if out[c] != tc.want[c] {
+					t.Errorf("%s (%v): column %d = %d, want %d", tc.name, kind, c, out[c], tc.want[c])
+				}
+			}
 		}
 	}
 }
@@ -65,7 +108,7 @@ func TestDijkstraGoalsMatchesFull(t *testing.T) {
 		maxCost = 20
 	)
 	kinds := []pqueue.Kind{pqueue.KindBinary, pqueue.KindDial, pqueue.KindRadix, pqueue.KindAuto}
-	gs := &GoalsScratch{} // shared across every run: epochs must isolate them
+	gs := &GoalsScratch{} // shared across every run: each must reset what it touched
 	var full Result
 	for seed := int64(0); seed < seeds; seed++ {
 		rng := rand.New(rand.NewSource(seed))
@@ -84,7 +127,7 @@ func TestDijkstraGoalsMatchesFull(t *testing.T) {
 		kind := kinds[rng.Intn(len(kinds))]
 		DijkstraInto(g, w, src, kind, maxCost, &full)
 		out := make([]int64, len(targets))
-		DijkstraGoalsInto(g, w, src, targets, nil, kind, maxCost, Unreachable, out, gs)
+		DijkstraGoalsInto(g, w, []int32{int32(src)}, targets, nil, kind, maxCost, Unreachable, out, gs)
 		for i, tgt := range targets {
 			if out[i] != full.Dist[tgt] {
 				t.Fatalf("seed %d kind %v: goal %d (node %d): pruned %d, full %d",
@@ -114,7 +157,7 @@ func TestDijkstraGoalsCutoff(t *testing.T) {
 		}
 		DijkstraInto(g, w, src, pqueue.KindDial, maxCost, &full)
 		out := make([]int64, len(targets))
-		DijkstraGoalsInto(g, w, src, targets, nil, pqueue.KindDial, maxCost, cutoff, out, gs)
+		DijkstraGoalsInto(g, w, []int32{int32(src)}, targets, nil, pqueue.KindDial, maxCost, cutoff, out, gs)
 		for v := range targets {
 			want := full.Dist[v]
 			if want > cutoff {
@@ -134,8 +177,8 @@ func TestDijkstraGoalsEmptyTargets(t *testing.T) {
 	g := graph.ErdosRenyi(20, 60, 9)
 	w := randWeights(g, 5, 10)
 	gs := &GoalsScratch{}
-	DijkstraGoalsInto(g, w, 0, nil, nil, pqueue.KindDial, 5, Unreachable, nil, gs)
-	out := DijkstraGoals(g, w, 0, []int32{0}, pqueue.KindDial, 5, Unreachable)
+	DijkstraGoalsInto(g, w, []int32{0}, nil, nil, pqueue.KindDial, 5, Unreachable, nil, gs)
+	out := DijkstraGoals(g, w, []int32{0}, []int32{0}, pqueue.KindDial, 5, Unreachable)
 	if out[0] != 0 {
 		t.Fatalf("dist to self = %d, want 0", out[0])
 	}

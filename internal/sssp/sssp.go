@@ -135,54 +135,6 @@ func MultiSource(g *graph.Digraph, w []int32, srcs []int, kind pqueue.Kind, maxC
 	return res
 }
 
-// MultiSourceFrontierInto is MultiSource reusing caller storage and a
-// pooled Frontier, mirroring DijkstraFrontierInto: the approximation
-// tier's cluster-bank fan-out charges one such run per bank, so the
-// per-run allocations matter at scale. srcs must be non-empty and in
-// range.
-func MultiSourceFrontierInto(g *graph.Digraph, w []int32, srcs []int32, kind pqueue.Kind, maxCost int64, res *Result, fr *Frontier) {
-	n := g.N()
-	if len(w) != g.M() {
-		panic("sssp: weight array not aligned with graph edges")
-	}
-	res.Dist = resizeInt64(res.Dist, n)
-	res.Parent = resizeInt32(res.Parent, n)
-	dist, parent := res.Dist, res.Parent
-	for i := range dist {
-		dist[i] = Unreachable
-		parent[i] = -1
-	}
-	q, _ := fr.acquire(kind, 0, maxCost, n)
-	for _, s := range srcs {
-		if s < 0 || int(s) >= n {
-			panic("sssp: source out of range")
-		}
-		if dist[s] != 0 {
-			dist[s] = 0
-			q.Push(int(s), 0)
-		}
-	}
-	for {
-		u, key, ok := q.Pop()
-		if !ok {
-			break
-		}
-		if key > dist[u] {
-			continue
-		}
-		lo, hi := g.EdgeRange(u)
-		for e := lo; e < hi; e++ {
-			v := g.Head(e)
-			nd := key + int64(w[e])
-			if nd < dist[v] {
-				dist[v] = nd
-				parent[v] = int32(u)
-				q.Push(int(v), nd)
-			}
-		}
-	}
-}
-
 // BellmanFord computes shortest paths from src; it tolerates (and is
 // only used with) non-negative costs here, serving as a test oracle.
 func BellmanFord(g *graph.Digraph, w []int32, src int) Result {
