@@ -72,7 +72,7 @@ func scalingWorkerAxis() []int {
 }
 
 // runScalingCores measures the full production pipeline — goal-pruned
-// SSSP fan-out, sharded ground provider, per-worker warm rings, bound
+// SSSP fan-out, sharded ground provider, the engine's warm ring, bound
 // screening — across a worker axis, on the four workload shapes the
 // repo's applications reduce to: Series (cold engine and warm
 // second pass), Step (the delta-monitoring tick), Matrix, and

@@ -163,15 +163,16 @@
 //
 // # Warm-started transportation solves
 //
-// Each engine worker retains a budgeted ring of recently solved term
-// instances — the routed flow and the final node potentials (the
-// duals), keyed by reference-state fingerprint, opinion, orientation,
-// and the reduced supplier/consumer/bank user lists. The retained
-// duals live as long as their basis stays within the worker's budget
-// (EngineConfig.WarmCacheBytes, default 64 MiB split across workers);
-// retention is two-tier, so a basis's cheap structure (which serves
-// whole-instance exact hits) outlives its expensive network (which
-// serves transplants). A term that exactly matches a retained basis is
+// The engine retains one budgeted ring of recently solved term
+// instances, shared by all its workers and batches — the routed flow
+// and the final node potentials (the duals), keyed by reference-state
+// fingerprint, opinion, orientation, and the reduced
+// supplier/consumer/bank user lists. The retained duals live as long
+// as their basis stays within the engine's budget
+// (EngineConfig.WarmCacheBytes, default 64 MiB); retention is
+// two-tier, so a basis's cheap structure (which serves whole-instance
+// exact hits) outlives its flow and potentials (which serve
+// transplants). A term that exactly matches a retained basis is
 // answered from it outright — except for tracked (delta-monitoring)
 // reference states, whose fan-out must still run to materialize repair
 // donors. A term that overlaps a basis replays its flow and potentials

@@ -26,12 +26,12 @@ type EngineConfig struct {
 	// disables the provider.
 	GroundCacheBytes int64
 	// WarmCacheBytes budgets the solved-basis retention behind
-	// warm-started transportation solves: each worker keeps a ring of
-	// recently solved term flow networks (routed flow + potentials) and
-	// serves repeated instances whole, or transplants overlapping ones
-	// into a warm SSP drain. The budget is split evenly across workers
-	// and never exceeded; an explicit budget smaller than the worker
-	// count disables retention. 0 selects 64 MiB; negative disables
+	// warm-started transportation solves: the engine keeps one ring of
+	// recently solved term instances (value, routed flow, potentials),
+	// shared by all workers and batches, and serves repeated instances
+	// whole, or transplants overlapping ones into a warm SSP drain. The
+	// budget is engine-wide; the newest basis is kept whole even when
+	// it alone exceeds it. 0 selects 64 MiB; negative disables
 	// retention, which pins cold solves.
 	WarmCacheBytes int64
 }
@@ -51,7 +51,8 @@ type StatePair struct {
 // distance across a worker pool; each worker owns a scratch arena
 // (SSSP buffers, row storage, a reusable flow network) so the hot path
 // is allocation-free after warmup, and all workers share a bounded
-// ground-distance cache keyed by (reference state, opinion).
+// ground-distance cache keyed by (reference state, opinion) and a
+// bounded ring of solved bases for warm starts.
 //
 // All methods are safe for concurrent use and return results
 // bit-identical to sequential Distance loops, regardless of Workers.
@@ -60,13 +61,13 @@ type StatePair struct {
 //
 // An Engine owns no goroutines between calls: workers are spawned per
 // batch and exit when the batch drains, so an idle Engine costs only
-// memory — the shared ground-distance cache plus each worker's scratch
-// arena. Close releases the cache immediately and marks the engine
-// closed (further calls return ErrEngineClosed); scratch arenas are
-// reclaimed by the garbage collector once the Engine itself is
-// unreferenced. Close is safe to call at any time, including
-// concurrently with in-flight batches (they run to completion against
-// an emptied cache).
+// memory — the shared ground-distance cache and warm-basis ring plus
+// each worker's scratch arena. Close releases the ground cache
+// immediately and marks the engine closed (further calls return
+// ErrEngineClosed); the ring and the scratch arenas are reclaimed by
+// the garbage collector once the Engine itself is unreferenced. Close
+// is safe to call at any time, including concurrently with in-flight
+// batches (they run to completion against an emptied cache).
 //
 // # Cancellation
 //
@@ -77,14 +78,14 @@ type StatePair struct {
 // pool within one such step. With an un-cancelled context the checks
 // are pure loads: results are bit-identical with or without deadline.
 type Engine struct {
-	g          *graph.Digraph
-	opts       Options
-	workers    int
-	prov       *groundProvider
-	warmBudget int64     // per-worker solved-basis retention budget
-	pool       sync.Pool // *scratch
-	closed     atomic.Bool
-	stats      engineStats
+	g       *graph.Digraph
+	opts    Options
+	workers int
+	prov    *groundProvider
+	warm    *warmCache // nil when warm-starting is disabled
+	pool    sync.Pool  // *scratch
+	closed  atomic.Bool
+	stats   engineStats
 }
 
 // NewEngine builds an engine over g with the given SND options.
@@ -108,24 +109,16 @@ func NewEngine(g *graph.Digraph, opts Options, cfg EngineConfig) *Engine {
 	// worker (concurrent first use is safe — Reverse is
 	// sync.Once-guarded — but serializes the pool behind one builder).
 	g.Reverse()
-	// The per-worker share respects the configured total exactly (a
-	// floor would silently overshoot a deliberately small cap by up to
-	// workers * floor); an explicit budget below the worker count
-	// disables retention, like a negative one.
-	var warmBudget int64
-	if cfg.WarmCacheBytes >= 0 {
-		total := cfg.WarmCacheBytes
-		if total == 0 {
-			total = defaultWarmCacheBytes
-		}
-		warmBudget = total / int64(workers)
+	warmBudget := cfg.WarmCacheBytes
+	if warmBudget == 0 {
+		warmBudget = defaultWarmCacheBytes
 	}
 	return &Engine{
-		g:          g,
-		opts:       dopts,
-		workers:    workers,
-		prov:       prov,
-		warmBudget: warmBudget,
+		g:       g,
+		opts:    dopts,
+		workers: workers,
+		prov:    prov,
+		warm:    newWarmCache(warmBudget),
 	}
 }
 
@@ -243,7 +236,7 @@ func (e *Engine) pairsEps(ctx context.Context, pairs []StatePair, eps float64, s
 	}
 	e.stats.pairsRequested.Add(int64(len(pairs)))
 	// Reference-state fingerprints key the ground provider and the
-	// worker warm caches; terms 0-1 of a pair use A's ground distance,
+	// warm-basis ring; terms 0-1 of a pair use A's ground distance,
 	// terms 2-3 use B's.
 	hashes := make([][2]hashKey, len(pairs))
 	for i := range pairs {
@@ -553,6 +546,7 @@ func (e *Engine) runTerms(ctx context.Context, pairs []StatePair, hashes [][2]ha
 					ctx:     ctx,
 					sc:      sc,
 					prov:    e.prov,
+					warm:    e.warm,
 					help:    hp,
 					stats:   &e.stats,
 					refHash: hashes[pi][term/2],
@@ -591,7 +585,7 @@ func (e *Engine) getScratch() *scratch {
 	if sc, ok := e.pool.Get().(*scratch); ok {
 		return sc
 	}
-	return &scratch{warm: newWarmCache(e.warmBudget)}
+	return &scratch{}
 }
 
 // eqSpec returns the term-th EMD* term of eq. 3 for the pair (a, b).
@@ -630,11 +624,9 @@ type scratch struct {
 	targets []int32
 	cols    []int32
 
-	// warm is the worker's solved-basis ring (nil when warm-starting is
-	// disabled); the slot arrays are the epoch-stamped user -> instance
-	// slot maps its matching and transplants run on, and the map/bound
+	// The slot arrays are the epoch-stamped user -> instance slot maps
+	// warm-basis matching and transplants run on, and the map/bound
 	// buffers are per-term transplant and bound-gate scratch.
-	warm                       *warmCache
 	slotGen                    uint32
 	slotEpoch                  []uint32
 	slotSup, slotCon, slotBank []int32
@@ -649,13 +641,6 @@ func (sc *scratch) network(n, hintArcs int) *flow.Network {
 		return flow.NewNetwork(n, hintArcs)
 	}
 	if sc.nw == nil {
-		// The previous network may have moved into the warm cache as a
-		// retained basis; rebuild from an evicted one when available.
-		if freed := sc.warm.takeFree(); freed != nil {
-			sc.nw = freed
-			sc.nw.Reset(n, hintArcs)
-			return sc.nw
-		}
 		sc.nw = flow.NewNetwork(n, hintArcs)
 		return sc.nw
 	}

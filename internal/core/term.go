@@ -140,6 +140,9 @@ type termCtx struct {
 	ctx  context.Context
 	sc   *scratch
 	prov *groundProvider
+	// warm, when non-nil, is the engine's warm-basis ring (see
+	// warm.go); it requires sc.
+	warm *warmCache
 	// stats, when non-nil, receives the engine's phase timings and
 	// warm/bound counters; the zero termCtx records nothing.
 	stats *engineStats
@@ -301,29 +304,20 @@ func termBipartite(g *graph.Digraph, spec termSpec, red reduction, o Options, tc
 	// identical). Failing that, the best-overlapping basis becomes a
 	// transplant donor for the solve below.
 	var donor *warmBasis
-	warmable := tc.sc != nil && tc.sc.warm != nil
-	if warmable {
+	if tc.warm != nil {
 		tc.sc.markInstance(g.N(), red)
-		exact, d := tc.sc.findWarm(tc.refHash, spec, &bp)
 		// Tracked reference states never take the whole-instance
 		// shortcut: their fan-out materializes the exact trees the next
 		// delta tick repairs from, and skipping it would silently
-		// degrade every later Step to cold Dijkstras.
-		if exact != nil {
-			if tc.prov == nil || !tc.prov.isTracked(tc.refHash) {
-				tc.sc.warm.refresh(exact)
-				if tc.stats != nil {
-					tc.stats.termsWarmExact.Add(1)
-				}
-				return exactVal(exact.val, runs), nil
+		// degrade every later Step to cold Dijkstras. The identical
+		// basis is then a perfect transplant donor instead.
+		shortcut := tc.prov == nil || !tc.prov.isTracked(tc.refHash)
+		val, exact, d := tc.warm.lookup(tc.sc, tc.refHash, spec, &bp, shortcut)
+		if exact {
+			if tc.stats != nil {
+				tc.stats.termsWarmExact.Add(1)
 			}
-			// Shortcut declined (fan-out must run for the tracked
-			// state); the identical basis is still a perfect transplant
-			// donor for the solve — if it still holds its network
-			// (budget pressure strips networks but keeps structures).
-			if exact.nw != nil {
-				d = exact
-			}
+			return exactVal(val, runs), nil
 		}
 		donor = d
 	}
@@ -335,27 +329,12 @@ func termBipartite(g *graph.Digraph, spec termSpec, red reduction, o Options, tc
 	if err != nil {
 		return tv, err
 	}
-	if warmable && nw != nil && nw == tc.sc.nw && nw.NumArcs() >= warmMinArcs {
-		// Retain the solved instance as the newest basis. The network
-		// moves into the ring (the scratch arena rebuilds from the
-		// ring's evictions), and reduce()'s freshly allocated slices
-		// make the reduction safe to keep by reference. Both solvers
+	if tc.warm != nil && nw != nil && nw.NumArcs() >= warmMinArcs {
+		// Retain the solved instance as the newest basis. reduce()'s
+		// freshly allocated slices make the reduction safe to keep by
+		// reference; the network stays with the worker. Both solvers
 		// leave exact potentials in cost units, so any basis donates.
-		// A transplant reads only arcs, flow and prices, which is all
-		// netFootprint counts against the budget; the solver scratch
-		// goes.
-		nw.ReleaseScratch()
-		tc.sc.warm.store(&warmBasis{
-			refHash:     tc.refHash,
-			op:          spec.op,
-			red:         red,
-			arcs:        nw.NumArcs(),
-			val:         tv.val,
-			nw:          nw,
-			netBytes:    netFootprint(nw),
-			structBytes: structFootprint(red),
-		})
-		tc.sc.nw = nil
+		tc.warm.store(newWarmBasis(tc.refHash, spec.op, &bp, nw, tv.val))
 	}
 	return tv, nil
 }

@@ -1,16 +1,19 @@
 package core
 
 import (
+	"sync"
+
 	"snd/internal/flow"
 	"snd/internal/opinion"
 )
 
 // This file implements warm-started transportation solves for the
-// bipartite term pipeline. Each engine worker retains, in its scratch
-// arena, a small byte-budgeted ring of recently solved flow networks
-// ("bases"): the routed flow plus the final node potentials, keyed by
-// the term's reduced structure (reference-state fingerprint, opinion,
-// orientation, supplier/consumer/bank user lists).
+// bipartite term pipeline. The engine retains one small byte-budgeted
+// ring of recently solved instances ("bases"), keyed by the term's
+// reduced structure (reference-state fingerprint, opinion,
+// orientation, supplier/consumer/bank user lists). A basis is plain
+// data captured from the solved network when it is stored: the term
+// value, the node potentials and the positive-flow cells.
 //
 // A new term consults the ring before solving:
 //
@@ -30,141 +33,146 @@ import (
 //     what monitoring and nearest-neighbor traffic over slowly
 //     evolving states hits.
 //
-// Donor and new instance share one layout (bipartite), so a matched
-// supplier-consumer or bank arc carries over by id.
-//
 // Either way the returned cost is the exact optimum (it is unique), so
 // distances are bit-identical to cold solves; a negative
-// EngineConfig.WarmCacheBytes pins the cold pipeline. The ring is
-// per-worker state: no locks, and hit rates degrade gracefully when
-// terms scatter across workers.
+// EngineConfig.WarmCacheBytes pins the cold pipeline.
 //
-// Multicore audit note: the ring lives in the worker's scratch arena
-// (scratch.warm), so it is already fully sharded — no mutex, no
-// shared map, no atomic in any warm path; nothing here can serialize
-// workers. The budget is likewise split up front (NewEngine divides
-// WarmCacheBytes by the worker count), so there is no cross-worker
-// rebalancing to contend on. The cost of this shape is lower hit
-// rates when the same term lands on different workers across batches;
-// that is a throughput trade, not a contention point, and the
-// scalingcores benchmark measures it (warm vs cold Series rows).
+// Multicore audit note: the ring is shared by every worker and every
+// batch of the engine, behind one mutex taken at most twice per term:
+// once for the lookup scan (which also refreshes an exact hit) and
+// once to store the solved basis. Neither holds it for solver work:
+// the basis is captured before store locks, and lookup hands back a
+// copy whose slices are never written after the store, so the replay
+// reads them unlocked while another worker strips or drops the entry.
+// A repeated term hits whichever worker or batch solved it.
 
 // warmMinArcs is the smallest instance the warm cache bothers with:
 // below it a cold solve costs about as much as the bookkeeping.
 const warmMinArcs = 64
 
 // maxWarmEntries caps the ring length regardless of byte budget:
-// findWarm scans the ring linearly per term, and structure-only
-// entries are cheap enough (about 256 bytes) that a long session
-// would otherwise accumulate tens of thousands of them, turning every
-// lookup into a multi-millisecond sweep for hits with negligible
-// probability. A few hundred entries cover any realistic reuse window
-// (a Series/Matrix pass over dozens of states stores four bases per
+// lookup scans the ring linearly per term, and structure-only entries
+// are cheap enough (about 256 bytes) that a long session would
+// otherwise accumulate tens of thousands of them, turning every lookup
+// into a multi-millisecond sweep for hits with negligible probability.
+// A few hundred entries cover any realistic reuse window (a
+// Series/Matrix pass over dozens of states stores four bases per
 // pair).
 const maxWarmEntries = 768
 
-// warmBasis is one retained solved instance. Retention is two-tier:
-// the structure and optimal cost (cheap — a few KB) serve exact hits,
-// while the solved network (routed flow + potentials, tens of MB on
-// large terms) serves transplants. Under budget pressure the networks
-// of older bases are stripped first, so a long Series/Matrix history
-// keeps exact-matching whole instances long after their transplant
-// donors are gone.
-type warmBasis struct {
-	refHash               hashKey
-	op                    opinion.Opinion
-	red                   reduction // reduce() output; slices are owned (fresh per reduce)
-	arcs                  int       // forward-arc count of the instance
-	val                   float64   // the term value (optimal cost / scale)
-	nw                    *flow.Network
-	netBytes, structBytes int64
+// warmCell is one positive-flow arc of a solved instance: flow units
+// from source k to column j.
+type warmCell struct {
+	k, j int32
+	flow int64
 }
 
-// warmCache is a per-worker byte-budgeted ring of bases, oldest first.
-// Three quarters of the budget hold solved networks (transplant
-// donors), one quarter holds structures (exact-hit memos).
+// warmBasis is one retained solved instance. Retention is two-tier:
+// the structure and optimal cost serve exact hits, while the
+// potentials and flow cells serve transplants. Under budget pressure
+// the transplant data of older bases is stripped first, so a long
+// Series/Matrix history keeps exact-matching whole instances long
+// after their transplant donors are gone. No slice is written once
+// the basis is stored; stripping only drops the references.
+type warmBasis struct {
+	refHash hashKey
+	op      opinion.Opinion
+	red     reduction // reduce() output; slices are owned (fresh per reduce)
+	arcs    int       // forward-arc count of the instance
+	val     float64   // the term value (optimal cost / scale)
+	// prices are the donor's node potentials, by network node, and
+	// cells its positive-flow arcs; both nil once stripped.
+	prices []int64
+	cells  []warmCell
+}
+
+// newWarmBasis captures the basis of bp's solved network nw.
+func newWarmBasis(refHash hashKey, op opinion.Opinion, bp *bipartite, nw *flow.Network, val float64) *warmBasis {
+	prices := make([]int64, nw.N())
+	for v := range prices {
+		prices[v] = nw.Price(v)
+	}
+	// Arc (u, v) is forward arc 2*(u*nDem+v), so the scan reads the
+	// arcs in id order.
+	nSup, nDem := bp.shape()
+	cells := make([]warmCell, 0, nSup+nDem)
+	a := 0
+	for u := 0; u < nSup; u++ {
+		for v := 0; v < nDem; v++ {
+			if f := nw.Flow(a); f > 0 {
+				k, j := bp.cell(u, v)
+				cells = append(cells, warmCell{k: int32(k), j: int32(j), flow: f})
+			}
+			a += 2
+		}
+	}
+	return &warmBasis{refHash: refHash, op: op, red: bp.red, arcs: bp.numArcs(), val: val, prices: prices, cells: cells}
+}
+
+// dataBytes is the basis's transplant footprint, structBytes its
+// structure footprint: the reduced user lists plus fixed overhead.
+func (wb *warmBasis) dataBytes() int64 { return int64(len(wb.prices))*8 + int64(len(wb.cells))*16 }
+
+func (wb *warmBasis) structBytes() int64 {
+	members := 0
+	for _, b := range wb.red.banks {
+		members += len(b.members)
+	}
+	return int64(len(wb.red.S)+len(wb.red.C)+members)*4 + 256
+}
+
+// warmCache is the engine's byte-budgeted ring of bases, oldest first.
+// Three quarters of the budget hold transplant data, one quarter holds
+// structures (exact-hit memos).
 type warmCache struct {
-	netBudget, structBudget int64
-	netBytes, structBytes   int64
-	entries                 []*warmBasis
-	free                    []*flow.Network // stripped networks, recycled by scratch.network
+	mu                       sync.Mutex
+	dataBudget, structBudget int64
+	dataBytes, structBytes   int64
+	entries                  []*warmBasis
 }
 
 func newWarmCache(budget int64) *warmCache {
 	if budget <= 0 {
 		return nil
 	}
-	return &warmCache{netBudget: budget - budget/4, structBudget: budget / 4}
+	return &warmCache{dataBudget: budget - budget/4, structBudget: budget / 4}
 }
 
-// takeFree pops a recycled network, if any.
-func (wc *warmCache) takeFree() *flow.Network {
-	if wc == nil || len(wc.free) == 0 {
-		return nil
-	}
-	nw := wc.free[len(wc.free)-1]
-	wc.free = wc.free[:len(wc.free)-1]
-	return nw
-}
-
-// stripNet detaches an entry's network into the free list.
-func (wc *warmCache) stripNet(e *warmBasis) {
-	wc.netBytes -= e.netBytes
-	if len(wc.free) < 2 {
-		wc.free = append(wc.free, e.nw)
-	}
-	e.nw = nil
-	e.netBytes = 0
-}
-
-// store retains a basis as the newest entry: networks of older entries
-// are stripped past the network budget (the newest always keeps its
-// network), and whole oldest entries drop past the structure budget.
+// store retains wb as the newest entry, replacing a retained basis of
+// the same instance (two batches may solve one term concurrently).
+// Transplant data of older entries is stripped past the data budget
+// (the newest always keeps its data), and whole oldest entries drop
+// past the structure budget.
 func (wc *warmCache) store(wb *warmBasis) {
-	wc.entries = append(wc.entries, wb)
-	wc.structBytes += wb.structBytes
-	wc.netBytes += wb.netBytes
-	for i := 0; i < len(wc.entries)-1 && wc.netBytes > wc.netBudget; i++ {
-		if e := wc.entries[i]; e.nw != nil {
-			wc.stripNet(e)
+	wc.mu.Lock()
+	defer wc.mu.Unlock()
+	for i := len(wc.entries) - 1; i >= 0; i-- {
+		if e := wc.entries[i]; e.refHash == wb.refHash && e.op == wb.op && e.sameStructure(wb.red) {
+			wc.dataBytes -= e.dataBytes()
+			wc.structBytes -= e.structBytes()
+			wc.entries = append(wc.entries[:i], wc.entries[i+1:]...)
+			break
 		}
+	}
+	wc.entries = append(wc.entries, wb)
+	wc.structBytes += wb.structBytes()
+	wc.dataBytes += wb.dataBytes()
+	for i := 0; i < len(wc.entries)-1 && wc.dataBytes > wc.dataBudget; i++ {
+		wc.strip(wc.entries[i])
 	}
 	for (wc.structBytes > wc.structBudget || len(wc.entries) > maxWarmEntries) &&
 		len(wc.entries) > 1 {
 		old := wc.entries[0]
 		wc.entries = wc.entries[1:]
-		wc.structBytes -= old.structBytes
-		if old.nw != nil {
-			wc.stripNet(old)
-		}
+		wc.structBytes -= old.structBytes()
+		wc.strip(old)
 	}
 }
 
-// refresh moves a hit entry to the newest position.
-func (wc *warmCache) refresh(wb *warmBasis) {
-	for i, e := range wc.entries {
-		if e == wb {
-			copy(wc.entries[i:], wc.entries[i+1:])
-			wc.entries[len(wc.entries)-1] = wb
-			return
-		}
-	}
-}
-
-// netFootprint estimates a solved network's retained bytes (arc banks
-// dominate, plus node arrays).
-func netFootprint(nw *flow.Network) int64 {
-	return int64(nw.NumArcs())*48 + int64(nw.N())*24
-}
-
-// structFootprint estimates a basis's structure bytes: the reduced
-// user lists plus fixed overhead.
-func structFootprint(red reduction) int64 {
-	members := 0
-	for _, b := range red.banks {
-		members += len(b.members)
-	}
-	return int64(len(red.S)+len(red.C)+members)*4 + 256
+// strip drops an entry's transplant data.
+func (wc *warmCache) strip(e *warmBasis) {
+	wc.dataBytes -= e.dataBytes()
+	e.prices, e.cells = nil, nil
 }
 
 // --- instance marking (user -> slot maps with epoch-stamped validity) ---
@@ -258,35 +266,46 @@ func (wb *warmBasis) sameStructure(red reduction) bool {
 	return true
 }
 
-// findWarm scans the ring newest-first (markInstance must have been
-// called for red) and returns an exact instance match, or failing that
-// the best-overlapping transplant donor, or neither. Every entry can
-// exact-match (the refHash/size prefilter makes misses O(1)); only
-// entries still holding their network can donate.
-func (sc *scratch) findWarm(refHash hashKey, spec termSpec, bp *bipartite) (exact, donor *warmBasis) {
-	wc := sc.warm
-	if wc == nil {
-		return nil, nil
-	}
+// lookup scans the ring newest-first for bp's instance (markInstance
+// must have been called for bp.red on sc). An exact instance match is
+// served whole when shortcut is set: lookup refreshes it and returns
+// its value with exact set. Otherwise the match is the transplant
+// donor, if it still holds its data. Failing a match, the
+// best-overlapping basis that holds its data is the donor, or none.
+// The donor is a copy taken under the lock, so the caller reads it
+// unlocked. Every entry can exact-match (the refHash/size prefilter
+// makes misses O(1)).
+func (wc *warmCache) lookup(sc *scratch, refHash hashKey, spec termSpec, bp *bipartite, shortcut bool) (val float64, exact bool, donor *warmBasis) {
 	red := bp.red
 	newSize := len(red.S) + len(red.C)
 	newArcs := bp.numArcs()
 	bestScore := 0
 	const maxScan = 12 // donors scored per lookup
 	scanned := 0
+	var best *warmBasis
+	wc.mu.Lock()
+	defer wc.mu.Unlock()
 	for i := len(wc.entries) - 1; i >= 0; i-- {
 		wb := wc.entries[i]
 		if wb.op != spec.op || wb.red.banksOnSupplier != red.banksOnSupplier {
 			continue
 		}
 		if wb.refHash == refHash && wb.sameStructure(red) {
-			return wb, nil
+			if shortcut {
+				copy(wc.entries[i:], wc.entries[i+1:])
+				wc.entries[len(wc.entries)-1] = wb
+				return wb.val, true, nil
+			}
+			best, bestScore = nil, 0
+			if wb.prices != nil {
+				best, bestScore = wb, newSize
+			}
+			break
 		}
 		// Transplants only pay off on instances big enough to make a
-		// cold solve expensive, from donors that still hold their
-		// network and are not so much bigger that the replay itself
-		// dominates.
-		if wb.nw == nil || scanned >= maxScan ||
+		// cold solve expensive, from donors that still hold their data
+		// and are not so much bigger that the replay itself dominates.
+		if wb.prices == nil || scanned >= maxScan ||
 			newArcs < warmMinArcs || wb.arcs > 4*newArcs {
 			continue
 		}
@@ -304,13 +323,14 @@ func (sc *scratch) findWarm(refHash hashKey, spec termSpec, bp *bipartite) (exac
 		}
 		if score > bestScore {
 			bestScore = score
-			donor = wb
+			best = wb
 		}
 	}
-	if 2*bestScore < newSize {
-		donor = nil // too little overlap: transplant would be junk
+	if best == nil || 2*bestScore < newSize {
+		return 0, false, nil // too little overlap: transplant would be junk
 	}
-	return nil, donor
+	d := *best
+	return 0, false, &d
 }
 
 // --- transplant ---
@@ -319,10 +339,10 @@ func (sc *scratch) findWarm(refHash hashKey, spec termSpec, bp *bipartite) (exac
 // the freshly assembled instance bp in nw (excesses and fresh costs
 // already in place), matching sources and columns by user identity:
 // opposite users by role, banks by anchor (first member) user. Both
-// instances share bp's layout rules, so a matched (source, column) arc
-// carries over by id. markInstance must have been called for bp.red.
-// Unmatched donor flow is simply dropped; SolveSSPWarm absorbs every
-// imperfection.
+// instances share bp's layout rules, so a donor node maps by the same
+// rowNode/colNode numbering. markInstance must have been called for
+// bp.red. Unmatched donor flow is simply dropped; SolveSSPWarm absorbs
+// every imperfection.
 func (sc *scratch) transplant(nw *flow.Network, bp *bipartite, wb *warmBasis) {
 	old := newBipartite(wb.red, 0, 0)
 	rowSlots, oppSlots := sc.slotSup, sc.slotCon
@@ -366,7 +386,7 @@ func (sc *scratch) transplant(nw *flow.Network, bp *bipartite, wb *warmBasis) {
 	}
 	var pMax int64
 	seed := func(node, donorNode int) {
-		p := wb.nw.Price(donorNode)
+		p := wb.prices[donorNode]
 		nw.SetPrice(node, p)
 		mapped[node] = 1
 		if p > pMax {
@@ -389,19 +409,11 @@ func (sc *scratch) transplant(nw *flow.Network, bp *bipartite, wb *warmBasis) {
 		}
 	}
 
-	// Routed flow, replayed arc by arc (PreloadFlow clamps to the new
+	// Routed flow, replayed cell by cell (PreloadFlow clamps to the new
 	// capacities).
-	for k, nk := range rowMap {
-		if nk < 0 {
-			continue
-		}
-		for j, nj := range colMap {
-			if nj < 0 {
-				continue
-			}
-			if f := wb.nw.Flow(old.arc(k, j)); f > 0 {
-				nw.PreloadFlow(bp.arc(int(nk), int(nj)), f)
-			}
+	for _, c := range wb.cells {
+		if nk, nj := rowMap[c.k], colMap[c.j]; nk >= 0 && nj >= 0 {
+			nw.PreloadFlow(bp.arc(int(nk), int(nj)), c.flow)
 		}
 	}
 }

@@ -2,9 +2,12 @@ package core
 
 import (
 	"context"
+	"fmt"
 	"math"
 	"math/rand"
 	"reflect"
+	"runtime"
+	"sync"
 	"testing"
 
 	"snd/internal/opinion"
@@ -49,6 +52,122 @@ func TestWarmStartMatchesCold(t *testing.T) {
 				t.Fatalf("opts %d workers %d: warm matrix diverged", oi, workers)
 			}
 		}
+	}
+}
+
+// TestWarmBasesSurviveWorkersAndGC pins that retained bases belong to
+// the engine, not to a worker or its pooled scratch arena: after a
+// two-worker Series and two GC cycles, repeating the Series serves
+// every term whose basis the first pass retained as an exact hit,
+// whichever worker picks it up. Results match a cold engine bit for
+// bit.
+func TestWarmBasesSurviveWorkersAndGC(t *testing.T) {
+	g := engineTestGraph(300, 75)
+	states := engineTestStates(g.N(), 8, 30, 76)
+	ctx := context.Background()
+	we := NewEngine(g, DefaultOptions(), EngineConfig{Workers: 2})
+	ce := NewEngine(g, DefaultOptions(), EngineConfig{Workers: 2, WarmCacheBytes: -1})
+	want, err := ce.SeriesEps(ctx, states, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	first, err := we.SeriesEps(ctx, states, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// A term is warm-eligible when the first pass retained its instance.
+	eligible := 0
+	for i := 0; i+1 < len(states); i++ {
+		for term := 0; term < 4; term++ {
+			spec := eqSpec(states[i], states[i+1], term)
+			red := reduce(spec, nil, g.N())
+			h := hashState(spec.ref)
+			for _, wb := range we.warm.entries {
+				if wb.refHash == h && wb.op == spec.op && wb.sameStructure(red) {
+					eligible++
+					break
+				}
+			}
+		}
+	}
+	if eligible < 4 {
+		t.Fatalf("first pass retained %d term instances, want at least 4", eligible)
+	}
+	runtime.GC()
+	runtime.GC()
+	before := we.Stats()
+	second, err := we.SeriesEps(ctx, states, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if hits := we.Stats().Sub(before).TermsWarmExact; hits != int64(eligible) {
+		t.Fatalf("second pass: %d exact hits, want all %d warm-eligible terms", hits, eligible)
+	}
+	if !reflect.DeepEqual(first, want) || !reflect.DeepEqual(second, want) {
+		t.Fatalf("warm series diverged from cold:\n%+v\n%+v\n%+v", first, second, want)
+	}
+}
+
+// TestWarmRingConcurrentBatches races overlapping Pairs and Series
+// batches on one engine, so its shared warm ring is looked up, stored
+// into, refreshed, stripped and evicted from several batches at once
+// (the small budget holds about 30 bases). Every result must be
+// bit-identical to a cold engine's.
+func TestWarmRingConcurrentBatches(t *testing.T) {
+	g := engineTestGraph(250, 77)
+	states := engineTestStates(g.N(), 6, 25, 78)
+	ctx := context.Background()
+	pairs := make([]StatePair, 0, len(states))
+	for i := range states {
+		pairs = append(pairs, StatePair{A: states[0], B: states[i]})
+	}
+	ce := NewEngine(g, DefaultOptions(), EngineConfig{Workers: 2, WarmCacheBytes: -1})
+	wantPairs, err := ce.Pairs(ctx, pairs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	wantSeries, err := ce.SeriesEps(ctx, states, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	we := NewEngine(g, DefaultOptions(), EngineConfig{Workers: 2, WarmCacheBytes: 64 << 10})
+	const goroutines, rounds = 4, 3
+	errs := make(chan error, goroutines)
+	var wg sync.WaitGroup
+	for gi := 0; gi < goroutines; gi++ {
+		wg.Add(1)
+		go func(gi int) {
+			defer wg.Done()
+			for r := 0; r < rounds; r++ {
+				if (gi+r)%2 == 0 {
+					got, err := we.Pairs(ctx, pairs)
+					if err == nil && !reflect.DeepEqual(got, wantPairs) {
+						err = fmt.Errorf("goroutine %d round %d: pairs diverged from cold", gi, r)
+					}
+					if err != nil {
+						errs <- err
+						return
+					}
+					continue
+				}
+				got, err := we.SeriesEps(ctx, states, 0)
+				if err == nil && !reflect.DeepEqual(got, wantSeries) {
+					err = fmt.Errorf("goroutine %d round %d: series diverged from cold", gi, r)
+				}
+				if err != nil {
+					errs <- err
+					return
+				}
+			}
+		}(gi)
+	}
+	wg.Wait()
+	close(errs)
+	for err := range errs {
+		t.Error(err)
+	}
+	if s := we.Stats(); s.TermsWarmExact+s.TermsWarmSolved == 0 {
+		t.Fatalf("no term started from a retained basis: %+v", s)
 	}
 }
 
@@ -290,16 +409,13 @@ func TestTransplantArcLayout(t *testing.T) {
 
 // TestTrackedExactHitWithStrippedBasis reproduces the crash scenario of
 // a structure-only warm basis: a tracked reference state's term
-// instance exact-matches a basis whose network was stripped under
-// budget pressure. The tracked branch must then solve cold rather than
-// transplant from the missing network.
+// instance exact-matches a basis whose transplant data was stripped
+// under budget pressure. The tracked branch must then solve cold rather
+// than transplant from the missing data.
 func TestTrackedExactHitWithStrippedBasis(t *testing.T) {
 	g := engineTestGraph(200, 91)
 	rng := rand.New(rand.NewSource(92))
-	// A 1 MiB budget keeps every structure (exact hits stay possible)
-	// while interleaving several distinct instances strips the older
-	// networks — exactly the structure-only exact-hit state.
-	e := NewEngine(g, DefaultOptions(), EngineConfig{Workers: 1, WarmCacheBytes: 1 << 20})
+	e := NewEngine(g, DefaultOptions(), EngineConfig{Workers: 1})
 	ctx := context.Background()
 	prev := randState(g.N(), 0.3, rng)
 	tracked := perturb(prev, 5, rng)
@@ -311,14 +427,29 @@ func TestTrackedExactHitWithStrippedBasis(t *testing.T) {
 	}
 	e.AdvanceRef(prev, tracked, changed)
 	query := perturb(tracked, 40, rng)
-	// Enough distinct interleaved instances that the query pair's
-	// re-stored bases lose their networks before the pair recurs.
-	others := make([]opinion.State, 16)
-	for i := range others {
-		others[i] = perturb(tracked, 25+i, rng)
-	}
 	cold := NewEngine(g, Options{ablate: ablateBounds}, EngineConfig{Workers: 1, WarmCacheBytes: -1})
-	for round := 0; round < 4; round++ {
+	for round := 0; round < 3; round++ {
+		if round > 0 {
+			// Terms 2-3 run over the tracked state; each must meet its
+			// own structure-only basis.
+			for term := 2; term < 4; term++ {
+				spec := eqSpec(query, tracked, term)
+				red := reduce(spec, nil, g.N())
+				bp := newBipartite(red, 0, 0)
+				sc := &scratch{}
+				sc.markInstance(g.N(), red)
+				if _, exact, donor := e.warm.lookup(sc, hashState(tracked), spec, &bp, false); exact || donor != nil {
+					t.Fatalf("round %d term %d: lookup gave exact %v donor %v, want a stripped match", round, term, exact, donor != nil)
+				}
+				found := false
+				for _, wb := range e.warm.entries {
+					found = found || wb.op == spec.op && wb.sameStructure(red) && wb.prices == nil
+				}
+				if !found {
+					t.Fatalf("round %d term %d: no stripped basis retained", round, term)
+				}
+			}
+		}
 		got, err := e.Distance(ctx, query, tracked)
 		if err != nil {
 			t.Fatalf("round %d: %v", round, err)
@@ -330,10 +461,9 @@ func TestTrackedExactHitWithStrippedBasis(t *testing.T) {
 		if !reflect.DeepEqual(got, want) {
 			t.Fatalf("round %d diverged: %+v vs %+v", round, got, want)
 		}
-		for _, o := range others {
-			if _, err := e.Distance(ctx, o, tracked); err != nil {
-				t.Fatalf("round %d pressure: %v", round, err)
-			}
+		// Strip every basis, as budget pressure strips older ones.
+		for _, wb := range e.warm.entries {
+			e.warm.strip(wb)
 		}
 	}
 }
@@ -360,11 +490,10 @@ func TestMatrixValidatesDuplicateInvalidStates(t *testing.T) {
 // solved cold by cost-scaling: both positive terms reduce to 602-node
 // bipartite instances that coldSSP sends to cost-scaling, so the first
 // pair retains bases with cost-scaling's potentials, and the second
-// pair — one consumer swapped for another — transplants them. Both pairs
-// go in one single-worker batch, so one scratch arena carries the
-// bases: between batches the arena sits in a sync.Pool, which the race
-// detector empties at random. Results are pinned bit-identical to a
-// cold engine, and the transplanted pair to the dense oracle.
+// pair — one consumer swapped for another — transplants them. Each pair
+// is its own batch: the bases outlive the batch (and its worker's
+// scratch arena) in the engine's ring. Results are pinned bit-identical
+// to a cold engine, and the transplanted pair to the dense oracle.
 func TestWarmStartCostScaledBasis(t *testing.T) {
 	const n, k = 700, 301
 	g := engineTestGraph(n, 77)
@@ -389,9 +518,13 @@ func TestWarmStartCostScaledBasis(t *testing.T) {
 	ce := NewEngine(g, DefaultOptions(), EngineConfig{Workers: 1, WarmCacheBytes: -1})
 	defer ce.Close()
 	pairs := []StatePair{{A: a, B: b}, {A: a, B: b2}}
-	got, err := we.Pairs(ctx, pairs)
-	if err != nil {
-		t.Fatal(err)
+	var got []Result
+	for _, p := range pairs {
+		res, err := we.Pairs(ctx, []StatePair{p})
+		if err != nil {
+			t.Fatal(err)
+		}
+		got = append(got, res...)
 	}
 	if s := we.Stats(); s.TermsWarmSolved == 0 {
 		t.Fatalf("second pair never transplanted a basis: %+v", s)
@@ -436,7 +569,7 @@ func TestDiscardedTransplantCountsAsColdSolve(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	donor := &warmBasis{red: red, nw: donorNw}
+	donor := newWarmBasis(hashKey{}, spec.op, bp0, donorNw, cold.val)
 	solve := func() (termVal, *engineStats) {
 		stats := &engineStats{}
 		tc := termCtx{ctx: ctx, sc: &scratch{}, stats: stats}
@@ -460,10 +593,10 @@ func TestDiscardedTransplantCountsAsColdSolve(t *testing.T) {
 
 	nSup, nDem := bp0.shape()
 	for v := 0; v < nDem; v++ {
-		donorNw.SetPrice(nSup+v, 1<<40)
+		donor.prices[nSup+v] = 1 << 40
 	}
 	for u := 0; u < nSup; u++ {
-		donorNw.SetPrice(u, 0)
+		donor.prices[u] = 0
 	}
 	tv, stats = solve()
 	if tv.val != cold.val || stats.termsWarmSolved.Load() != 0 || stats.flowSolves.Load() != 1 {

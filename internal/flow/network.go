@@ -303,17 +303,6 @@ func (nw *Network) drainSSP(ctx context.Context, ex []int64, remaining int64) er
 	return nil
 }
 
-// ReleaseScratch drops the solver scratch (labels, queues, the heap,
-// scaled costs) and keeps the arcs, the routed flow and the prices. A
-// network kept only for its solved basis need not hold it; the next
-// solve on it regrows what it uses.
-func (nw *Network) ReleaseScratch() {
-	nw.scDist, nw.scVisited, nw.scParent = nil, nil, nil
-	nw.scEx, nw.scCost, nw.scPrice = nil, nil, nil
-	nw.scQueue, nw.scInQueue, nw.scCur = nil, nil, nil
-	nw.scHeap = pqueue.Radix{}
-}
-
 // ResetFlow clears any routed flow, restoring residual capacities to
 // the original arc capacities, so another solver can run on the same
 // network.

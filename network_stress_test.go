@@ -17,9 +17,9 @@ import (
 // contract makes this checkable: Distance/Matrix/Step results are pure
 // functions of their input states, so caching, sharded-provider churn
 // (the Step writer evicts and derives window entries while readers
-// race them), warm rings, and work stealing must never leak into a
-// value. Run under -race this is the contention-path coverage for the
-// sharded ground provider.
+// race them), the shared warm ring, and work stealing must never leak
+// into a value. Run under -race this is the contention-path coverage
+// for the sharded ground provider.
 func TestNetworkConcurrentMixedTraffic(t *testing.T) {
 	const (
 		n       = 300

@@ -117,8 +117,9 @@ type Engine = core.Engine
 // EngineConfig sizes an Engine: worker count (0 = GOMAXPROCS),
 // ground-distance cache budget in bytes (0 = 128 MiB, negative =
 // disabled; sharded across lock domains internally), and warm-start
-// basis retention budget (0 = 64 MiB, negative = disabled; split
-// per-worker). A config is a plain value read once at construction.
+// basis retention budget (0 = 64 MiB, negative = disabled; one ring
+// shared by all workers). A config is a plain value read once at
+// construction.
 type EngineConfig = core.EngineConfig
 
 // EngineStats is a snapshot of an Engine's cumulative phase timings
