@@ -134,6 +134,17 @@
 // Pruning is exact on every column, so distances are bit-identical to
 // the full-row pipeline (pinned by property tests).
 //
+// Where no row is retained (see below) and the banks absorb the
+// residual suppliers' mass, a row need not reach every column either:
+// the optimal plan ships each supplier's mass to its nearest few banks.
+// Each search then stops once its first 8 columns settle and records
+// that radius. A farther cell is charged radius+1, a lower bound, in
+// the flow solve and in the bound gate's lower bound, and the escape
+// cost in the gate's greedy upper bound. A plan that routes nothing
+// over such a cell is optimal under the true distances too, so its
+// value is exact; otherwise the rows it crosses are completed and the
+// term is solved again, and a second crossing completes every row.
+//
 // Retention differs by reference-state kind and batch kind. Tracked
 // states (the delta-monitoring window) keep exact full rows with parent
 // trees — they are the repair donors Step's incremental path derives

@@ -23,11 +23,18 @@ import (
 //
 // A bipartite with nil rows still names nodes and arcs; a warm donor's
 // layout is read that way.
+//
+// Rows may be partial (see termCtx.partialRows): radius[k] is then the
+// distance within which row k is exact, and a cell past it is unknown
+// and holds radius[k]+1, a lower bound on its distance. radius[k] is
+// sssp.Unreachable on a complete row, and radius is nil when every row
+// is complete.
 type bipartite struct {
 	red               reduction
 	rev               bool
 	sources, opposite []int32
 	rows              [][]int64
+	radius            []int64
 	gamma, inf        int64 // bank-arc surcharge; saturated cost
 }
 
@@ -117,13 +124,51 @@ func (bp *bipartite) capped(d int64) int64 {
 	return d
 }
 
-// cost returns the unit cost between source k and column j.
+// unknown reports whether cell (k, j) lies past its row's radius, so
+// that it holds a lower bound rather than the distance.
+func (bp *bipartite) unknown(k, j int) bool {
+	return bp.radius != nil && bp.rows[k][j] > bp.radius[k]
+}
+
+// cost returns the unit cost between source k and column j: on an
+// unknown cell, a lower bound on it.
 func (bp *bipartite) cost(k, j int) int64 {
 	d := bp.capped(bp.rows[k][j])
 	if j >= len(bp.opposite) {
 		d += bp.gamma
 	}
 	return d
+}
+
+// crossedRows returns the rows in which nw, bp's solved network, routes
+// flow over an unknown cell. With none, the plan is optimal under the
+// true distances too: it costs the same under them, and every other
+// plan costs at least as much under them as under the lower bounds.
+func (bp *bipartite) crossedRows(nw *flow.Network) []int32 {
+	if bp.radius == nil {
+		return nil
+	}
+	var crossed []int32
+	for k, row := range bp.rows {
+		for j := range row {
+			if bp.unknown(k, j) && nw.Flow(bp.arc(k, j)) > 0 {
+				crossed = append(crossed, int32(k))
+				break
+			}
+		}
+	}
+	return crossed
+}
+
+// openRows returns the rows that are still partial.
+func (bp *bipartite) openRows() []int32 {
+	var ks []int32
+	for k, r := range bp.radius {
+		if r != sssp.Unreachable {
+			ks = append(ks, int32(k))
+		}
+	}
+	return ks
 }
 
 // network assembles the scaled integral flow instance in sc's reusable

@@ -72,7 +72,8 @@ func decodeEngineCase(data []byte) engineCase {
 
 // FuzzEngineMatchesOracle is the differential check of the whole term
 // pipeline on small random inputs: the exact Engine is bit-identical at
-// one and two workers and matches the dense oracle (the network route
+// one and two workers and in a Series (whose terms may run partial
+// rows), and matches the dense oracle (the network route
 // under clustered banks), a positive budget's envelope contains the
 // exact value, and Explain's Result keeps its envelope and its moves
 // add up to each term.
@@ -99,6 +100,17 @@ func checkEngineCase(t *testing.T, data []byte) {
 		}
 		if !reflect.DeepEqual(exact[0], exact[1]) {
 			t.Fatalf("1 worker %+v != 2 workers %+v", exact[0], exact[1])
+		}
+		// A Series retains no rows, so its terms whose banks absorb run
+		// partial rows; it must match Distance bit for bit.
+		eng := NewEngine(c.g, opts, EngineConfig{Workers: 1})
+		series, err := eng.SeriesEps(ctx, []opinion.State{c.a, c.b}, 0)
+		eng.Close()
+		if err != nil {
+			t.Fatalf("series: %v", err)
+		}
+		if !reflect.DeepEqual(series[0], exact[0]) {
+			t.Fatalf("series %+v != distance %+v", series[0], exact[0])
 		}
 		// The dense oracle implements eq. 4's cluster banks, which price
 		// a bank at cluster grain; the routes price it at user grain

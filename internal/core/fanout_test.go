@@ -7,6 +7,7 @@ import (
 	"sync"
 	"testing"
 
+	"snd/internal/cluster"
 	"snd/internal/graph"
 	"snd/internal/opinion"
 	"snd/internal/sssp"
@@ -401,7 +402,7 @@ func startHelpers(k int) (hp *helpPool, stop func()) {
 // reused by the next fan-out) and the term value (0 unsolved).
 func fanOutAndSolve(t *testing.T, g *graph.Digraph, spec termSpec, o Options, tc termCtx, bp bipartite, byCols, solve bool) ([][]int64, float64) {
 	t.Helper()
-	if err := tc.fanOutAs(g, spec, o, &bp, byCols); err != nil {
+	if _, err := tc.fanOutAs(g, spec, o, &bp, byCols, 0); err != nil {
 		t.Fatal(err)
 	}
 	rows := make([][]int64, len(bp.rows))
@@ -448,14 +449,15 @@ func TestTrackedRefKeepsRowFanOut(t *testing.T) {
 	red := reduce(spec, o.Clusters, g.N())
 	bp := newBipartite(red, o.Gamma, 0)
 	series := termCtx{prov: e.prov, refHash: hashState(a), series: true}
-	if !series.byColumns(o, &bp) {
+	byCols := func(tc termCtx) bool { c, _ := tc.fanOutPlan(g, o, &bp); return c }
+	if !byCols(series) {
 		t.Fatalf("untracked Series term with %d sources and %d columns keeps the row side", len(bp.sources), bp.nCols())
 	}
-	if pairs := (termCtx{prov: e.prov, refHash: hashState(a)}); pairs.byColumns(o, &bp) {
+	if pairs := (termCtx{prov: e.prov, refHash: hashState(a)}); byCols(pairs) {
 		t.Fatal("Pairs term takes the column side; its compact rows would go unretained")
 	}
 	e.AdvanceRef(a, b, changed)
-	if series.byColumns(o, &bp) {
+	if byCols(series) {
 		t.Fatal("tracked Series term takes the column side; Step would lose its repair trees")
 	}
 	got, err := e.Series(ctx, []opinion.State{a, b})
@@ -477,5 +479,134 @@ func TestTrackedRefKeepsRowFanOut(t *testing.T) {
 		if ent.side[opIdx(spec.op)].trees[treeKey{reversed: bp.rev, src: s}] == nil {
 			t.Fatalf("tracked reference state retained no tree for source %d; its delta repairs have no donor", s)
 		}
+	}
+}
+
+// decline returns st with about frac of its active users turned
+// neutral and add neutral users activated: a Series step whose forward
+// terms have absorbing banks, as analyze's non-event ticks do.
+func decline(st opinion.State, frac float64, add int, rng *rand.Rand) opinion.State {
+	out := st.Clone()
+	for u := range out {
+		if out[u] != opinion.Neutral && rng.Float64() < frac {
+			out[u] = opinion.Neutral
+		}
+	}
+	for ; add > 0; add-- {
+		if u := rng.Intn(len(out)); out[u] == opinion.Neutral {
+			out[u] = opinion.Positive
+			if rng.Intn(2) == 0 {
+				out[u] = opinion.Negative
+			}
+		}
+	}
+	return out
+}
+
+// TestPartialRowsMatchCompleteRows pins partial rows' exactness. Series
+// terms whose banks absorb stop each source's search once
+// partialRowColumns columns settle; their Results must be bit-identical
+// to complete rows (the ablated fan-out's full-graph runs), at workers
+// 1, 2 and 4, with and without a ground provider, over BFS-clustered
+// and singleton banks. Across the cases some first plan must cross an
+// unknown cell (an extension round) and some re-solve must cross again
+// (the all-rows fallback). The test also checks the bound gate on every
+// partial term: its lower bound must be the one the cells' lower
+// bounds give, and its greedy upper bound the one the same rows give
+// with every unknown cell charged inf, never less.
+func TestPartialRowsMatchCompleteRows(t *testing.T) {
+	ctx := context.Background()
+	var extended, fallback, partialTerms int64
+	for seed := int64(0); seed < 12; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		g := engineTestGraph(400+20*int(seed), 90+seed)
+		o := DefaultOptions()
+		if seed%3 != 2 {
+			o.Clusters = cluster.BFSPartition(g, 12+4*int(seed%4))
+		}
+		states := []opinion.State{randState(g.N(), 0.25, rng)}
+		for i := 0; i < 3; i++ {
+			states = append(states, decline(states[i], 0.15+0.1*float64(i), 4, rng))
+		}
+		full := o
+		full.ablate = ablateGoalPrune
+		want, err := NewEngine(g, full, EngineConfig{Workers: 1, GroundCacheBytes: -1}).SeriesEps(ctx, states, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, workers := range []int{1, 2, 4} {
+			for _, cacheBytes := range []int64{-1, 0} {
+				e := NewEngine(g, o, EngineConfig{Workers: workers, GroundCacheBytes: cacheBytes})
+				got, err := e.SeriesEps(ctx, states, 0)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if !reflect.DeepEqual(got, want) {
+					t.Fatalf("seed %d workers %d cache %d: partial rows diverged from complete rows:\n%v\n%v",
+						seed, workers, cacheBytes, got, want)
+				}
+				extended += e.stats.rowsExtended.Load()
+				fallback += e.stats.rowsCompletedAll.Load()
+			}
+		}
+
+		do := o.withDefaults()
+		for i := 0; i+1 < len(states); i++ {
+			for ti := 0; ti < 4; ti++ {
+				spec := eqSpec(states[i], states[i+1], ti)
+				red := reduce(spec, do.Clusters, g.N())
+				bp := newBipartite(red, do.Gamma, infCost(g.N(), do.Costs.MaxCost(), do.EscapeHops))
+				tc := termCtx{sc: &scratch{}}
+				if byCols, need := tc.fanOutPlan(g, do, &bp); byCols || need == 0 {
+					continue
+				}
+				partialTerms++
+				if _, err := tc.fanOutAs(g, spec, do, &bp, false, partialRowColumns); err != nil {
+					t.Fatal(err)
+				}
+				checkPartialGate(t, &bp)
+			}
+		}
+	}
+	t.Logf("%d partial terms, %d extension rounds, %d all-rows fallbacks", partialTerms, extended, fallback)
+	if partialTerms == 0 {
+		t.Fatal("no term ran partial rows")
+	}
+	if extended == 0 {
+		t.Error("no plan crossed an unknown cell; the extension round went untested")
+	}
+	if fallback == 0 {
+		t.Error("no re-solve crossed an unknown cell again; the all-rows fallback went untested")
+	}
+}
+
+// checkPartialGate compares the bound gate on bp's partial rows with
+// the gate on two complete copies: one that keeps every unknown cell's
+// lower bound (the lower bound must match it) and one that charges
+// every unknown cell inf (the upper bound must match it).
+func checkPartialGate(t *testing.T, bp *bipartite) {
+	t.Helper()
+	lb, ub := termBoundsFromRows(bp, nil)
+	low, high := *bp, *bp
+	low.radius, high.radius = nil, nil
+	high.rows = make([][]int64, len(bp.rows))
+	unknown := 0
+	for k, row := range bp.rows {
+		high.rows[k] = append([]int64(nil), row...)
+		for j := range row {
+			if bp.unknown(k, j) {
+				high.rows[k][j] = sssp.Unreachable
+				unknown++
+			}
+		}
+	}
+	if unknown == 0 {
+		return
+	}
+	if wantLB, _ := termBoundsFromRows(&low, nil); lb != wantLB {
+		t.Fatalf("gate lower bound %d on partial rows, %d on their lower bounds", lb, wantLB)
+	}
+	if _, wantUB := termBoundsFromRows(&high, nil); ub != wantUB {
+		t.Fatalf("gate upper bound %d on partial rows, %d with unknown cells at inf", ub, wantUB)
 	}
 }

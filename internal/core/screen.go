@@ -52,6 +52,11 @@ import (
 // bound is the cost of a feasible greedy plan (each source fills up at
 // its cheapest remaining targets). lb == ub therefore pins the exact
 // optimum.
+//
+// On partial rows an unknown cell holds a lower bound on its distance,
+// which keeps the lower bound admissible; the greedy plan charges it
+// inf instead (plus gamma on a bank column), no less than the cell can
+// cost, which keeps the upper bound feasible.
 func termBoundsFromRows(bp *bipartite, sc *scratch) (lb, ub int64) {
 	rows, nOpp, gamma := bp.rows, bp.nOpp(), bp.gamma
 	nSrc := len(rows)
@@ -103,6 +108,10 @@ func termBoundsFromRows(bp *bipartite, sc *scratch) (lb, ub int64) {
 		}
 		srcSide += scale * best
 
+		known := int64(math.MaxInt64) // cells past it cost inf in the greedy plan
+		if bp.radius != nil {
+			known = bp.radius[k]
+		}
 		need := scale
 		for need > 0 {
 			best, bestJ := int64(math.MaxInt64), -1
@@ -110,7 +119,11 @@ func termBoundsFromRows(bp *bipartite, sc *scratch) (lb, ub int64) {
 				if rem[j] <= 0 {
 					continue
 				}
-				if d := bp.capped(row[j]); d < best {
+				d := bp.capped(row[j])
+				if row[j] > known {
+					d = bp.inf
+				}
+				if d < best {
 					best, bestJ = d, j
 				}
 			}
@@ -118,7 +131,11 @@ func termBoundsFromRows(bp *bipartite, sc *scratch) (lb, ub int64) {
 				if rem[nOpp+b] <= 0 {
 					continue
 				}
-				if d := bmins[b]; d < best {
+				d := bmins[b]
+				if row[nOpp+b] > known {
+					d = gamma + bp.inf
+				}
+				if d < best {
 					best, bestJ = d, nOpp+b
 				}
 			}

@@ -21,6 +21,11 @@ type engineStats struct {
 	termsWarmSolved   atomic.Int64 // terms solved warm from a transplanted basis
 	flowSolves        atomic.Int64 // cold flow solves (SSP or cost-scaling)
 
+	// Partial-row terms whose first plan crossed an unknown cell, and of
+	// those, the ones whose re-solve crossed again (see solveRows);
+	// kept for tests, not part of EngineStats.
+	rowsExtended, rowsCompletedAll atomic.Int64
+
 	termsApproxCoarse   atomic.Int64 // terms decided by coarse cluster-representative bounds
 	termsApproxGap      atomic.Int64 // terms decided by the relaxed LB/UB row gate
 	termsApproxSinkhorn atomic.Int64 // terms decided by the entropic envelope

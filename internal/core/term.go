@@ -321,10 +321,12 @@ func termBipartite(g *graph.Digraph, spec termSpec, red reduction, o Options, tc
 		}
 		donor = d
 	}
-	if err := tc.fanOut(g, spec, o, &bp); err != nil {
+	byCols, need := tc.fanOutPlan(g, o, &bp)
+	run, err := tc.fanOutAs(g, spec, o, &bp, byCols, need)
+	if err != nil {
 		return termVal{}, err
 	}
-	tv, nw, err := tc.solveTerm(&bp, o, budgetScaled, false, donor)
+	tv, nw, err := tc.solveRows(&bp, run, o, budgetScaled, donor)
 	tv.runs = runs
 	if err != nil {
 		return tv, err
@@ -334,6 +336,10 @@ func termBipartite(g *graph.Digraph, spec termSpec, red reduction, o Options, tc
 		// freshly allocated slices make the reduction safe to keep by
 		// reference; the network stays with the worker. Both solvers
 		// leave exact potentials in cost units, so any basis donates.
+		// A plan solved over partial rows routes nothing over an
+		// unknown cell, and raising those arcs' costs to the true
+		// distances keeps its potentials dual feasible: the basis is
+		// the true instance's.
 		tc.warm.store(newWarmBasis(tc.refHash, spec.op, &bp, nw, tv.val))
 	}
 	return tv, nil
@@ -390,6 +396,34 @@ func (tc termCtx) solveTerm(bp *bipartite, o Options, budgetScaled int64, coarse
 	return tc.flowSolve(bp, donor)
 }
 
+// solveRows is solveTerm over rows the row side's run may have left
+// partial. A plan over partial rows stands once it routes nothing over
+// an unknown cell: see bipartite.crossedRows. Otherwise the rows it
+// crossed are completed and the term is solved again, and a second
+// crossing completes every row for a last solve.
+func (tc termCtx) solveRows(bp *bipartite, run rowRun, o Options, budgetScaled int64, donor *warmBasis) (termVal, *flow.Network, error) {
+	tv, nw, err := tc.solveTerm(bp, o, budgetScaled, false, donor)
+	for round := 0; err == nil && nw != nil; round++ {
+		crossed := bp.crossedRows(nw)
+		if len(crossed) == 0 {
+			break
+		}
+		if round > 0 {
+			crossed = bp.openRows()
+			if tc.stats != nil {
+				tc.stats.rowsCompletedAll.Add(1)
+			}
+		} else if tc.stats != nil {
+			tc.stats.rowsExtended.Add(1)
+		}
+		if err := tc.runTasks(len(crossed), func(sc *scratch, i int) { run(sc, int(crossed[i]), 0) }); err != nil {
+			return termVal{}, nil, err
+		}
+		tv, nw, err = tc.solveTerm(bp, o, budgetScaled, false, donor)
+	}
+	return tv, nw, err
+}
+
 // flowSolve assembles bp and solves it exactly. With a donor, its basis
 // is replayed onto the fresh instance and SolveSSPWarm drains the
 // residual imbalance from its potentials; a basis the repair finds to
@@ -423,32 +457,87 @@ func (tc termCtx) flowSolve(bp *bipartite, donor *warmBasis) (termVal, *flow.Net
 	return exactVal(float64(cost)/float64(bp.red.scale), 0), nw, nil
 }
 
-// columnFanOutRatio is the sources per column past which the fan-out
-// runs by column (see byColumns), fixed by BenchmarkFanOutOrientation
-// (term_bench_test.go; numbers in docs/PERFORMANCE.md, "Strategy
-// selection"). Against 64 bank columns the row side won at 2 sources
-// per column and lost at 4. With 50 opposite users added, whose
-// scattered single-user columns make every row run cover more of the
-// graph, it won at 0.56 and lost at 1.12 and 2.25: the rule gives up
-// 1.06x at 1.12 rather than 1.9x at 2.25.
-const columnFanOutRatio = 2
+// columnFanOutRatio and partialColumnFanOutRatio are the sources per
+// column past which the fan-out runs by column (see byColumns), against
+// complete and against partial rows, fixed by
+// BenchmarkFanOutOrientation (term_bench_test.go; numbers in
+// docs/PERFORMANCE.md, "Strategy selection"). Against 64 bank columns
+// complete rows won at 2 sources per column and lost at 4. With 50
+// opposite users added, whose scattered single-user columns make every
+// row run cover more of the graph, they won at 0.56 and lost at 1.12
+// and 2.25: the rule gives up 1.06x at 1.12 rather than 1.9x at 2.25.
+// Partial rows won at 4 and lost at 6 against 64 banks, and won at 3.4
+// and tied at 4.5 with the 50 opposite users added.
+const (
+	columnFanOutRatio        = 2
+	partialColumnFanOutRatio = 4
+)
+
+// fanOutPlan picks how termBipartite fills bp's rows: by column
+// (byColumns), or by row, partial rows of need columns (partialRows)
+// or complete ones (need 0).
+func (tc termCtx) fanOutPlan(g *graph.Digraph, o Options, bp *bipartite) (byCols bool, need int) {
+	partial := tc.partialRows(g, o, bp)
+	switch {
+	case tc.byColumns(o, bp, partial):
+		return true, 0
+	case partial:
+		return false, partialRowColumns
+	}
+	return false, 0
+}
 
 // byColumns reports whether bp's fan-out runs by column: one search per
 // column instead of one per source. Each run costs about a ball around
 // its source set, so the side with fewer runs wins once the other has
-// columnFanOutRatio times as many. The column side is taken only where
-// the row side would retain nothing in the ground provider: with no
-// provider, or in a Series over an untracked reference state. A tracked
-// state's source runs build the trees Step repairs from, and Pairs and
-// Matrix retain compact rows for their repeated queries, so those keep
-// the row side. Ablated goal pruning pins the row side too: it runs the
-// unoptimized fan-out. Both sides fill the same rows, so the choice
-// moves no bit.
-func (tc termCtx) byColumns(o Options, bp *bipartite) bool {
-	if o.ablated(ablateGoalPrune) || columnFanOutRatio*bp.nCols() >= len(bp.sources) {
+// columnFanOutRatio times as many, or partialColumnFanOutRatio times
+// as many when the row side would run partial rows, whose balls are
+// smaller. The column side is taken only where the row side would
+// retain nothing (see retainsRows). Ablated goal pruning pins the row
+// side too: it runs the unoptimized fan-out. Both sides fill the same
+// rows, so the choice moves no bit.
+func (tc termCtx) byColumns(o Options, bp *bipartite, partial bool) bool {
+	ratio := columnFanOutRatio
+	if partial {
+		ratio = partialColumnFanOutRatio
+	}
+	if o.ablated(ablateGoalPrune) || ratio*bp.nCols() >= len(bp.sources) {
 		return false
 	}
-	return tc.prov == nil || tc.series && !tc.prov.isTracked(tc.refHash)
+	return !tc.retainsRows()
+}
+
+// retainsRows reports whether the ground provider keeps what the row
+// side's runs compute. It keeps nothing with no provider, or in a
+// Series over an untracked reference state. A tracked state's source
+// runs build the trees Step repairs from, and Pairs and Matrix retain
+// compact rows for their repeated queries.
+func (tc termCtx) retainsRows() bool {
+	return tc.prov != nil && (!tc.series || tc.prov.isTracked(tc.refHash))
+}
+
+// partialRowColumns is the columns a partial row settles before its
+// search stops (see partialRows), fixed by BenchmarkFanOutOrientation's
+// partial side (term_bench_test.go; numbers in docs/PERFORMANCE.md,
+// "Strategy selection"). With absorbing banks a source's plan mostly
+// ships to its nearest few banks: on analyze's Series, seeds 2-5, 8
+// columns certified the first solve of 13-14 of each seed's 14 partial
+// terms, where 4 certified 3-9 and cost 1.6-2.1 solves per term.
+const partialRowColumns = 8
+
+// partialRows reports whether bp's row-side runs stop once
+// partialRowColumns columns settle, leaving the farther cells unknown
+// (see bipartite.radius and solveRows, which checks the plan). It
+// takes terms whose banks absorb (residual suppliers are the sources),
+// with more columns than that, on the exact pipeline's goal search
+// (no error budget, no ablation, columns not dense), where the row
+// side retains nothing. Where the banks supply, plans reach far
+// columns: on the same analyze terms every such plan crossed unknown
+// cells twice, paying three solves and every row. Retained rows must
+// be complete.
+func (tc termCtx) partialRows(g *graph.Digraph, o Options, bp *bipartite) bool {
+	return tc.epsTerm == 0 && !bp.rev && bp.nCols() > partialRowColumns &&
+		bp.nCols() <= pruneLimit(g.N()) && !o.ablated(ablateGoalPrune) && !tc.retainsRows()
 }
 
 // fanOut fills bp.rows, rows[k][j] being the ground distance from
@@ -468,32 +557,47 @@ func (tc termCtx) byColumns(o Options, bp *bipartite) bool {
 // sides search with sssp.DijkstraGoalsInto cut off at inf and give the
 // same rows, bit for bit. The provider's retained rows and the row
 // side's dense fallback differ from them only past inf, where
-// bp.capped saturates every value alike.
+// bp.capped saturates every value alike. fanOut fills complete rows;
+// termBipartite may ask fanOutAs for partial ones.
 //
 // Runs are sub-tasks with a fixed output slot (a row, or a column of
 // every row), so when a help pool is present idle workers steal them,
 // with rows — and every downstream bit — identical to the sequential
 // order.
 func (tc termCtx) fanOut(g *graph.Digraph, spec termSpec, o Options, bp *bipartite) error {
-	return tc.fanOutAs(g, spec, o, bp, tc.byColumns(o, bp))
+	_, err := tc.fanOutAs(g, spec, o, bp, tc.byColumns(o, bp, false), 0)
+	return err
 }
 
-// fanOutAs is fanOut with the orientation given.
-func (tc termCtx) fanOutAs(g *graph.Digraph, spec termSpec, o Options, bp *bipartite, byCols bool) error {
+// fanOutAs is fanOut with the orientation given; need > 0 asks the row
+// side for partial rows of that many columns. It returns the row
+// side's run (nil by column), which completes a row when called with
+// need 0.
+func (tc termCtx) fanOutAs(g *graph.Digraph, spec termSpec, o Options, bp *bipartite, byCols bool, need int) (rowRun, error) {
 	tc.sc.resetRows()
 	rows := tc.sc.takeRowHeaders(len(bp.sources))
 	for i := range rows {
 		rows[i] = tc.sc.takeRow(bp.nCols())
 	}
-	total, run := len(bp.sources), tc.sourceRuns(g, spec, o, bp, rows)
+	bp.rows, bp.radius = rows, nil
 	if byCols {
-		total, run = bp.nCols(), tc.columnRuns(g, spec, o, bp, rows)
+		return nil, tc.runTasks(bp.nCols(), tc.columnRuns(g, spec, o, bp, rows))
 	}
+	if need > 0 {
+		bp.radius = tc.sc.takeRow(len(bp.sources))
+	}
+	run := tc.sourceRuns(g, spec, o, bp)
+	return run, tc.runTasks(len(bp.sources), func(sc *scratch, i int) { run(sc, i, need) })
+}
+
+// runTasks runs the fan-out sub-tasks 0..total-1, split across the help
+// pool's idle workers when there is one, and charges the time to SSSP.
+func (tc termCtx) runTasks(total int, run func(sc *scratch, i int)) error {
 	owner := tc.sc
 	if owner == nil {
 		owner = &scratch{} // one-shot callers (Explain) carry no arena
 	}
-	fanStart := time.Now()
+	start := time.Now()
 	if tc.help != nil && total > 1 {
 		if err := tc.help.runFanout(tc.ctx, owner, total, run); err != nil {
 			return err
@@ -507,11 +611,14 @@ func (tc termCtx) fanOutAs(g *graph.Digraph, spec termSpec, o Options, bp *bipar
 		}
 	}
 	if tc.stats != nil {
-		addPhase(&tc.stats.ssspNanos, fanStart)
+		addPhase(&tc.stats.ssspNanos, start)
 	}
-	bp.rows = rows
 	return nil
 }
+
+// rowRun fills row i of a row-side fan-out, partially when need > 0
+// (see sourceRuns).
+type rowRun func(sc *scratch, i, need int)
 
 // sourceRuns returns the row side's sub-task: run i fills rows[i], the
 // row of bp.sources[i]. The search's targets are the opposite users,
@@ -521,7 +628,14 @@ func (tc termCtx) fanOutAs(g *graph.Digraph, spec termSpec, o Options, bp *bipar
 // by the grouped goal search on the no-provider, budget-exhausted and
 // Series-miss paths, and by a full-graph run when goal pruning is
 // ablated or the columns are dense.
-func (tc termCtx) sourceRuns(g *graph.Digraph, spec termSpec, o Options, bp *bipartite, rows [][]int64) func(sc *scratch, i int) {
+//
+// With need > 0 the goal search stops once need columns settle (and
+// that key level is finished); the row then keeps its radius in
+// bp.radius[i] and holds radius+1 on every cell past it. A search that
+// ends on its own, or a row the provider serves, is complete:
+// bp.radius[i] reads sssp.Unreachable. So does a radius at inf, past
+// which every cell saturates anyway.
+func (tc termCtx) sourceRuns(g *graph.Digraph, spec termSpec, o Options, bp *bipartite) rowRun {
 	srcGraph := g
 	if bp.rev {
 		// Reverse runs: dist(x -> c) for every x, per consumer c.
@@ -547,9 +661,13 @@ func (tc termCtx) sourceRuns(g *graph.Digraph, spec termSpec, o Options, bp *bip
 	dense := bp.nCols() > pruneLimit(g.N())
 	noPrune := o.ablated(ablateGoalPrune)
 	maxCost := o.Costs.MaxCost()
-	return func(sc *scratch, i int) {
+	rows := bp.rows
+	return func(sc *scratch, i, need int) {
 		s := bp.sources[i]
 		out := rows[i]
+		if bp.radius != nil {
+			bp.radius[i] = sssp.Unreachable
+		}
 		if tc.prov != nil {
 			if !noPrune {
 				if tc.prov.rowGoals(tc.refHash, spec.ref, spec.op, bp.rev, s, srcW, targets, cols, out, !tc.series, sc) {
@@ -574,7 +692,15 @@ func (tc termCtx) sourceRuns(g *graph.Digraph, spec termSpec, o Options, bp *bip
 			}
 			return
 		}
-		sssp.DijkstraGoalsInto(srcGraph, srcW, bp.sources[i:i+1], targets, cols, pqueue.KindAuto, maxCost, bp.inf, out, &sc.goals)
+		r := sssp.DijkstraGoalsInto(srcGraph, srcW, bp.sources[i:i+1], targets, cols, need, pqueue.KindAuto, maxCost, bp.inf, out, &sc.goals)
+		if r < bp.inf { // need > 0, so bp.radius is in place
+			bp.radius[i] = r
+			for c, d := range out {
+				if d > r {
+					out[c] = r + 1
+				}
+			}
+		}
 	}
 }
 
@@ -597,10 +723,10 @@ func (tc termCtx) columnRuns(g *graph.Digraph, spec termSpec, o Options, bp *bip
 		if j < nOpp {
 			c := bp.opposite[j : j+1]
 			if tc.prov == nil || !tc.prov.rowGoals(tc.refHash, spec.ref, spec.op, !bp.rev, c[0], colW, bp.sources, nil, out, !tc.series, sc) {
-				sssp.DijkstraGoalsInto(colGraph, colW, c, bp.sources, nil, pqueue.KindAuto, maxCost, bp.inf, out, &sc.goals)
+				sssp.DijkstraGoalsInto(colGraph, colW, c, bp.sources, nil, 0, pqueue.KindAuto, maxCost, bp.inf, out, &sc.goals)
 			}
 		} else {
-			sssp.DijkstraGoalsInto(colGraph, colW, bp.red.banks[j-nOpp].members, bp.sources, nil, pqueue.KindAuto, maxCost, bp.inf, out, &sc.goals)
+			sssp.DijkstraGoalsInto(colGraph, colW, bp.red.banks[j-nOpp].members, bp.sources, nil, 0, pqueue.KindAuto, maxCost, bp.inf, out, &sc.goals)
 		}
 		for k, d := range out {
 			rows[k][j] = d

@@ -196,8 +196,13 @@ func BenchmarkColdSolveShape(b *testing.B) {
 // sources are those users and its columns the 64 banks; the opp=50
 // variants add 50 neutral users as opposite-side columns (the fan-out
 // reads nothing of the reduction but its users and bank members). Each
-// name carries the column count and the side byColumns picks; both
-// sides must fill identical rows.
+// name carries the column count and the side fanOutPlan picks; the row
+// and column sides must fill identical rows. The partial side fills the rows
+// partialRows asks for on these terms (their banks absorb); its check,
+// untimed, compares every cell within a row's radius with the complete
+// rows and every cell past it against the radius, and where the term
+// balances (opp=0) solves the rows as termBipartite does, completing
+// crossed rows, which must reach the complete rows' term value.
 func BenchmarkFanOutOrientation(b *testing.B) {
 	g := graph.ScaleFree(graph.ScaleFreeConfig{
 		N: 20000, OutDeg: 6, Exponent: -2.3, Reciprocity: 0.2, Seed: 1_000_014,
@@ -216,7 +221,7 @@ func BenchmarkFanOutOrientation(b *testing.B) {
 			neutral = append(neutral, int32(u))
 		}
 	}
-	for _, sources := range []int{32, 64, 128, 256, 512} {
+	for _, sources := range []int{32, 64, 128, 256, 384, 512} {
 		q, left := base.Clone(), sources
 		for _, u := range perm {
 			if left > 0 && q[u] == opinion.Positive {
@@ -233,30 +238,66 @@ func BenchmarkFanOutOrientation(b *testing.B) {
 				b.Fatalf("instance has rev=%v, %d sources, %d opposite users", bp.rev, len(bp.sources), bp.nOpp())
 			}
 			rule := "rows"
-			if (termCtx{}).byColumns(o, &bp) {
+			if byCols, need := (termCtx{}).fanOutPlan(g, o, &bp); byCols {
 				rule = "columns"
+			} else if need > 0 {
+				rule = "partial"
 			}
 			name := fmt.Sprintf("sources=%d/opp=%d/cols=%d/rule=%s", sources, opp, bp.nCols(), rule)
 			var want [][]int64
-			for _, byCols := range []bool{false, true} {
-				side := "rows"
-				if byCols {
-					side = "columns"
+			var wantVal float64
+			for _, side := range []string{"rows", "columns", "partial"} {
+				byCols, need := side == "columns", 0
+				if side == "partial" {
+					need = partialRowColumns
 				}
 				tc := termCtx{sc: &scratch{}}
 				b.Run(name+"/"+side, func(b *testing.B) {
 					for i := 0; i < b.N; i++ {
-						if err := tc.fanOutAs(g, spec, o, &bp, byCols); err != nil {
+						if _, err := tc.fanOutAs(g, spec, o, &bp, byCols, need); err != nil {
 							b.Fatal(err)
 						}
 					}
 				})
-				if want == nil {
+				// Refill untimed, so the checks run when the filter skips
+				// this side.
+				run, err := tc.fanOutAs(g, spec, o, &bp, byCols, need)
+				if err != nil {
+					b.Fatal(err)
+				}
+				switch side {
+				case "rows":
 					for _, row := range bp.rows {
 						want = append(want, append([]int64(nil), row...))
 					}
-				} else if !reflect.DeepEqual(bp.rows, want) {
-					b.Fatalf("%s: the column side's rows differ from the row side's", name)
+					if opp == 0 { // the opp variants' added users unbalance the instance
+						tv, _, err := tc.solveTerm(&bp, o, 0, false, nil)
+						if err != nil {
+							b.Fatal(err)
+						}
+						wantVal = tv.val
+					}
+				case "columns":
+					if !reflect.DeepEqual(bp.rows, want) {
+						b.Fatalf("%s: the column side's rows differ from the row side's", name)
+					}
+				case "partial":
+					if run == nil || bp.radius == nil {
+						b.Fatalf("%s: the partial side filled no partial rows", name)
+					}
+					for k, row := range bp.rows {
+						for j, d := range row {
+							if bp.unknown(k, j) && want[k][j] <= bp.radius[k] || !bp.unknown(k, j) && d != want[k][j] {
+								b.Fatalf("%s: partial cell (%d, %d) = %d with radius %d, complete %d", name, k, j, d, bp.radius[k], want[k][j])
+							}
+						}
+					}
+					if opp == 0 {
+						tv, _, err := tc.solveRows(&bp, run, o, 0, nil)
+						if err != nil || tv.val != wantVal {
+							b.Fatalf("%s: partial rows give term value %v (%v), complete rows %v", name, tv.val, err, wantVal)
+						}
+					}
 				}
 			}
 		}

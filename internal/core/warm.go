@@ -122,56 +122,54 @@ func (wb *warmBasis) structBytes() int64 {
 }
 
 // warmCache is the engine's byte-budgeted ring of bases, oldest first.
-// Three quarters of the budget hold transplant data, one quarter holds
-// structures (exact-hit memos).
+// One budget covers transplant data and structures (exact-hit memos)
+// alike; under it the oldest entries lose their data before any whole
+// entry is dropped.
 type warmCache struct {
-	mu                       sync.Mutex
-	dataBudget, structBudget int64
-	dataBytes, structBytes   int64
-	entries                  []*warmBasis
+	mu      sync.Mutex
+	budget  int64
+	bytes   int64 // data and structures retained
+	entries []*warmBasis
 }
 
 func newWarmCache(budget int64) *warmCache {
 	if budget <= 0 {
 		return nil
 	}
-	return &warmCache{dataBudget: budget - budget/4, structBudget: budget / 4}
+	return &warmCache{budget: budget}
 }
 
 // store retains wb as the newest entry, replacing a retained basis of
 // the same instance (two batches may solve one term concurrently).
-// Transplant data of older entries is stripped past the data budget
-// (the newest always keeps its data), and whole oldest entries drop
-// past the structure budget.
+// Past the budget, transplant data is stripped oldest first (the
+// newest always keeps its data), and only then do whole oldest entries
+// drop.
 func (wc *warmCache) store(wb *warmBasis) {
 	wc.mu.Lock()
 	defer wc.mu.Unlock()
 	for i := len(wc.entries) - 1; i >= 0; i-- {
 		if e := wc.entries[i]; e.refHash == wb.refHash && e.op == wb.op && e.sameStructure(wb.red) {
-			wc.dataBytes -= e.dataBytes()
-			wc.structBytes -= e.structBytes()
+			wc.bytes -= e.dataBytes() + e.structBytes()
 			wc.entries = append(wc.entries[:i], wc.entries[i+1:]...)
 			break
 		}
 	}
 	wc.entries = append(wc.entries, wb)
-	wc.structBytes += wb.structBytes()
-	wc.dataBytes += wb.dataBytes()
-	for i := 0; i < len(wc.entries)-1 && wc.dataBytes > wc.dataBudget; i++ {
+	wc.bytes += wb.dataBytes() + wb.structBytes()
+	for i := 0; i < len(wc.entries)-1 && wc.bytes > wc.budget; i++ {
 		wc.strip(wc.entries[i])
 	}
-	for (wc.structBytes > wc.structBudget || len(wc.entries) > maxWarmEntries) &&
-		len(wc.entries) > 1 {
+	for (wc.bytes > wc.budget || len(wc.entries) > maxWarmEntries) && len(wc.entries) > 1 {
 		old := wc.entries[0]
 		wc.entries = wc.entries[1:]
-		wc.structBytes -= old.structBytes()
 		wc.strip(old)
+		wc.bytes -= old.structBytes()
 	}
 }
 
 // strip drops an entry's transplant data.
 func (wc *warmCache) strip(e *warmBasis) {
-	wc.dataBytes -= e.dataBytes()
+	wc.bytes -= e.dataBytes()
 	e.prices, e.cells = nil, nil
 }
 

@@ -468,6 +468,64 @@ func TestTrackedExactHitWithStrippedBasis(t *testing.T) {
 	}
 }
 
+// TestWarmRingStripsBeforeDropping runs 17 tracked pairs through a
+// 64 KiB ring: the tracked reference state advances every step and
+// two fixed queries take turns against it, so each term transplants
+// from and stores into a ring that fills past its budget. Clustered
+// banks keep each basis's data small against its structure (whose user
+// lists hold every bank member), the shape on which a ring that split
+// its budget 3:1 between data and structures dropped whole entries
+// without ever stripping one. With one budget, the ring must strip the
+// data of at least one basis it keeps and stay within the budget, and
+// every result must match a cold engine's bit for bit.
+func TestWarmRingStripsBeforeDropping(t *testing.T) {
+	g := engineTestGraph(200, 95)
+	rng := rand.New(rand.NewSource(96))
+	states := engineTestStates(g.N(), 18, 6, 97)
+	queries := []opinion.State{perturb(states[0], 40, rng), perturb(states[0], 40, rng)}
+	ctx := context.Background()
+	opts := engineTestOptions(g)[1]
+	we := NewEngine(g, opts, EngineConfig{Workers: 1, WarmCacheBytes: 64 << 10})
+	ce := NewEngine(g, opts, EngineConfig{Workers: 1, WarmCacheBytes: -1})
+	for i := 0; i+1 < len(states); i++ {
+		var changed []int32
+		for u := range states[i] {
+			if states[i][u] != states[i+1][u] {
+				changed = append(changed, int32(u))
+			}
+		}
+		we.AdvanceRef(states[i], states[i+1], changed)
+		q := queries[i%2]
+		got, err := we.Distance(ctx, q, states[i+1])
+		if err != nil {
+			t.Fatalf("pair %d: %v", i, err)
+		}
+		want, err := ce.Distance(ctx, q, states[i+1])
+		if err != nil {
+			t.Fatalf("pair %d cold: %v", i, err)
+		}
+		if !reflect.DeepEqual(got, want) {
+			t.Fatalf("pair %d diverged from cold:\n%+v\n%+v", i, got, want)
+		}
+	}
+	stripped, bytes := 0, int64(0)
+	for _, wb := range we.warm.entries {
+		if wb.prices == nil {
+			stripped++
+		}
+		bytes += wb.dataBytes() + wb.structBytes()
+	}
+	if stripped == 0 {
+		t.Fatalf("no basis stripped among %d entries holding %d bytes", len(we.warm.entries), bytes)
+	}
+	if bytes != we.warm.bytes || bytes > we.warm.budget {
+		t.Fatalf("ring holds %d bytes, accounts %d, budget %d", bytes, we.warm.bytes, we.warm.budget)
+	}
+	if s := we.Stats(); s.TermsWarmSolved == 0 {
+		t.Fatalf("no term solved warm: %+v", s)
+	}
+}
+
 // TestMatrixValidatesDuplicateInvalidStates pins that the deduplicating
 // Matrix rejects invalid input exactly like the unscreened path, even
 // when every state collapses to one representative.

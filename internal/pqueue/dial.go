@@ -7,17 +7,17 @@ package pqueue
 // supplied at construction. Dijkstra with non-negative integer edge
 // costs bounded by C satisfies this invariant, which is exactly the
 // paper's Assumption 2 (costs are positive integers bounded by U).
+//
+// Under that window the C+1 buckets hold C+1 consecutive keys, one key
+// each, so a bucket stores bare items and Pop derives the key from last
+// and the number of buckets it advanced: an entry is 4 bytes, not 16.
+// Items must fit in an int32.
 type Dial struct {
-	buckets [][]entry
+	buckets [][]int32
 	c       int64 // bucket count - 1 == max key spread
-	cursor  int64 // bucket index of the last popped key
+	cursor  int64 // bucket index of last
 	last    int64 // last popped key (monotone floor)
 	size    int
-}
-
-type entry struct {
-	item int
-	key  int64
 }
 
 // NewDial returns an empty Dial queue supporting key spreads up to
@@ -27,7 +27,7 @@ func NewDial(maxEdgeCost int64, hint int) *Dial {
 		maxEdgeCost = 1
 	}
 	return &Dial{
-		buckets: make([][]entry, maxEdgeCost+1),
+		buckets: make([][]int32, maxEdgeCost+1),
 		c:       maxEdgeCost,
 	}
 }
@@ -50,12 +50,13 @@ func (d *Dial) Push(item int, key int64) {
 		panic("pqueue: Dial key outside monotone window")
 	}
 	b := key % (d.c + 1)
-	d.buckets[b] = append(d.buckets[b], entry{item, key})
+	d.buckets[b] = append(d.buckets[b], int32(item))
 	d.size++
 }
 
 // Pop removes and returns a minimum-key pair by scanning buckets
-// circularly from the last minimum.
+// circularly from the last minimum; each bucket it steps over raises
+// the key by one.
 func (d *Dial) Pop() (item int, key int64, ok bool) {
 	if d.size == 0 {
 		return 0, 0, false
@@ -64,16 +65,14 @@ func (d *Dial) Pop() (item int, key int64, ok bool) {
 	for {
 		b := d.buckets[d.cursor]
 		if len(b) > 0 {
-			// Entries within one bucket share the same key modulo
-			// n; under the monotone window they share the exact
-			// key, so LIFO order within the bucket is fine.
-			e := b[len(b)-1]
+			// Every entry of the bucket has key last, so LIFO order
+			// within it is fine.
 			d.buckets[d.cursor] = b[:len(b)-1]
 			d.size--
-			d.last = e.key
-			return e.item, e.key, true
+			return int(b[len(b)-1]), d.last, true
 		}
 		d.cursor++
+		d.last++
 		if d.cursor == n {
 			d.cursor = 0
 		}

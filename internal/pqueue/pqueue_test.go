@@ -114,6 +114,51 @@ func TestMonotoneAgainstBinary(t *testing.T) {
 	}
 }
 
+// TestDialWrapsAgainstBinary drives a Dial with a narrow window through
+// thousands of trips around its buckets, against the binary heap: the
+// popped keys must agree, and every popped item must come back with
+// the key it was pushed with (a Dial bucket stores no key, so a key
+// derived from the wrong bucket count would show here). The queue also
+// drains and refills mid-run, and resets once.
+func TestDialWrapsAgainstBinary(t *testing.T) {
+	const maxCost = 3
+	rng := rand.New(rand.NewSource(7))
+	ref, dial := New(KindBinary, maxCost, 0), NewDial(maxCost, 0)
+	pushed := map[int]int64{}
+	next := 0
+	push := func(key int64) {
+		ref.Push(next, key)
+		dial.Push(next, key)
+		pushed[next] = key
+		next++
+	}
+	var last, laps int64
+	for step := 0; step < 40000; step++ {
+		if step == 20000 {
+			laps += last / (maxCost + 1)
+			ref.Reset()
+			dial.Reset()
+			last = 0
+		}
+		if ref.Len() == 0 {
+			push(last + int64(rng.Intn(maxCost+1)))
+		}
+		_, k1, _ := ref.Pop()
+		item, k2, ok := dial.Pop()
+		if !ok || k1 != k2 || pushed[item] != k2 {
+			t.Fatalf("step %d: binary key %d, dial item %d key %d (pushed with %d, ok %v)",
+				step, k1, item, k2, pushed[item], ok)
+		}
+		last = k1
+		for j := rng.Intn(3); j > 0; j-- {
+			push(last + int64(rng.Intn(maxCost+1)))
+		}
+	}
+	if laps += last / (maxCost + 1); laps < 500 {
+		t.Fatalf("the window wrapped only %d times", laps)
+	}
+}
+
 func TestDialWindowPanics(t *testing.T) {
 	q := NewDial(5, 0)
 	q.Push(0, 3)

@@ -14,6 +14,11 @@ type Radix struct {
 	size    int
 }
 
+type entry struct {
+	item int
+	key  int64
+}
+
 // NewRadix returns an empty radix heap. hint is unused (buckets grow on
 // demand) and retained for signature symmetry.
 func NewRadix(hint int) *Radix {

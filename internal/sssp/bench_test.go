@@ -74,7 +74,7 @@ func BenchmarkDijkstraGoals(b *testing.B) {
 			out := make([]int64, len(targets))
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				DijkstraGoalsInto(g, w, []int32{int32(i % g.N())}, targets, nil, pqueue.KindDial, benchMaxCost, cutoff, out, gs)
+				DijkstraGoalsInto(g, w, []int32{int32(i % g.N())}, targets, nil, 0, pqueue.KindDial, benchMaxCost, cutoff, out, gs)
 			}
 		})
 	}
@@ -92,7 +92,7 @@ func BenchmarkDijkstraGoals(b *testing.B) {
 		out := make([]int64, banks)
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
-			DijkstraGoalsInto(g, w, []int32{int32(i % g.N())}, targets, cols, pqueue.KindDial, benchMaxCost, cutoff, out, gs)
+			DijkstraGoalsInto(g, w, []int32{int32(i % g.N())}, targets, cols, 0, pqueue.KindDial, benchMaxCost, cutoff, out, gs)
 		}
 	})
 }

@@ -58,7 +58,7 @@ func (gs *GoalsScratch) reset(targets []int32) {
 // one-off callers.
 func DijkstraGoals(g *graph.Digraph, w []int32, srcs, targets []int32, kind pqueue.Kind, maxCost, cutoff int64) []int64 {
 	out := make([]int64, len(targets))
-	DijkstraGoalsInto(g, w, srcs, targets, nil, kind, maxCost, cutoff, out, &GoalsScratch{})
+	DijkstraGoalsInto(g, w, srcs, targets, nil, 0, kind, maxCost, cutoff, out, &GoalsScratch{})
 	return out
 }
 
@@ -89,6 +89,17 @@ const unsettled = -1
 // column (srcs is an opposite user or a whole bank; targets are the
 // sources, one column each).
 //
+// need > 0 asks for a partial row: once need columns have settled,
+// the search finishes that key level and stops, and returns that key,
+// the radius. Every column within the radius then holds its exact
+// value, and every other column reads Unreachable while its true
+// distance exceeds the radius (it may also lie past the cutoff, or be
+// unreachable). A transport plan that only uses a source's nearest
+// columns needs no more (the term pipeline charges an unknown column
+// radius+1 and checks the plan). The search returns Unreachable, and
+// every column is exact, when need <= 0, when fewer than need columns
+// settle, or when every column settles within the radius's key level.
+//
 // cutoff prunes the search radius: a column whose nearest target lies
 // beyond cutoff is reported Unreachable (pass Unreachable to disable),
 // as is a column with no reachable target or no target at all. Callers
@@ -103,7 +114,7 @@ const unsettled = -1
 // length covering every cols entry. maxCost must bound every edge cost
 // when kind is (or resolves to) pqueue.KindDial; it is otherwise
 // advisory, as with DijkstraInto.
-func DijkstraGoalsInto(g *graph.Digraph, w []int32, srcs, targets, cols []int32, kind pqueue.Kind, maxCost, cutoff int64, out []int64, gs *GoalsScratch) {
+func DijkstraGoalsInto(g *graph.Digraph, w []int32, srcs, targets, cols []int32, need int, kind pqueue.Kind, maxCost, cutoff int64, out []int64, gs *GoalsScratch) (radius int64) {
 	n := g.N()
 	if len(w) != g.M() {
 		panic("sssp: weight array not aligned with graph edges")
@@ -143,6 +154,15 @@ func DijkstraGoalsInto(g *graph.Digraph, w []int32, srcs, targets, cols []int32,
 		next[i] = head[t]
 		head[t] = int32(i)
 	}
+	// stopAt is the remaining count at which a partial row has enough
+	// columns. The search settles keys up to stop: the cutoff, then a
+	// partial row's radius once stopAt is reached, past which nothing
+	// more is pushed.
+	stopAt := -1
+	if need > 0 && need < remaining {
+		stopAt = remaining - need
+	}
+	stop, partial := cutoff, false
 	q, _ := gs.fr.acquire(kind, 0, maxCost, n)
 	if remaining > 0 && cutoff >= 0 {
 		for _, s := range srcs {
@@ -158,8 +178,8 @@ func DijkstraGoalsInto(g *graph.Digraph, w []int32, srcs, targets, cols []int32,
 		if !ok {
 			break // every reachable vertex is settled
 		}
-		if key > cutoff {
-			break // all remaining columns lie beyond the cutoff
+		if key > stop {
+			break // past the cutoff, or past a partial row's key level
 		}
 		if key > dist[u] {
 			continue // stale lazy-deletion entry
@@ -181,6 +201,9 @@ func DijkstraGoalsInto(g *graph.Digraph, w []int32, srcs, targets, cols []int32,
 			if remaining == 0 {
 				break // settling u's neighbors cannot change any column
 			}
+			if !partial && remaining <= stopAt {
+				stop, partial = key, true
+			}
 		}
 		lo, hi := g.EdgeRange(u)
 		for e := lo; e < hi; e++ {
@@ -191,17 +214,22 @@ func DijkstraGoalsInto(g *graph.Digraph, w []int32, srcs, targets, cols []int32,
 					gs.touched = append(gs.touched, v)
 				}
 				dist[v] = nd
-				if nd <= cutoff {
+				if nd <= stop {
 					q.Push(int(v), nd)
 				}
 			}
 		}
 	}
-	if remaining > 0 {
-		for c, d := range out {
-			if d == unsettled {
-				out[c] = Unreachable
-			}
+	if remaining == 0 {
+		return Unreachable
+	}
+	for c, d := range out {
+		if d == unsettled {
+			out[c] = Unreachable
 		}
 	}
+	if partial {
+		return stop
+	}
+	return Unreachable
 }

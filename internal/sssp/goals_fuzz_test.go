@@ -31,6 +31,7 @@ type goalsCase struct {
 	kind    pqueue.Kind
 	maxCost int64
 	cutoff  int64
+	need    int // 0: every column; 1..nCols: a partial row of that many
 }
 
 // decodeGoalsCase builds a small digraph, its weights, a source set, a
@@ -40,7 +41,9 @@ type goalsCase struct {
 // vertex range, so repeats — of a target in one column or across
 // columns, of a source, of a source as a target — are common. The
 // sources past the first are decoded last, so an input written for
-// the single-source search decodes to the same case.
+// the single-source search decodes to the same case; the partial-row
+// count comes after them, so an input written before it decodes to a
+// complete row.
 func decodeGoalsCase(data []byte) goalsCase {
 	in := fuzzBytes(data)
 	kinds := []pqueue.Kind{pqueue.KindBinary, pqueue.KindDial, pqueue.KindRadix, pqueue.KindAuto}
@@ -80,6 +83,7 @@ func decodeGoalsCase(data []byte) goalsCase {
 	for extra := in.next(4); extra > 0; extra-- {
 		c.srcs = append(c.srcs, int32(in.next(n)))
 	}
+	c.need = in.next(c.nCols + 1)
 	return c
 }
 
@@ -88,6 +92,17 @@ func decodeGoalsCase(data []byte) goalsCase {
 // that minimum exceeds the cutoff or the column has no reachable
 // target.
 func wantGoals(c goalsCase, srcs []int32) []int64 {
+	want := columnMinima(c, srcs)
+	for j, d := range want {
+		if d > c.cutoff {
+			want[j] = Unreachable
+		}
+	}
+	return want
+}
+
+// columnMinima is wantGoals with no cutoff.
+func columnMinima(c goalsCase, srcs []int32) []int64 {
 	dist := make([]int64, c.g.N())
 	for v := range dist {
 		dist[v] = Unreachable
@@ -110,22 +125,21 @@ func wantGoals(c goalsCase, srcs []int32) []int64 {
 			want[j] = d
 		}
 	}
-	for j, d := range want {
-		if d > c.cutoff {
-			want[j] = Unreachable
-		}
-	}
 	return want
 }
 
 // FuzzDijkstraGoals checks the goal search against column minima of
 // the BellmanFord oracle over random small digraphs, weights, source
-// sets, cutoffs, queue kinds and column maps (users in several columns,
-// repeated targets in one column, empty and unreachable columns). Each
-// input runs twice on one scratch, from its sources and from each
-// source's next vertex, so labels or target lists the first run left
-// behind would show in the second. The seed corpus is in
-// testdata/fuzz/FuzzDijkstraGoals.
+// sets, cutoffs, queue kinds, column maps (users in several columns,
+// repeated targets in one column, empty and unreachable columns) and
+// partial-row counts. A complete row must equal the oracle on every
+// column. A partial row (a radius below Unreachable) must hold at
+// least need columns within its radius, each equal to the oracle, and
+// read Unreachable on every other column, whose true minimum must
+// exceed the radius. Each input runs twice on one scratch, from its
+// sources and from each source's next vertex, so labels or target
+// lists the first run left behind would show in the second. The seed
+// corpus is in testdata/fuzz/FuzzDijkstraGoals.
 func FuzzDijkstraGoals(f *testing.F) {
 	f.Fuzz(func(t *testing.T, data []byte) {
 		c := decodeGoalsCase(data)
@@ -136,13 +150,36 @@ func FuzzDijkstraGoals(f *testing.F) {
 			shifted[i] = (s + 1) % int32(c.g.N())
 		}
 		for _, srcs := range [][]int32{c.srcs, shifted} {
-			DijkstraGoalsInto(c.g, c.w, srcs, c.targets, c.cols, c.kind, c.maxCost, c.cutoff, out, gs)
+			radius := DijkstraGoalsInto(c.g, c.w, srcs, c.targets, c.cols, c.need, c.kind, c.maxCost, c.cutoff, out, gs)
 			want := wantGoals(c, srcs)
-			for j := range want {
-				if out[j] != want[j] {
-					t.Fatalf("srcs %v kind %v cutoff %d targets %v cols %v: column %d = %d, want %d",
-						srcs, c.kind, c.cutoff, c.targets, c.cols, j, out[j], want[j])
+			if radius == Unreachable {
+				for j := range want {
+					if out[j] != want[j] {
+						t.Fatalf("srcs %v kind %v cutoff %d need %d targets %v cols %v: column %d = %d, want %d",
+							srcs, c.kind, c.cutoff, c.need, c.targets, c.cols, j, out[j], want[j])
+					}
 				}
+				continue
+			}
+			if c.need <= 0 || radius > c.cutoff {
+				t.Fatalf("srcs %v need %d cutoff %d: partial row with radius %d", srcs, c.need, c.cutoff, radius)
+			}
+			settled := 0
+			for j, exact := range columnMinima(c, srcs) {
+				switch {
+				case out[j] <= radius:
+					settled++
+					if out[j] != exact {
+						t.Fatalf("srcs %v kind %v need %d targets %v cols %v: settled column %d = %d, want %d",
+							srcs, c.kind, c.need, c.targets, c.cols, j, out[j], exact)
+					}
+				case out[j] != Unreachable || exact <= radius:
+					t.Fatalf("srcs %v kind %v need %d targets %v cols %v: column %d reads %d with minimum %d, radius %d",
+						srcs, c.kind, c.need, c.targets, c.cols, j, out[j], exact, radius)
+				}
+			}
+			if settled < c.need {
+				t.Fatalf("srcs %v need %d: %d columns settled within radius %d", srcs, c.need, settled, radius)
 			}
 		}
 	})

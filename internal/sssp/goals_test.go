@@ -43,7 +43,7 @@ func TestDijkstraGoalsColumns(t *testing.T) {
 	targets := []int32{3, 2, 2, 1, 4, 3}
 	cols := []int32{0, 0, 1, 1, 3, 1}
 	out := make([]int64, 4)
-	DijkstraGoalsInto(g, w, []int32{0}, targets, cols, pqueue.KindBinary, 4, Unreachable, out, nil)
+	DijkstraGoalsInto(g, w, []int32{0}, targets, cols, 0, pqueue.KindBinary, 4, Unreachable, out, nil)
 	want := []int64{5, 2, Unreachable, Unreachable}
 	for c := range want {
 		if out[c] != want[c] {
@@ -85,7 +85,7 @@ func TestDijkstraGoalsSourceSet(t *testing.T) {
 		gs := &GoalsScratch{}
 		out := make([]int64, len(tc.want))
 		for _, kind := range []pqueue.Kind{pqueue.KindBinary, pqueue.KindDial} {
-			DijkstraGoalsInto(g, w, tc.srcs, tc.targets, tc.cols, kind, 4, tc.cutoff, out, gs)
+			DijkstraGoalsInto(g, w, tc.srcs, tc.targets, tc.cols, 0, kind, 4, tc.cutoff, out, gs)
 			for c := range tc.want {
 				if out[c] != tc.want[c] {
 					t.Errorf("%s (%v): column %d = %d, want %d", tc.name, kind, c, out[c], tc.want[c])
@@ -127,7 +127,7 @@ func TestDijkstraGoalsMatchesFull(t *testing.T) {
 		kind := kinds[rng.Intn(len(kinds))]
 		DijkstraInto(g, w, src, kind, maxCost, &full)
 		out := make([]int64, len(targets))
-		DijkstraGoalsInto(g, w, []int32{int32(src)}, targets, nil, kind, maxCost, Unreachable, out, gs)
+		DijkstraGoalsInto(g, w, []int32{int32(src)}, targets, nil, 0, kind, maxCost, Unreachable, out, gs)
 		for i, tgt := range targets {
 			if out[i] != full.Dist[tgt] {
 				t.Fatalf("seed %d kind %v: goal %d (node %d): pruned %d, full %d",
@@ -157,7 +157,7 @@ func TestDijkstraGoalsCutoff(t *testing.T) {
 		}
 		DijkstraInto(g, w, src, pqueue.KindDial, maxCost, &full)
 		out := make([]int64, len(targets))
-		DijkstraGoalsInto(g, w, []int32{int32(src)}, targets, nil, pqueue.KindDial, maxCost, cutoff, out, gs)
+		DijkstraGoalsInto(g, w, []int32{int32(src)}, targets, nil, 0, pqueue.KindDial, maxCost, cutoff, out, gs)
 		for v := range targets {
 			want := full.Dist[v]
 			if want > cutoff {
@@ -177,7 +177,7 @@ func TestDijkstraGoalsEmptyTargets(t *testing.T) {
 	g := graph.ErdosRenyi(20, 60, 9)
 	w := randWeights(g, 5, 10)
 	gs := &GoalsScratch{}
-	DijkstraGoalsInto(g, w, []int32{0}, nil, nil, pqueue.KindDial, 5, Unreachable, nil, gs)
+	DijkstraGoalsInto(g, w, []int32{0}, nil, nil, 0, pqueue.KindDial, 5, Unreachable, nil, gs)
 	out := DijkstraGoals(g, w, []int32{0}, []int32{0}, pqueue.KindDial, 5, Unreachable)
 	if out[0] != 0 {
 		t.Fatalf("dist to self = %d, want 0", out[0])
