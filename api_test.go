@@ -8,6 +8,8 @@ import (
 	"reflect"
 	"strings"
 	"testing"
+
+	"snd/internal/core"
 )
 
 // freshDistance computes SND(a, b) on a one-shot handle with the
@@ -67,7 +69,7 @@ func TestDistanceMatchesDirect(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	direct, err := DirectDistance(g, a, b, DefaultOptions())
+	direct, err := core.Direct(g, a, b, DefaultOptions())
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -11,6 +11,7 @@ import (
 	"math/rand"
 	"testing"
 
+	"snd/internal/core"
 	"snd/internal/dynamics"
 	"snd/internal/opinion"
 )
@@ -138,7 +139,7 @@ func BenchmarkFig11Direct(b *testing.B) {
 		b.Run(sizeName("n", n), func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				if _, err := DirectDistance(g, x, y, DefaultOptions()); err != nil {
+				if _, err := core.Direct(g, x, y, DefaultOptions()); err != nil {
 					b.Fatal(err)
 				}
 			}

@@ -7,6 +7,7 @@ import (
 	"time"
 
 	"snd"
+	"snd/internal/core"
 	"snd/internal/dynamics"
 	"snd/internal/opinion"
 	"snd/internal/stats"
@@ -177,7 +178,7 @@ func runFig11(sc scale, seed int64) {
 		directCol := "-"
 		if n <= sc.fig11DirectCap {
 			start := time.Now()
-			if _, err := snd.DirectDistance(g, a, b, snd.DefaultOptions()); err != nil {
+			if _, err := core.Direct(g, a, b, snd.DefaultOptions()); err != nil {
 				fatalf("fig11 direct n=%d: %v", n, err)
 			}
 			directCol = time.Since(start).Round(time.Millisecond).String()

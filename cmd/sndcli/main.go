@@ -8,6 +8,10 @@
 // The graph file is the edge-list format of snd.ReadGraph ("n m"
 // header, one "u v" line per directed edge); state files hold the user
 // count followed by one -1/0/1 opinion per line (snd.ReadState).
+//
+// The distance comes from the library's engine (snd.Network), which
+// picks its route per term; -v prints the routes it took. Flags:
+// -gamma and -clusters set the bank model, -timeout bounds the run.
 package main
 
 import (
@@ -23,7 +27,6 @@ func main() {
 	graphPath := flag.String("graph", "", "edge-list graph file (required)")
 	aPath := flag.String("a", "", "first state file (required)")
 	bPath := flag.String("b", "", "second state file (required)")
-	engine := flag.String("engine", "auto", "computation engine: auto (the engine picks its route per term) or direct (dense simplex baseline)")
 	gamma := flag.Int64("gamma", 0, "bank-bin ground distance (0 = default)")
 	clusters := flag.Int("clusters", 0, "bank clusters (0 = one bank per user)")
 	verbose := flag.Bool("v", false, "print per-term breakdown and statistics")
@@ -32,9 +35,6 @@ func main() {
 	if *graphPath == "" || *aPath == "" || *bPath == "" {
 		flag.Usage()
 		os.Exit(2)
-	}
-	if *engine != "auto" && *engine != "direct" {
-		exitOn(fmt.Errorf("unknown engine %q (want auto or direct)", *engine))
 	}
 
 	g, err := readGraph(*graphPath)
@@ -56,18 +56,11 @@ func main() {
 		ctx, cancel = context.WithTimeout(ctx, *timeout)
 		defer cancel()
 	}
-	var res snd.Result
-	if *engine == "direct" {
-		// The direct (dense simplex) baseline predates the handle API
-		// and takes no context.
-		res, err = snd.DirectDistance(g, a, b, opts)
-	} else {
-		// One distance per process: the ground cache could never hit, so
-		// it is disabled (values are identical either way).
-		nw := snd.NewNetwork(g, opts, snd.EngineConfig{GroundCacheBytes: -1})
-		defer nw.Close()
-		res, err = nw.Distance(ctx, a, b)
-	}
+	// One distance per process: the ground cache could never hit, so it
+	// is disabled (values are identical either way).
+	nw := snd.NewNetwork(g, opts, snd.EngineConfig{GroundCacheBytes: -1})
+	defer nw.Close()
+	res, err := nw.Distance(ctx, a, b)
 	exitOn(err)
 	if *verbose {
 		fmt.Printf("users:      %d\n", g.N())

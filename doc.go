@@ -213,14 +213,6 @@
 // exceeds the k-th best exact distance. Pairs decides identical-state
 // pairs up front and Matrix elides duplicate states entirely.
 //
-// The same bounds are exposed over raw histograms as emd.Bounds (in
-// the internal emd package, for the dense oracle path): admissibility
-// holds unconditionally for EMD (every unit of the lighter histogram
-// pays at least its nearest-massive-bin distance) and for Hat and
-// Alpha (that bound plus the exact additive mismatch penalty; Alpha
-// equals Hat by Theorem 2), and for Star under the semimetric
-// assumption (d(i,i) = 0) its own Lemma 1/2 reduction already makes.
-//
 // # Certified approximation
 //
 // The Eps entry points — Network.DistanceEps, PairsEps, SeriesEps,

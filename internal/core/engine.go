@@ -149,18 +149,6 @@ func (e *Engine) closedErr() error {
 	return nil
 }
 
-// EvictRef drops the ground-distance provider's entry for reference
-// state st (its eq. 2 edge costs and shortest-path trees), refunding
-// the provider budget for newer reference states. Tracked-state
-// workloads no longer need to call this — the provider retires tracked
-// states itself as AdvanceRef pushes its retention window — but it
-// remains for callers managing arbitrary batch reference states.
-func (e *Engine) EvictRef(st opinion.State) {
-	if e.prov != nil {
-		e.prov.evictRef(hashState(st))
-	}
-}
-
 // AdvanceRef tells the ground-distance provider that reference state
 // next derives from prev by changing the opinions of the listed users.
 // Incremental-state callers (snd.Network.Step/Apply) report every delta

@@ -371,7 +371,7 @@ func TestGroundProviderEvictRef(t *testing.T) {
 	// B retains one forward cost array, one tree, and its state
 	// snapshot (the diff base for derivations).
 	spentB := int64(g.M()*4 + g.N()*12 + g.N())
-	p.evictRef(hA)
+	p.evictEntry(hA)
 	if got := p.budgetRemaining(); got != budget0-spentB {
 		t.Errorf("budget after evict = %d, want %d (refund of A's bytes only)", got, budget0-spentB)
 	}
@@ -385,30 +385,8 @@ func TestGroundProviderEvictRef(t *testing.T) {
 	if entB.side[opIdx(opinion.Negative)].trees[treeKey{src: 2}] == nil {
 		t.Error("unrelated ref's tree was evicted")
 	}
-	p.evictRef(hB)
+	p.evictEntry(hB)
 	if got := p.budgetRemaining(); got != budget0 {
 		t.Errorf("budget after evicting everything = %d, want full refund %d", got, budget0)
-	}
-}
-
-// TestEngineEvictRefKeepsResults checks eviction is purely a memory
-// decision: values are unchanged after evicting a reference state.
-func TestEngineEvictRefKeepsResults(t *testing.T) {
-	g := engineTestGraph(150, 29)
-	states := engineTestStates(g.N(), 4, 15, 30)
-	e := NewEngine(g, DefaultOptions(), EngineConfig{Workers: 2})
-	ctx := context.Background()
-	before, err := e.Series(ctx, states)
-	if err != nil {
-		t.Fatal(err)
-	}
-	e.EvictRef(states[0])
-	e.EvictRef(states[1])
-	after, err := e.Series(ctx, states)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(before, after) {
-		t.Errorf("eviction changed results: %v vs %v", before, after)
 	}
 }

@@ -7,7 +7,6 @@ import (
 
 	"snd/internal/graph"
 	"snd/internal/opinion"
-	"snd/internal/pqueue"
 	"snd/internal/sssp"
 )
 
@@ -388,20 +387,6 @@ func (p *groundProvider) evictEntry(h hashKey) {
 	s.mu.Unlock()
 }
 
-// evictRef drops the entry of the given reference state and refunds
-// its bytes.
-func (p *groundProvider) evictRef(h hashKey) {
-	p.winMu.Lock()
-	for i, wh := range p.window {
-		if wh == h {
-			p.window = append(p.window[:i], p.window[i+1:]...)
-			break
-		}
-	}
-	p.evictEntry(h)
-	p.winMu.Unlock()
-}
-
 // clear empties every shard and zeroes the budget so no future insert
 // is retained; in-flight readers holding previously fetched slices are
 // unaffected (entries are immutable).
@@ -702,7 +687,7 @@ func (p *groundProvider) rowGoals(ref hashKey, st opinion.State, op opinion.Opin
 		if reversed {
 			srcGraph = p.g.Reverse()
 		}
-		sssp.DijkstraFrontierInto(srcGraph, w, int(src), pqueue.KindAuto, p.maxCost, &sc.res, &sc.fr)
+		sssp.DijkstraFrontierInto(srcGraph, w, int(src), p.maxCost, &sc.res, &sc.fr)
 		c := make([]int32, n)
 		capAt := int32(p.capAt)
 		for v, d := range sc.res.Dist {
@@ -877,13 +862,13 @@ func (p *groundProvider) row(ref hashKey, st opinion.State, op opinion.Opinion, 
 		if rs == nil {
 			rs = &sssp.RepairScratch{}
 		}
-		sssp.RepairInto(srcGraph, w, int(src), pqueue.KindAuto, p.maxCost, &res, dirty, dirtyTails, n/4+16, rs)
+		sssp.RepairInto(srcGraph, w, int(src), p.maxCost, &res, dirty, dirtyTails, n/4+16, rs)
 		p.repairPool.Put(rs)
 		repaired = true
 		break
 	}
 	if !repaired {
-		sssp.DijkstraInto(srcGraph, w, int(src), pqueue.KindAuto, p.maxCost, &res)
+		sssp.DijkstraInto(srcGraph, w, int(src), p.maxCost, &res)
 	}
 	tr.dist = res.Dist
 	if p.local {

@@ -8,7 +8,6 @@ import (
 
 	"snd/internal/graph"
 	"snd/internal/opinion"
-	"snd/internal/pqueue"
 	"snd/internal/sssp"
 )
 
@@ -71,7 +70,8 @@ func TestProviderDeltaDerivationExact(t *testing.T) {
 				if !ok {
 					t.Fatalf("tick %d: provider declined within budget", tick)
 				}
-				fresh := sssp.Dijkstra(g, wantW, int(src), pqueue.KindAuto, opts.Costs.MaxCost())
+				var fresh sssp.Result
+				sssp.DijkstraInto(g, wantW, int(src), opts.Costs.MaxCost(), &fresh)
 				if !reflect.DeepEqual(row, fresh.Dist) {
 					t.Fatalf("tick %d op %v src %d: repaired row diverges from fresh Dijkstra", tick, op, src)
 				}
@@ -79,7 +79,8 @@ func TestProviderDeltaDerivationExact(t *testing.T) {
 				if !ok {
 					t.Fatalf("tick %d: provider declined reversed row", tick)
 				}
-				rfresh := sssp.Dijkstra(g.Reverse(), graph.PermuteToReverse(g, wantW), int(src), pqueue.KindAuto, opts.Costs.MaxCost())
+				var rfresh sssp.Result
+				sssp.DijkstraInto(g.Reverse(), graph.PermuteToReverse(g, wantW), int(src), opts.Costs.MaxCost(), &rfresh)
 				if !reflect.DeepEqual(rrow, rfresh.Dist) {
 					t.Fatalf("tick %d op %v src %d: repaired reverse row diverges", tick, op, src)
 				}
@@ -133,7 +134,7 @@ func TestProviderWindowRetention(t *testing.T) {
 	}
 	// Evicting the survivors refunds the budget exactly.
 	for _, h := range hashes {
-		p.evictRef(h)
+		p.evictEntry(h)
 	}
 	if got := p.budgetRemaining(); got != budget0 {
 		t.Errorf("budget = %d after evicting everything, want %d", got, budget0)

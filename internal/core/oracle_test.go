@@ -9,7 +9,6 @@ import (
 	"snd/internal/flow"
 	"snd/internal/graph"
 	"snd/internal/opinion"
-	"snd/internal/pqueue"
 	"snd/internal/sssp"
 )
 
@@ -19,7 +18,7 @@ func termDense(g *graph.Digraph, spec termSpec, o Options) (float64, error) {
 	w := o.Costs.EdgeCosts(g, spec.ref, spec.op)
 	maxCost := o.Costs.MaxCost()
 	inf := infCost(g.N(), maxCost, o.EscapeHops)
-	d := sssp.Johnson(g, w, pqueue.KindAuto, maxCost)
+	d := sssp.Johnson(g, w, maxCost)
 	distFn := func(i, j int) float64 {
 		v := d[i][j]
 		if v >= sssp.Unreachable || v > inf {

@@ -9,9 +9,8 @@ import (
 	"snd/internal/opinion"
 )
 
-// This file implements lower-bound screening for the flow stage — the
-// core-side counterpart of package emd's Bounds API, specialized to the
-// integer reduced instances of the Theorem 4 pipeline.
+// This file implements lower-bound screening for the flow stage over
+// the integer reduced instances of the Theorem 4 pipeline.
 //
 // Two layers exist:
 //

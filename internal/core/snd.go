@@ -6,7 +6,6 @@ import (
 	"snd/internal/emd"
 	"snd/internal/graph"
 	"snd/internal/opinion"
-	"snd/internal/pqueue"
 	"snd/internal/sssp"
 )
 
@@ -57,7 +56,9 @@ func refName(term int) string {
 // "CPLEX" baseline of Fig. 11): full Johnson all-pairs ground
 // distances and the un-reduced dense EMD* transportation problem
 // solved with the transportation simplex. Exact but super-cubic;
-// intended for small n and for validating the routes.
+// intended for small n and for validating the routes. No public entry
+// point reaches it: sndbench's fig11 times it, and the tests compare
+// the engine against it.
 func Direct(g *graph.Digraph, a, b opinion.State, opts Options) (Result, error) {
 	opts = opts.withDefaults()
 	if err := opts.validate(g, a, b); err != nil {
@@ -70,7 +71,7 @@ func Direct(g *graph.Digraph, a, b opinion.State, opts Options) (Result, error) 
 	inf := infCost(g.N(), maxCost, opts.EscapeHops)
 	for i, spec := range specs {
 		w := opts.Costs.EdgeCosts(g, spec.ref, spec.op)
-		d := sssp.Johnson(g, w, pqueue.KindAuto, maxCost)
+		d := sssp.Johnson(g, w, maxCost)
 		distFn := func(x, y int) float64 {
 			v := d[x][y]
 			if v >= sssp.Unreachable || v > inf {

@@ -8,7 +8,6 @@ import (
 	"snd/internal/flow"
 	"snd/internal/graph"
 	"snd/internal/opinion"
-	"snd/internal/pqueue"
 	"snd/internal/sssp"
 )
 
@@ -681,7 +680,7 @@ func (tc termCtx) sourceRuns(g *graph.Digraph, spec termSpec, o Options, bp *bip
 		if noPrune || dense {
 			// Unpruned: settle the whole graph into the worker's result
 			// buffer, then fold out the queried columns.
-			sssp.DijkstraFrontierInto(srcGraph, srcW, int(s), pqueue.KindAuto, maxCost, &sc.res, &sc.fr)
+			sssp.DijkstraFrontierInto(srcGraph, srcW, int(s), maxCost, &sc.res, &sc.fr)
 			foldCols(out, sc.res.Dist, targets, cols)
 			// Read through the cutoff, as the goal search (and so the
 			// column side) reports it.
@@ -692,7 +691,7 @@ func (tc termCtx) sourceRuns(g *graph.Digraph, spec termSpec, o Options, bp *bip
 			}
 			return
 		}
-		r := sssp.DijkstraGoalsInto(srcGraph, srcW, bp.sources[i:i+1], targets, cols, need, pqueue.KindAuto, maxCost, bp.inf, out, &sc.goals)
+		r := sssp.DijkstraGoalsInto(srcGraph, srcW, bp.sources[i:i+1], targets, cols, need, maxCost, bp.inf, out, &sc.goals)
 		if r < bp.inf { // need > 0, so bp.radius is in place
 			bp.radius[i] = r
 			for c, d := range out {
@@ -723,10 +722,10 @@ func (tc termCtx) columnRuns(g *graph.Digraph, spec termSpec, o Options, bp *bip
 		if j < nOpp {
 			c := bp.opposite[j : j+1]
 			if tc.prov == nil || !tc.prov.rowGoals(tc.refHash, spec.ref, spec.op, !bp.rev, c[0], colW, bp.sources, nil, out, !tc.series, sc) {
-				sssp.DijkstraGoalsInto(colGraph, colW, c, bp.sources, nil, 0, pqueue.KindAuto, maxCost, bp.inf, out, &sc.goals)
+				sssp.DijkstraGoalsInto(colGraph, colW, c, bp.sources, nil, 0, maxCost, bp.inf, out, &sc.goals)
 			}
 		} else {
-			sssp.DijkstraGoalsInto(colGraph, colW, bp.red.banks[j-nOpp].members, bp.sources, nil, 0, pqueue.KindAuto, maxCost, bp.inf, out, &sc.goals)
+			sssp.DijkstraGoalsInto(colGraph, colW, bp.red.banks[j-nOpp].members, bp.sources, nil, 0, maxCost, bp.inf, out, &sc.goals)
 		}
 		for k, d := range out {
 			rows[k][j] = d

@@ -226,9 +226,10 @@ func Star(p, q []float64, d DistFn, cfg StarConfig) (float64, error) {
 }
 
 // StarUnreduced computes EMD* without the Lemma 1/2 reduction, solved
-// by the transportation simplex: the general-purpose baseline behind
-// core.Direct and a cross-check oracle for the reduction path, which
-// Star solves by successive shortest paths.
+// by the transportation simplex. It sits behind core.Direct, the
+// paper's Fig. 11 baseline, which sndbench times and the core tests
+// compare the engine against; it is also a cross-check oracle for the
+// reduction path, which Star solves by successive shortest paths.
 func StarUnreduced(p, q []float64, d DistFn, cfg StarConfig) (float64, error) {
 	ext, err := Extend(p, q, d, cfg)
 	if err != nil {

@@ -5,7 +5,6 @@ import (
 	"math"
 
 	"snd/internal/graph"
-	"snd/internal/sssp"
 )
 
 // PenaltyModel maps (network, state, opinion) to the integer
@@ -417,21 +416,4 @@ func (m LinearThreshold) Penalties(g *graph.Digraph, st State, op Opinion) []int
 		}
 	}
 	return w
-}
-
-// GroundDistances runs one single-source shortest path per requested
-// source over the eq. 2 edge costs, returning the dense rows
-// D[src][v]. It is a convenience for tests and the dense SND path; the
-// scalable pipeline in package core drives sssp directly.
-func GroundDistances(g *graph.Digraph, gc GroundCosts, st State, op Opinion, srcs []int) [][]int64 {
-	w := gc.EdgeCosts(g, st, op)
-	out := make([][]int64, len(srcs))
-	var res sssp.Result
-	for i, s := range srcs {
-		sssp.DijkstraInto(g, w, s, 0, gc.MaxCost(), &res)
-		row := make([]int64, g.N())
-		copy(row, res.Dist)
-		out[i] = row
-	}
-	return out
 }

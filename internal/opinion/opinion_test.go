@@ -8,6 +8,7 @@ import (
 	"testing/quick"
 
 	"snd/internal/graph"
+	"snd/internal/sssp"
 )
 
 func TestOpinionBasics(t *testing.T) {
@@ -325,12 +326,13 @@ func TestGroundDistances(t *testing.T) {
 	g := lineGraph()
 	st := State{Positive, Positive, Positive, Positive}
 	gc := DefaultGroundCosts(DefaultAgnostic)
-	d := GroundDistances(g, gc, st, Positive, []int{0})
+	var d sssp.Result
+	sssp.DijkstraInto(g, gc.EdgeCosts(g, st, Positive), 0, gc.MaxCost(), &d)
 	// All-friendly line: cost 1 per hop.
 	want := []int64{0, 1, 2, 3}
 	for v, x := range want {
-		if d[0][v] != x {
-			t.Errorf("d[0][%d] = %d, want %d", v, d[0][v], x)
+		if d.Dist[v] != x {
+			t.Errorf("d[0][%d] = %d, want %d", v, d.Dist[v], x)
 		}
 	}
 	if names := []string{DefaultAgnostic.Name(), DefaultICC.Name(), DefaultLinearThreshold.Name()}; names[0] == names[1] || names[1] == names[2] {

@@ -9,7 +9,9 @@
 // allocation-free on the hot path.
 //
 // Three implementations are provided, mirroring the substrate choices in
-// Amelkin et al. (ICDE'17) and Ahuja, Mehlhorn, Orlin, Tarjan (JACM'90):
+// Amelkin et al. (ICDE'17) and Ahuja, Mehlhorn, Orlin, Tarjan (JACM'90).
+// Callers construct one directly; package sssp picks per run from the
+// edge-cost bound:
 //
 //   - BinaryHeap: the classic array heap, O(log n) per operation. The
 //     paper's released implementation uses this.
@@ -39,70 +41,4 @@ type MinQueue interface {
 	Len() int
 	// Reset restores the queue to its empty state for reuse.
 	Reset()
-}
-
-// Kind selects a MinQueue implementation.
-type Kind int
-
-const (
-	// KindBinary selects the binary heap.
-	KindBinary Kind = iota
-	// KindDial selects Dial's circular bucket queue.
-	KindDial
-	// KindRadix selects the monotone radix heap.
-	KindRadix
-	// KindAuto picks the queue from the edge-cost bound: Dial's bucket
-	// queue while the bound is small enough to bucket cheaply (its
-	// memory and per-Reset cost are O(maxEdgeCost)), the radix heap
-	// beyond. By selecting KindAuto the caller vouches, exactly as with
-	// KindDial, that maxEdgeCost truly bounds every edge cost.
-	KindAuto
-)
-
-// autoDialLimit is the largest edge-cost bound for which KindAuto still
-// buckets: past it Dial's O(maxEdgeCost) empty-bucket scans and Reset
-// cost outweigh the O(1) pushes (measured in BENCH_sssp.json; the SND
-// ground costs of Assumption 2 sit far below it).
-const autoDialLimit = 4096
-
-// Resolve maps KindAuto to a concrete queue kind for the given
-// edge-cost bound; other kinds pass through unchanged.
-func Resolve(k Kind, maxEdgeCost int64) Kind {
-	if k != KindAuto {
-		return k
-	}
-	if maxEdgeCost >= 1 && maxEdgeCost <= autoDialLimit {
-		return KindDial
-	}
-	return KindRadix
-}
-
-// String returns the queue kind name.
-func (k Kind) String() string {
-	switch k {
-	case KindBinary:
-		return "binary"
-	case KindDial:
-		return "dial"
-	case KindRadix:
-		return "radix"
-	case KindAuto:
-		return "auto"
-	default:
-		return "unknown"
-	}
-}
-
-// New constructs a queue of the given kind. maxEdgeCost bounds the key
-// spread and is required by KindDial and KindAuto (ignored by the other
-// kinds); hintItems sizes internal storage.
-func New(k Kind, maxEdgeCost int64, hintItems int) MinQueue {
-	switch Resolve(k, maxEdgeCost) {
-	case KindDial:
-		return NewDial(maxEdgeCost, hintItems)
-	case KindRadix:
-		return NewRadix(hintItems)
-	default:
-		return NewBinaryHeap(hintItems)
-	}
 }

@@ -7,21 +7,21 @@ import (
 	"testing/quick"
 )
 
-var kinds = []Kind{KindBinary, KindDial, KindRadix}
-
-func TestKindString(t *testing.T) {
-	want := map[Kind]string{KindBinary: "binary", KindDial: "dial", KindRadix: "radix", Kind(99): "unknown"}
-	for k, s := range want {
-		if got := k.String(); got != s {
-			t.Errorf("Kind(%d).String() = %q, want %q", int(k), got, s)
-		}
-	}
+// queues builds each implementation; maxCost bounds Dial's key spread
+// and is ignored by the others.
+var queues = []struct {
+	name string
+	make func(maxCost int64, hintItems int) MinQueue
+}{
+	{"binary", func(_ int64, hint int) MinQueue { return NewBinaryHeap(hint) }},
+	{"dial", func(maxCost int64, hint int) MinQueue { return NewDial(maxCost, hint) }},
+	{"radix", func(_ int64, hint int) MinQueue { return NewRadix(hint) }},
 }
 
 func TestPushPopSorted(t *testing.T) {
-	for _, k := range kinds {
-		t.Run(k.String(), func(t *testing.T) {
-			q := New(k, 100, 16)
+	for _, k := range queues {
+		t.Run(k.name, func(t *testing.T) {
+			q := k.make(100, 16)
 			keys := []int64{5, 3, 8, 1, 9, 2, 7, 0, 6, 4}
 			for i, key := range keys {
 				q.Push(i, key)
@@ -48,27 +48,27 @@ func TestPushPopSorted(t *testing.T) {
 }
 
 func TestEmptyPop(t *testing.T) {
-	for _, k := range kinds {
-		q := New(k, 10, 0)
+	for _, k := range queues {
+		q := k.make(10, 0)
 		if _, _, ok := q.Pop(); ok {
-			t.Errorf("%v: Pop on empty queue reported ok", k)
+			t.Errorf("%s: Pop on empty queue reported ok", k.name)
 		}
 	}
 }
 
 func TestReset(t *testing.T) {
-	for _, k := range kinds {
-		q := New(k, 10, 4)
+	for _, k := range queues {
+		q := k.make(10, 4)
 		q.Push(1, 5)
 		q.Push(2, 3)
 		q.Reset()
 		if q.Len() != 0 {
-			t.Errorf("%v: Len after Reset = %d", k, q.Len())
+			t.Errorf("%s: Len after Reset = %d", k.name, q.Len())
 		}
 		q.Push(7, 2)
 		item, key, ok := q.Pop()
 		if !ok || item != 7 || key != 2 {
-			t.Errorf("%v: Pop after Reset = (%d,%d,%v), want (7,2,true)", k, item, key, ok)
+			t.Errorf("%s: Pop after Reset = (%d,%d,%v), want (7,2,true)", k.name, item, key, ok)
 		}
 	}
 }
@@ -80,9 +80,9 @@ func TestMonotoneAgainstBinary(t *testing.T) {
 	const maxCost = 50
 	rng := rand.New(rand.NewSource(42))
 	for trial := 0; trial < 20; trial++ {
-		ref := New(KindBinary, maxCost, 0)
-		dial := New(KindDial, maxCost, 0)
-		radix := New(KindRadix, maxCost, 0)
+		ref := NewBinaryHeap(0)
+		dial := NewDial(maxCost, 0)
+		radix := NewRadix(0)
 		push := func(item int, key int64) {
 			ref.Push(item, key)
 			dial.Push(item, key)
@@ -123,7 +123,7 @@ func TestMonotoneAgainstBinary(t *testing.T) {
 func TestDialWrapsAgainstBinary(t *testing.T) {
 	const maxCost = 3
 	rng := rand.New(rand.NewSource(7))
-	ref, dial := New(KindBinary, maxCost, 0), NewDial(maxCost, 0)
+	ref, dial := NewBinaryHeap(0), NewDial(maxCost, 0)
 	pushed := map[int]int64{}
 	next := 0
 	push := func(key int64) {
@@ -197,8 +197,8 @@ func TestQuickHeapProperty(t *testing.T) {
 		for i, v := range raw {
 			keys[i] = int64(v % 128)
 		}
-		for _, k := range kinds {
-			q := New(k, 128, len(keys))
+		for _, k := range queues {
+			q := k.make(128, len(keys))
 			for i, key := range keys {
 				q.Push(i, key)
 			}
@@ -226,7 +226,7 @@ func TestQuickHeapProperty(t *testing.T) {
 	}
 }
 
-func benchHeap(b *testing.B, k Kind) {
+func benchHeap(b *testing.B, newQueue func() MinQueue) {
 	const n = 1 << 12
 	rng := rand.New(rand.NewSource(1))
 	keys := make([]int64, n)
@@ -236,7 +236,7 @@ func benchHeap(b *testing.B, k Kind) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		q := New(k, 64, n)
+		q := newQueue()
 		for j, key := range keys {
 			q.Push(j, key)
 		}
@@ -248,6 +248,8 @@ func benchHeap(b *testing.B, k Kind) {
 	}
 }
 
-func BenchmarkBinaryHeap(b *testing.B) { benchHeap(b, KindBinary) }
-func BenchmarkDial(b *testing.B)       { benchHeap(b, KindDial) }
-func BenchmarkRadix(b *testing.B)      { benchHeap(b, KindRadix) }
+func BenchmarkBinaryHeap(b *testing.B) {
+	benchHeap(b, func() MinQueue { return NewBinaryHeap(1 << 12) })
+}
+func BenchmarkDial(b *testing.B)  { benchHeap(b, func() MinQueue { return NewDial(64, 1<<12) }) }
+func BenchmarkRadix(b *testing.B) { benchHeap(b, func() MinQueue { return NewRadix(1 << 12) }) }

@@ -5,7 +5,6 @@ import (
 	"testing"
 
 	"snd/internal/graph"
-	"snd/internal/pqueue"
 )
 
 // benchGraph is a scale-free network shaped like the SND workloads
@@ -42,17 +41,17 @@ func benchTargets(n, k int, seed int64) []int32 {
 }
 
 // BenchmarkDijkstraFull measures the full-graph single-source run per
-// queue kind — the per-supplier cost of the pre-pruning Theorem 4
+// queue, pinned on a pooled frontier — the per-supplier cost of the pre-pruning Theorem 4
 // fan-out and the baseline the goal-pruned benchmarks compare against.
 func BenchmarkDijkstraFull(b *testing.B) {
 	g, w := benchGraph(20000)
-	for _, kind := range []pqueue.Kind{pqueue.KindBinary, pqueue.KindDial, pqueue.KindRadix} {
-		b.Run(kind.String(), func(b *testing.B) {
+	for _, pin := range []queueKind{queueBinary, queueDial, queueRadix} {
+		b.Run(pin.String(), func(b *testing.B) {
 			var res Result
-			var fr Frontier
+			fr := Frontier{pin: pin}
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				DijkstraFrontierInto(g, w, i%g.N(), kind, benchMaxCost, &res, &fr)
+				DijkstraFrontierInto(g, w, i%g.N(), benchMaxCost, &res, &fr)
 			}
 		})
 	}
@@ -74,7 +73,7 @@ func BenchmarkDijkstraGoals(b *testing.B) {
 			out := make([]int64, len(targets))
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				DijkstraGoalsInto(g, w, []int32{int32(i % g.N())}, targets, nil, 0, pqueue.KindDial, benchMaxCost, cutoff, out, gs)
+				DijkstraGoalsInto(g, w, []int32{int32(i % g.N())}, targets, nil, 0, benchMaxCost, cutoff, out, gs)
 			}
 		})
 	}
@@ -92,7 +91,7 @@ func BenchmarkDijkstraGoals(b *testing.B) {
 		out := make([]int64, banks)
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
-			DijkstraGoalsInto(g, w, []int32{int32(i % g.N())}, targets, cols, 0, pqueue.KindDial, benchMaxCost, cutoff, out, gs)
+			DijkstraGoalsInto(g, w, []int32{int32(i % g.N())}, targets, cols, 0, benchMaxCost, cutoff, out, gs)
 		}
 	})
 }
@@ -101,7 +100,7 @@ func BenchmarkDijkstraGoals(b *testing.B) {
 // fresh run it replaces, over a small dirty edge set.
 func BenchmarkRepair(b *testing.B) {
 	g, w := benchGraph(20000)
-	base := Dijkstra(g, w, 0, pqueue.KindDial, benchMaxCost)
+	base := Dijkstra(g, w, 0, benchMaxCost)
 	rng := rand.New(rand.NewSource(9))
 	changed := make([]int32, 48)
 	w2 := make([]int32, len(w))
@@ -120,6 +119,6 @@ func BenchmarkRepair(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		copy(res.Dist, base.Dist)
 		copy(res.Parent, base.Parent)
-		RepairInto(g, w2, 0, pqueue.KindDial, benchMaxCost, &res, changed, nil, g.N()/4, rs)
+		RepairInto(g, w2, 0, benchMaxCost, &res, changed, nil, g.N()/4, rs)
 	}
 }

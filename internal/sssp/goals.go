@@ -1,9 +1,6 @@
 package sssp
 
-import (
-	"snd/internal/graph"
-	"snd/internal/pqueue"
-)
+import "snd/internal/graph"
 
 // GoalsScratch holds the reusable buffers of DijkstraGoalsInto: the
 // distance labels, the per-vertex lists of target indices, the list of
@@ -51,15 +48,6 @@ func (gs *GoalsScratch) reset(targets []int32) {
 	for _, t := range targets {
 		gs.head[t] = -1
 	}
-}
-
-// DijkstraGoals is DijkstraGoalsInto with one column per target,
-// allocating its own result row and scratch; intended for tests and
-// one-off callers.
-func DijkstraGoals(g *graph.Digraph, w []int32, srcs, targets []int32, kind pqueue.Kind, maxCost, cutoff int64) []int64 {
-	out := make([]int64, len(targets))
-	DijkstraGoalsInto(g, w, srcs, targets, nil, 0, kind, maxCost, cutoff, out, &GoalsScratch{})
-	return out
 }
 
 // unsettled marks a column of out that has targets but none settled
@@ -111,10 +99,9 @@ const unsettled = -1
 // reaches nothing.
 //
 // len(out) is the column count: len(targets) when cols is nil, else any
-// length covering every cols entry. maxCost must bound every edge cost
-// when kind is (or resolves to) pqueue.KindDial; it is otherwise
-// advisory, as with DijkstraInto.
-func DijkstraGoalsInto(g *graph.Digraph, w []int32, srcs, targets, cols []int32, need int, kind pqueue.Kind, maxCost, cutoff int64, out []int64, gs *GoalsScratch) (radius int64) {
+// length covering every cols entry. maxCost must bound every edge cost;
+// as with DijkstraInto, it picks the run's queue.
+func DijkstraGoalsInto(g *graph.Digraph, w []int32, srcs, targets, cols []int32, need int, maxCost, cutoff int64, out []int64, gs *GoalsScratch) (radius int64) {
 	n := g.N()
 	if len(w) != g.M() {
 		panic("sssp: weight array not aligned with graph edges")
@@ -163,7 +150,7 @@ func DijkstraGoalsInto(g *graph.Digraph, w []int32, srcs, targets, cols []int32,
 		stopAt = remaining - need
 	}
 	stop, partial := cutoff, false
-	q, _ := gs.fr.acquire(kind, 0, maxCost, n)
+	q, _ := gs.fr.acquire(0, maxCost, n)
 	if remaining > 0 && cutoff >= 0 {
 		for _, s := range srcs {
 			if dist[s] != 0 {

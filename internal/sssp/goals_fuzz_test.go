@@ -4,7 +4,6 @@ import (
 	"testing"
 
 	"snd/internal/graph"
-	"snd/internal/pqueue"
 )
 
 // fuzzBytes decodes a fuzz input as a stream of small integers; an
@@ -28,14 +27,14 @@ type goalsCase struct {
 	targets []int32
 	cols    []int32 // nil: one column per target
 	nCols   int
-	kind    pqueue.Kind
+	pin     queueKind
 	maxCost int64
 	cutoff  int64
 	need    int // 0: every column; 1..nCols: a partial row of that many
 }
 
 // decodeGoalsCase builds a small digraph, its weights, a source set, a
-// cutoff, a queue kind and a target list with its column map from the
+// cutoff, a queue and a target list with its column map from the
 // input bytes. Columns are drawn from a range wider than the targets
 // fill, so some stay empty; targets and sources are drawn from a small
 // vertex range, so repeats — of a target in one column or across
@@ -46,10 +45,12 @@ type goalsCase struct {
 // complete row.
 func decodeGoalsCase(data []byte) goalsCase {
 	in := fuzzBytes(data)
-	kinds := []pqueue.Kind{pqueue.KindBinary, pqueue.KindDial, pqueue.KindRadix, pqueue.KindAuto}
+	// The order keeps the committed corpus decoding to the queues it
+	// was written for.
+	queues := []queueKind{queueBinary, queueDial, queueRadix, queueByCost}
 	var c goalsCase
 	n := 1 + in.next(24)
-	c.kind = kinds[in.next(len(kinds))]
+	c.pin = queues[in.next(len(queues))]
 	c.maxCost = int64(1 + in.next(20))
 	c.srcs = []int32{int32(in.next(n))}
 	c.cutoff = Unreachable
@@ -109,7 +110,7 @@ func columnMinima(c goalsCase, srcs []int32) []int64 {
 	}
 	for _, s := range srcs {
 		for v, d := range BellmanFord(c.g, c.w, int(s)).Dist {
-			dist[v] = min64(dist[v], d)
+			dist[v] = min(dist[v], d)
 		}
 	}
 	want := make([]int64, c.nCols)
@@ -130,7 +131,7 @@ func columnMinima(c goalsCase, srcs []int32) []int64 {
 
 // FuzzDijkstraGoals checks the goal search against column minima of
 // the BellmanFord oracle over random small digraphs, weights, source
-// sets, cutoffs, queue kinds, column maps (users in several columns,
+// sets, cutoffs, queues, column maps (users in several columns,
 // repeated targets in one column, empty and unreachable columns) and
 // partial-row counts. A complete row must equal the oracle on every
 // column. A partial row (a radius below Unreachable) must hold at
@@ -144,19 +145,20 @@ func FuzzDijkstraGoals(f *testing.F) {
 	f.Fuzz(func(t *testing.T, data []byte) {
 		c := decodeGoalsCase(data)
 		gs := &GoalsScratch{}
+		gs.fr.pin = c.pin
 		out := make([]int64, c.nCols)
 		shifted := make([]int32, len(c.srcs))
 		for i, s := range c.srcs {
 			shifted[i] = (s + 1) % int32(c.g.N())
 		}
 		for _, srcs := range [][]int32{c.srcs, shifted} {
-			radius := DijkstraGoalsInto(c.g, c.w, srcs, c.targets, c.cols, c.need, c.kind, c.maxCost, c.cutoff, out, gs)
+			radius := DijkstraGoalsInto(c.g, c.w, srcs, c.targets, c.cols, c.need, c.maxCost, c.cutoff, out, gs)
 			want := wantGoals(c, srcs)
 			if radius == Unreachable {
 				for j := range want {
 					if out[j] != want[j] {
-						t.Fatalf("srcs %v kind %v cutoff %d need %d targets %v cols %v: column %d = %d, want %d",
-							srcs, c.kind, c.cutoff, c.need, c.targets, c.cols, j, out[j], want[j])
+						t.Fatalf("srcs %v queue %v cutoff %d need %d targets %v cols %v: column %d = %d, want %d",
+							srcs, c.pin, c.cutoff, c.need, c.targets, c.cols, j, out[j], want[j])
 					}
 				}
 				continue
@@ -170,12 +172,12 @@ func FuzzDijkstraGoals(f *testing.F) {
 				case out[j] <= radius:
 					settled++
 					if out[j] != exact {
-						t.Fatalf("srcs %v kind %v need %d targets %v cols %v: settled column %d = %d, want %d",
-							srcs, c.kind, c.need, c.targets, c.cols, j, out[j], exact)
+						t.Fatalf("srcs %v queue %v need %d targets %v cols %v: settled column %d = %d, want %d",
+							srcs, c.pin, c.need, c.targets, c.cols, j, out[j], exact)
 					}
 				case out[j] != Unreachable || exact <= radius:
-					t.Fatalf("srcs %v kind %v need %d targets %v cols %v: column %d reads %d with minimum %d, radius %d",
-						srcs, c.kind, c.need, c.targets, c.cols, j, out[j], exact, radius)
+					t.Fatalf("srcs %v queue %v need %d targets %v cols %v: column %d reads %d with minimum %d, radius %d",
+						srcs, c.pin, c.need, c.targets, c.cols, j, out[j], exact, radius)
 				}
 			}
 			if settled < c.need {

@@ -5,8 +5,15 @@ import (
 	"testing"
 
 	"snd/internal/graph"
-	"snd/internal/pqueue"
 )
+
+// DijkstraGoals is DijkstraGoalsInto with one column per target,
+// allocating its own result row and scratch.
+func DijkstraGoals(g *graph.Digraph, w []int32, srcs, targets []int32, maxCost, cutoff int64) []int64 {
+	out := make([]int64, len(targets))
+	DijkstraGoalsInto(g, w, srcs, targets, nil, 0, maxCost, cutoff, out, &GoalsScratch{})
+	return out
+}
 
 // TestDijkstraGoalsLine pins the basics on a hand-checkable graph:
 // exact distances on targets, Unreachable for disconnected ones, src
@@ -20,7 +27,7 @@ func TestDijkstraGoalsLine(t *testing.T) {
 	g := b.Build()
 	w := []int32{2, 3, 4}
 	targets := []int32{3, 0, 1, 4, 1}
-	got := DijkstraGoals(g, w, []int32{0}, targets, pqueue.KindBinary, 4, Unreachable)
+	got := DijkstraGoals(g, w, []int32{0}, targets, 4, Unreachable)
 	want := []int64{9, 0, 2, Unreachable, 2}
 	for i := range want {
 		if got[i] != want[i] {
@@ -43,7 +50,7 @@ func TestDijkstraGoalsColumns(t *testing.T) {
 	targets := []int32{3, 2, 2, 1, 4, 3}
 	cols := []int32{0, 0, 1, 1, 3, 1}
 	out := make([]int64, 4)
-	DijkstraGoalsInto(g, w, []int32{0}, targets, cols, 0, pqueue.KindBinary, 4, Unreachable, out, nil)
+	DijkstraGoalsInto(g, w, []int32{0}, targets, cols, 0, 4, Unreachable, out, nil)
 	want := []int64{5, 2, Unreachable, Unreachable}
 	for c := range want {
 		if out[c] != want[c] {
@@ -84,11 +91,12 @@ func TestDijkstraGoalsSourceSet(t *testing.T) {
 	} {
 		gs := &GoalsScratch{}
 		out := make([]int64, len(tc.want))
-		for _, kind := range []pqueue.Kind{pqueue.KindBinary, pqueue.KindDial} {
-			DijkstraGoalsInto(g, w, tc.srcs, tc.targets, tc.cols, 0, kind, 4, tc.cutoff, out, gs)
+		for _, pin := range []queueKind{queueBinary, queueDial} {
+			gs.fr.pin = pin
+			DijkstraGoalsInto(g, w, tc.srcs, tc.targets, tc.cols, 0, 4, tc.cutoff, out, gs)
 			for c := range tc.want {
 				if out[c] != tc.want[c] {
-					t.Errorf("%s (%v): column %d = %d, want %d", tc.name, kind, c, out[c], tc.want[c])
+					t.Errorf("%s (%v): column %d = %d, want %d", tc.name, pin, c, out[c], tc.want[c])
 				}
 			}
 		}
@@ -99,7 +107,7 @@ func TestDijkstraGoalsSourceSet(t *testing.T) {
 // fan-out rests on, in the one-column-per-target case (cols nil): over
 // randomized graphs, weights, sources, and target sets (including
 // unreachable and duplicate targets), DijkstraGoals equals the full
-// DijkstraInto row on every queried column, for every queue kind and
+// DijkstraInto row on every queried column, for every queue and
 // with a scratch reused across all runs. FuzzDijkstraGoals covers
 // grouped columns.
 func TestDijkstraGoalsMatchesFull(t *testing.T) {
@@ -107,7 +115,6 @@ func TestDijkstraGoalsMatchesFull(t *testing.T) {
 		seeds   = 200
 		maxCost = 20
 	)
-	kinds := []pqueue.Kind{pqueue.KindBinary, pqueue.KindDial, pqueue.KindRadix, pqueue.KindAuto}
 	gs := &GoalsScratch{} // shared across every run: each must reset what it touched
 	var full Result
 	for seed := int64(0); seed < seeds; seed++ {
@@ -124,14 +131,15 @@ func TestDijkstraGoalsMatchesFull(t *testing.T) {
 		if rng.Intn(2) == 0 {
 			targets[0] = int32(src)
 		}
-		kind := kinds[rng.Intn(len(kinds))]
-		DijkstraInto(g, w, src, kind, maxCost, &full)
+		pin := pins[rng.Intn(len(pins))]
+		DijkstraFrontierInto(g, w, src, maxCost, &full, &Frontier{pin: pin})
 		out := make([]int64, len(targets))
-		DijkstraGoalsInto(g, w, []int32{int32(src)}, targets, nil, 0, kind, maxCost, Unreachable, out, gs)
+		gs.fr.pin = pin
+		DijkstraGoalsInto(g, w, []int32{int32(src)}, targets, nil, 0, maxCost, Unreachable, out, gs)
 		for i, tgt := range targets {
 			if out[i] != full.Dist[tgt] {
-				t.Fatalf("seed %d kind %v: goal %d (node %d): pruned %d, full %d",
-					seed, kind, i, tgt, out[i], full.Dist[tgt])
+				t.Fatalf("seed %d queue %v: goal %d (node %d): pruned %d, full %d",
+					seed, pin, i, tgt, out[i], full.Dist[tgt])
 			}
 		}
 	}
@@ -155,9 +163,9 @@ func TestDijkstraGoalsCutoff(t *testing.T) {
 		for i := range targets {
 			targets[i] = int32(i)
 		}
-		DijkstraInto(g, w, src, pqueue.KindDial, maxCost, &full)
+		DijkstraInto(g, w, src, maxCost, &full)
 		out := make([]int64, len(targets))
-		DijkstraGoalsInto(g, w, []int32{int32(src)}, targets, nil, 0, pqueue.KindDial, maxCost, cutoff, out, gs)
+		DijkstraGoalsInto(g, w, []int32{int32(src)}, targets, nil, 0, maxCost, cutoff, out, gs)
 		for v := range targets {
 			want := full.Dist[v]
 			if want > cutoff {
@@ -177,16 +185,16 @@ func TestDijkstraGoalsEmptyTargets(t *testing.T) {
 	g := graph.ErdosRenyi(20, 60, 9)
 	w := randWeights(g, 5, 10)
 	gs := &GoalsScratch{}
-	DijkstraGoalsInto(g, w, []int32{0}, nil, nil, 0, pqueue.KindDial, 5, Unreachable, nil, gs)
-	out := DijkstraGoals(g, w, []int32{0}, []int32{0}, pqueue.KindDial, 5, Unreachable)
+	DijkstraGoalsInto(g, w, []int32{0}, nil, nil, 0, 5, Unreachable, nil, gs)
+	out := DijkstraGoals(g, w, []int32{0}, []int32{0}, 5, Unreachable)
 	if out[0] != 0 {
 		t.Fatalf("dist to self = %d, want 0", out[0])
 	}
 }
 
 // TestFrontierDijkstraMatches pins that the pooled-frontier Dijkstra and
-// the allocating one agree for every kind, with the frontier reused
-// across kinds and graphs (queue state must fully reset).
+// the allocating one agree for every queue, with the frontier reused
+// across queues and graphs (queue state must fully reset).
 func TestFrontierDijkstraMatches(t *testing.T) {
 	const maxCost = 15
 	var fr Frontier
@@ -194,12 +202,13 @@ func TestFrontierDijkstraMatches(t *testing.T) {
 	for seed := int64(0); seed < 40; seed++ {
 		g := graph.ErdosRenyi(60, 300, seed)
 		w := randWeights(g, maxCost, seed+50)
-		for _, kind := range []pqueue.Kind{pqueue.KindBinary, pqueue.KindDial, pqueue.KindRadix, pqueue.KindAuto} {
-			DijkstraInto(g, w, 3, kind, maxCost, &a)
-			DijkstraFrontierInto(g, w, 3, kind, maxCost, &b, &fr)
+		for _, pin := range pins {
+			DijkstraFrontierInto(g, w, 3, maxCost, &a, &Frontier{pin: pin})
+			fr.pin = pin
+			DijkstraFrontierInto(g, w, 3, maxCost, &b, &fr)
 			for v := range a.Dist {
 				if a.Dist[v] != b.Dist[v] {
-					t.Fatalf("seed %d kind %v: dist[%d] = %d vs %d", seed, kind, v, a.Dist[v], b.Dist[v])
+					t.Fatalf("seed %d queue %v: dist[%d] = %d vs %d", seed, pin, v, a.Dist[v], b.Dist[v])
 				}
 			}
 		}

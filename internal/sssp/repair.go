@@ -1,9 +1,6 @@
 package sssp
 
-import (
-	"snd/internal/graph"
-	"snd/internal/pqueue"
-)
+import "snd/internal/graph"
 
 // RepairScratch holds the reusable buffers of RepairInto: epoch-stamped
 // affected marks, the pooled frontier queues, and the affected-vertex
@@ -60,11 +57,11 @@ func (rs *RepairScratch) ensure(n int) {
 // whose distances actually change rather than the graph. When the
 // invalidated region exceeds maxAffected vertices, RepairInto abandons
 // the repair and falls back to a full DijkstraInto, reporting false;
-// the result is exact either way. The re-settling queue is a min-seed-shifted Dial
-// bucket queue when kind is KindDial (whose contract vouches that
-// maxCost bounds every edge cost) and the seed spread fits its bucket
-// window, else a binary heap (which tolerates the non-monotone seeds);
-// kind also selects the fallback Dijkstra's queue.
+// the result is exact either way. maxCost must bound every edge cost:
+// as with DijkstraInto it picks the queues. The re-settling queue is a
+// min-seed-shifted Dial bucket queue when the bound and the seed spread
+// fit its bucket window, else a binary or radix heap, which tolerate
+// the unshifted seeds.
 //
 // changedTails optionally carries the tail node of each changed edge,
 // aligned with changed; pass nil to have the tails recovered by binary
@@ -76,7 +73,7 @@ func (rs *RepairScratch) ensure(n int) {
 // scratch on hot paths. Distances are exact, bit-identical to a fresh
 // DijkstraInto; the parent tree is a valid shortest-path tree but may
 // break ties differently.
-func RepairInto(g *graph.Digraph, w []int32, src int, kind pqueue.Kind, maxCost int64, res *Result, changed []int32, changedTails []int32, maxAffected int, rs *RepairScratch) bool {
+func RepairInto(g *graph.Digraph, w []int32, src int, maxCost int64, res *Result, changed []int32, changedTails []int32, maxAffected int, rs *RepairScratch) bool {
 	n := g.N()
 	if len(w) != g.M() {
 		panic("sssp: weight array not aligned with graph edges")
@@ -94,7 +91,7 @@ func RepairInto(g *graph.Digraph, w []int32, src int, kind pqueue.Kind, maxCost 
 		rs = &RepairScratch{}
 	}
 	if maxAffected <= 0 {
-		DijkstraFrontierInto(g, w, src, kind, maxCost, res, &rs.fr)
+		DijkstraFrontierInto(g, w, src, maxCost, res, &rs.fr)
 		return false
 	}
 	rs.ensure(n)
@@ -164,7 +161,7 @@ func RepairInto(g *graph.Digraph, w []int32, src int, kind pqueue.Kind, maxCost 
 		aff = append(aff, v)
 		if len(aff) > maxAffected {
 			rs.affected = aff
-			DijkstraFrontierInto(g, w, src, kind, maxCost, res, &rs.fr)
+			DijkstraFrontierInto(g, w, src, maxCost, res, &rs.fr)
 			return false
 		}
 		lo, hi := g.EdgeRange(vi)
@@ -232,7 +229,7 @@ func RepairInto(g *graph.Digraph, w []int32, src int, kind pqueue.Kind, maxCost 
 	// Phase 5: Dijkstra over the seeded frontier, touching only
 	// vertices whose distance actually changes. Keys are shifted down
 	// by the minimum seed so the spread fits Dial's bucket window on
-	// the hot path (see frontierQueue).
+	// the hot path (see Frontier.acquire).
 	minSeed, maxSeed := rs.seedKey[0], rs.seedKey[0]
 	for _, k := range rs.seedKey[1:] {
 		if k < minSeed {
@@ -242,7 +239,7 @@ func RepairInto(g *graph.Digraph, w []int32, src int, kind pqueue.Kind, maxCost 
 			maxSeed = k
 		}
 	}
-	q, shifted := rs.fr.acquire(kind, maxSeed-minSeed, maxCost, n)
+	q, shifted := rs.fr.acquire(maxSeed-minSeed, maxCost, n)
 	var shift int64
 	if shifted {
 		shift = minSeed

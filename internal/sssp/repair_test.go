@@ -5,7 +5,6 @@ import (
 	"testing"
 
 	"snd/internal/graph"
-	"snd/internal/pqueue"
 )
 
 // checkRepairChain drives one randomized delta sequence: a fresh
@@ -20,9 +19,10 @@ func checkRepairChain(t *testing.T, g *graph.Digraph, rng *rand.Rand, rounds int
 		w[i] = rng.Int31n(maxW) + 1
 	}
 	src := rng.Intn(g.N())
-	kind := pqueue.Kind(rng.Intn(3))
-	res := Dijkstra(g, w, src, kind, maxW)
-	rs := &RepairScratch{}
+	pin := pins[rng.Intn(len(pins))]
+	var res Result
+	DijkstraFrontierInto(g, w, src, maxW, &res, &Frontier{pin: pin})
+	rs := &RepairScratch{fr: Frontier{pin: pin}}
 	for round := 0; round < rounds; round++ {
 		// Mutate a small random set of edges; occasionally list extra
 		// unchanged edges (documented as harmless).
@@ -54,9 +54,9 @@ func checkRepairChain(t *testing.T, g *graph.Digraph, rng *rand.Rand, rounds int
 				tails[i] = g.Tail(int(e))
 			}
 		}
-		RepairInto(g, w, src, kind, maxW, &res, changed, tails, maxAffected, rs)
+		RepairInto(g, w, src, maxW, &res, changed, tails, maxAffected, rs)
 
-		fresh := Dijkstra(g, w, src, kind, maxW)
+		fresh := Dijkstra(g, w, src, maxW)
 		for v := range fresh.Dist {
 			if res.Dist[v] != fresh.Dist[v] {
 				t.Fatalf("round %d: dist[%d] = %d, fresh Dijkstra %d",
@@ -96,7 +96,7 @@ func checkRepairChain(t *testing.T, g *graph.Digraph, rng *rand.Rand, rounds int
 }
 
 // TestRepairIntoRandomized runs 200+ randomized delta sequences across
-// graph shapes, sources, queue kinds, and fallback pressures.
+// graph shapes, sources, queues, and fallback pressures.
 func TestRepairIntoRandomized(t *testing.T) {
 	rng := rand.New(rand.NewSource(1701))
 	chains := 0
@@ -130,9 +130,9 @@ func TestRepairIntoScaleFree(t *testing.T) {
 func TestRepairIntoNoChange(t *testing.T) {
 	g := graph.ErdosRenyi(30, 90, 3)
 	w := randWeights(g, 9, 4)
-	res := Dijkstra(g, w, 0, pqueue.KindBinary, 9)
+	res := Dijkstra(g, w, 0, 9)
 	before := append([]int64(nil), res.Dist...)
-	if !RepairInto(g, w, 0, pqueue.KindBinary, 9, &res, nil, nil, g.N(), nil) {
+	if !RepairInto(g, w, 0, 9, &res, nil, nil, g.N(), nil) {
 		t.Error("empty repair reported fallback")
 	}
 	for v := range before {
@@ -140,11 +140,4 @@ func TestRepairIntoNoChange(t *testing.T) {
 			t.Fatalf("empty repair changed dist[%d]", v)
 		}
 	}
-}
-
-func min(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
 }

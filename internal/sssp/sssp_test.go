@@ -6,8 +6,57 @@ import (
 	"testing/quick"
 
 	"snd/internal/graph"
-	"snd/internal/pqueue"
 )
+
+// Dijkstra is DijkstraInto into a fresh Result.
+func Dijkstra(g *graph.Digraph, w []int32, src int, maxCost int64) Result {
+	var res Result
+	DijkstraInto(g, w, src, maxCost, &res)
+	return res
+}
+
+// pins lists the queue choices of a Frontier: the cost rule, then each
+// queue pinned.
+var pins = []queueKind{queueByCost, queueBinary, queueDial, queueRadix}
+
+func (k queueKind) String() string {
+	return [...]string{"bycost", "binary", "dial", "radix"}[k]
+}
+
+// BellmanFord computes shortest paths from src by edge relaxation
+// rounds: the queue-free oracle every search of this package is
+// checked against.
+func BellmanFord(g *graph.Digraph, w []int32, src int) Result {
+	n := g.N()
+	res := Result{Dist: make([]int64, n), Parent: make([]int32, n)}
+	for i := range res.Dist {
+		res.Dist[i] = Unreachable
+		res.Parent[i] = -1
+	}
+	res.Dist[src] = 0
+	for iter := 0; iter < n; iter++ {
+		changed := false
+		for u := 0; u < n; u++ {
+			du := res.Dist[u]
+			if du == Unreachable {
+				continue
+			}
+			lo, hi := g.EdgeRange(u)
+			for e := lo; e < hi; e++ {
+				v := g.Head(e)
+				if nd := du + int64(w[e]); nd < res.Dist[v] {
+					res.Dist[v] = nd
+					res.Parent[v] = int32(u)
+					changed = true
+				}
+			}
+		}
+		if !changed {
+			break
+		}
+	}
+	return res
+}
 
 func randWeights(g *graph.Digraph, maxCost int32, seed int64) []int32 {
 	rng := rand.New(rand.NewSource(seed))
@@ -26,7 +75,7 @@ func TestDijkstraLine(t *testing.T) {
 	b.AddEdge(2, 3)
 	g := b.Build()
 	w := []int32{2, 3, 4}
-	res := Dijkstra(g, w, 0, pqueue.KindBinary, 4)
+	res := Dijkstra(g, w, 0, 4)
 	want := []int64{0, 2, 5, 9}
 	for v, d := range want {
 		if res.Dist[v] != d {
@@ -37,7 +86,7 @@ func TestDijkstraLine(t *testing.T) {
 		t.Errorf("parents = %v", res.Parent)
 	}
 	// Node 0 unreachable from 3.
-	res = Dijkstra(g, w, 3, pqueue.KindBinary, 4)
+	res = Dijkstra(g, w, 3, 4)
 	if res.Dist[0] != Unreachable {
 		t.Errorf("dist from 3 to 0 = %d, want Unreachable", res.Dist[0])
 	}
@@ -54,7 +103,7 @@ func TestDijkstraShortcut(t *testing.T) {
 	w[g.EdgeIndex(0, 2)] = 10
 	w[g.EdgeIndex(0, 1)] = 1
 	w[g.EdgeIndex(1, 2)] = 1
-	res := Dijkstra(g, w, 0, pqueue.KindBinary, 10)
+	res := Dijkstra(g, w, 0, 10)
 	if res.Dist[2] != 2 {
 		t.Errorf("dist[2] = %d, want 2", res.Dist[2])
 	}
@@ -69,12 +118,13 @@ func TestDijkstraHeapsAgreeWithBellmanFord(t *testing.T) {
 		g := graph.ErdosRenyi(120, 700, seed)
 		w := randWeights(g, maxCost, seed+100)
 		oracle := BellmanFord(g, w, 0)
-		for _, kind := range []pqueue.Kind{pqueue.KindBinary, pqueue.KindDial, pqueue.KindRadix} {
-			res := Dijkstra(g, w, 0, kind, maxCost)
+		for _, pin := range pins {
+			var res Result
+			DijkstraFrontierInto(g, w, 0, maxCost, &res, &Frontier{pin: pin})
 			for v := range oracle.Dist {
 				if res.Dist[v] != oracle.Dist[v] {
-					t.Fatalf("seed %d kind %v: dist[%d] = %d, oracle %d",
-						seed, kind, v, res.Dist[v], oracle.Dist[v])
+					t.Fatalf("seed %d queue %v: dist[%d] = %d, oracle %d",
+						seed, pin, v, res.Dist[v], oracle.Dist[v])
 				}
 			}
 		}
@@ -89,7 +139,7 @@ func TestDijkstraPanics(t *testing.T) {
 				t.Error("expected panic")
 			}
 		}()
-		Dijkstra(g, make([]int32, 2), 0, pqueue.KindBinary, 1)
+		Dijkstra(g, make([]int32, 2), 0, 1)
 	})
 	t.Run("badSource", func(t *testing.T) {
 		defer func() {
@@ -97,57 +147,16 @@ func TestDijkstraPanics(t *testing.T) {
 				t.Error("expected panic")
 			}
 		}()
-		Dijkstra(g, make([]int32, g.M()), 9, pqueue.KindBinary, 1)
+		Dijkstra(g, make([]int32, g.M()), 9, 1)
 	})
-}
-
-func TestMultiSource(t *testing.T) {
-	g := graph.Ring(10)
-	w := make([]int32, g.M())
-	for i := range w {
-		w[i] = 1
-	}
-	res := MultiSource(g, w, []int{0, 5}, pqueue.KindDial, 1)
-	// On a 10-ring with sources 0 and 5, max distance is 2 (node 2 or 7).
-	for v, d := range res.Dist {
-		want := min64(ringDist(v, 0, 10), ringDist(v, 5, 10))
-		if d != want {
-			t.Errorf("dist[%d] = %d, want %d", v, d, want)
-		}
-	}
-	// Duplicate sources must not break anything.
-	res2 := MultiSource(g, w, []int{0, 0, 5}, pqueue.KindBinary, 1)
-	for v := range res.Dist {
-		if res.Dist[v] != res2.Dist[v] {
-			t.Errorf("duplicate-source divergence at %d", v)
-		}
-	}
-}
-
-func ringDist(a, b, n int) int64 {
-	d := a - b
-	if d < 0 {
-		d = -d
-	}
-	if n-d < d {
-		d = n - d
-	}
-	return int64(d)
-}
-
-func min64(a, b int64) int64 {
-	if a < b {
-		return a
-	}
-	return b
 }
 
 func TestJohnsonMatchesDijkstra(t *testing.T) {
 	g := graph.ErdosRenyi(40, 250, 9)
 	w := randWeights(g, 15, 10)
-	d := Johnson(g, w, pqueue.KindDial, 15)
+	d := Johnson(g, w, 15)
 	for _, u := range []int{0, 7, 23, 39} {
-		res := Dijkstra(g, w, u, pqueue.KindBinary, 15)
+		res := Dijkstra(g, w, u, 15)
 		for v := 0; v < g.N(); v++ {
 			if d[u][v] != res.Dist[v] {
 				t.Fatalf("Johnson[%d][%d] = %d, Dijkstra %d", u, v, d[u][v], res.Dist[v])
@@ -164,9 +173,9 @@ func TestReverseDistances(t *testing.T) {
 	rev := g.Reverse()
 	rw := graph.PermuteToReverse(g, w)
 	for _, u := range []int{0, 5, 17} {
-		fwd := Dijkstra(g, w, u, pqueue.KindBinary, 9)
+		fwd := Dijkstra(g, w, u, 9)
 		for v := 0; v < g.N(); v++ {
-			back := Dijkstra(rev, rw, v, pqueue.KindBinary, 9)
+			back := Dijkstra(rev, rw, v, 9)
 			if fwd.Dist[v] != back.Dist[u] {
 				t.Fatalf("dist(%d,%d): fwd %d != rev %d", u, v, fwd.Dist[v], back.Dist[u])
 			}
@@ -182,7 +191,7 @@ func TestQuickTriangleInequality(t *testing.T) {
 		rng := rand.New(rand.NewSource(seed))
 		g := graph.ErdosRenyi(30, 150, seed)
 		w := randWeights(g, 12, seed+1)
-		d := Johnson(g, w, pqueue.KindBinary, 12)
+		d := Johnson(g, w, 12)
 		for trial := 0; trial < 50; trial++ {
 			u, v, x := rng.Intn(30), rng.Intn(30), rng.Intn(30)
 			if d[u][v] == Unreachable || d[v][x] == Unreachable {
@@ -202,7 +211,7 @@ func TestQuickTriangleInequality(t *testing.T) {
 func TestParentTreeConsistent(t *testing.T) {
 	g := graph.ErdosRenyi(80, 500, 33)
 	w := randWeights(g, 7, 34)
-	res := Dijkstra(g, w, 0, pqueue.KindRadix, 7)
+	res := Dijkstra(g, w, 0, 7)
 	for v := 0; v < g.N(); v++ {
 		p := res.Parent[v]
 		if p < 0 {
@@ -218,17 +227,19 @@ func TestParentTreeConsistent(t *testing.T) {
 	}
 }
 
-func benchDijkstra(b *testing.B, kind pqueue.Kind) {
+// benchDijkstra times one full run per iteration with a fresh frontier
+// pinned to one queue, so the queue's allocation is charged per run.
+func benchDijkstra(b *testing.B, pin queueKind) {
 	g := graph.ScaleFree(graph.ScaleFreeConfig{N: 20000, OutDeg: 8, Exponent: -2.3, Seed: 1})
 	w := randWeights(g, 16, 2)
 	var res Result
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		DijkstraInto(g, w, i%g.N(), kind, 16, &res)
+		DijkstraFrontierInto(g, w, i%g.N(), 16, &res, &Frontier{pin: pin})
 	}
 }
 
-func BenchmarkDijkstraBinary(b *testing.B) { benchDijkstra(b, pqueue.KindBinary) }
-func BenchmarkDijkstraDial(b *testing.B)   { benchDijkstra(b, pqueue.KindDial) }
-func BenchmarkDijkstraRadix(b *testing.B)  { benchDijkstra(b, pqueue.KindRadix) }
+func BenchmarkDijkstraBinary(b *testing.B) { benchDijkstra(b, queueBinary) }
+func BenchmarkDijkstraDial(b *testing.B)   { benchDijkstra(b, queueDial) }
+func BenchmarkDijkstraRadix(b *testing.B)  { benchDijkstra(b, queueRadix) }

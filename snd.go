@@ -90,13 +90,12 @@ func DefaultOptions() Options { return core.DefaultOptions() }
 type ComputeEngine = core.ComputeEngine
 
 // The strategy labels: no route taken (the term was decided without a
-// solve), the Theorem 4 bipartite route, the route through the graph
-// itself, and the dense baseline of DirectDistance.
+// solve), the Theorem 4 bipartite route, and the route through the
+// graph itself.
 const (
 	EngineAuto      = core.EngineAuto
 	EngineBipartite = core.EngineBipartite
 	EngineNetwork   = core.EngineNetwork
-	EngineDense     = core.EngineDense
 )
 
 // Engine is a reusable, concurrency-safe SND compute layer over one
@@ -138,13 +137,6 @@ type StatePair = core.StatePair
 // engine is safe for concurrent use; see Engine.
 func NewEngine(g *Graph, opts Options, cfg EngineConfig) *Engine {
 	return core.NewEngine(g, opts, cfg)
-}
-
-// DirectDistance computes SND with the un-reduced dense transportation
-// problem and a general simplex solver — the paper's Fig. 11 baseline.
-// Exact but super-cubic; intended for small networks and validation.
-func DirectDistance(g *Graph, a, b State, opts Options) (Result, error) {
-	return core.Direct(g, a, b, opts)
 }
 
 // TransportMove is one user-level shipment of an SND transport plan.
