@@ -98,7 +98,7 @@ func termApproxMultilevel(g *graph.Digraph, spec termSpec, red reduction, o Opti
 	// the row bounds, refinement by the entropic envelope, and finally
 	// the exact flow solve, whose optimum matches a full per-source
 	// solve. Approx terms neither read nor store warm bases.
-	tv, _, err := tc.solveTerm(&bp, o, budgetScaled, true, nil)
+	tv, _, err := tc.solveTerm(&bp, budgetScaled, true, nil)
 	tv.runs = cols
 	return tv, true, err
 }

@@ -55,7 +55,8 @@ type StatePair struct {
 // bounded ring of solved bases for warm starts.
 //
 // All methods are safe for concurrent use and return results
-// bit-identical to sequential Distance loops, regardless of Workers.
+// bit-identical whatever the worker count, and to the four terms
+// evaluated one after another.
 //
 // # Lifetime
 //
@@ -232,37 +233,30 @@ func (e *Engine) pairsEps(ctx context.Context, pairs []StatePair, eps float64, s
 		hashes[i][1] = hashState(pairs[i].B)
 	}
 	results := make([]Result, len(pairs))
-	todo, todoHash := pairs, hashes
+	// Bounds-first decided pass: identical states are at distance zero
+	// by definition (every term reduces empty), so they skip scheduling
+	// entirely. The fingerprint prefilters; the literal diff confirms,
+	// so a fingerprint collision cannot decide a wrong value.
+	var todo []StatePair
+	var todoHash [][2]hashKey
 	var todoIdx []int
-	if !e.opts.ablated(ablateBounds) {
-		// Bounds-first decided pass: identical states are at distance
-		// zero by definition (every term reduces empty), so they skip
-		// scheduling entirely. The fingerprint prefilters; the literal
-		// diff confirms, so a fingerprint collision cannot decide a
-		// wrong value.
-		todo, todoHash = nil, nil
-		for i := range pairs {
-			if hashes[i][0] == hashes[i][1] && pairs[i].A.DiffCount(pairs[i].B) == 0 {
-				e.stats.pairsDecided.Add(1)
-				continue
-			}
-			todo = append(todo, pairs[i])
-			todoHash = append(todoHash, hashes[i])
-			todoIdx = append(todoIdx, i)
+	for i := range pairs {
+		if hashes[i][0] == hashes[i][1] && pairs[i].A.DiffCount(pairs[i].B) == 0 {
+			e.stats.pairsDecided.Add(1)
+			continue
 		}
-		if len(todo) == 0 {
-			return results, nil
-		}
+		todo = append(todo, pairs[i])
+		todoHash = append(todoHash, hashes[i])
+		todoIdx = append(todoIdx, i)
+	}
+	if len(todo) == 0 {
+		return results, nil
 	}
 	outs, err := e.runTerms(ctx, todo, todoHash, eps, series)
 	if err != nil {
 		return nil, err
 	}
-	for k := range todo {
-		i := k
-		if todoIdx != nil {
-			i = todoIdx[k]
-		}
+	for k, i := range todoIdx {
 		r := &results[i]
 		r.NDelta = todo[k].A.DiffCount(todo[k].B)
 		var lbs, ubs [4]float64
@@ -379,33 +373,25 @@ func (e *Engine) MatrixEps(ctx context.Context, states []opinion.State, eps floa
 		return out, 0, nil
 	}
 	// repOf[i] is the position of state i's representative in reps:
-	// with bounds ablated every state represents itself; otherwise
 	// states with identical content (fingerprint prefilter, literal
 	// diff confirms) share one representative.
 	repOf := make([]int, n)
 	var reps []int
-	if e.opts.ablated(ablateBounds) {
-		reps = make([]int, n)
-		for i := range reps {
-			reps[i], repOf[i] = i, i
+	byHash := make(map[hashKey][]int, n)
+	for i := 0; i < n; i++ {
+		h := hashState(states[i])
+		assigned := false
+		for _, r := range byHash[h] {
+			if states[i].DiffCount(states[reps[r]]) == 0 {
+				repOf[i] = r
+				assigned = true
+				break
+			}
 		}
-	} else {
-		byHash := make(map[hashKey][]int, n)
-		for i := 0; i < n; i++ {
-			h := hashState(states[i])
-			assigned := false
-			for _, r := range byHash[h] {
-				if states[i].DiffCount(states[reps[r]]) == 0 {
-					repOf[i] = r
-					assigned = true
-					break
-				}
-			}
-			if !assigned {
-				repOf[i] = len(reps)
-				byHash[h] = append(byHash[h], len(reps))
-				reps = append(reps, i)
-			}
+		if !assigned {
+			repOf[i] = len(reps)
+			byHash[h] = append(byHash[h], len(reps))
+			reps = append(reps, i)
 		}
 	}
 	u := len(reps)
@@ -465,11 +451,8 @@ func (e *Engine) MatrixEps(ctx context.Context, states []opinion.State, eps floa
 
 // termOut is the result of one term-level task.
 type termOut struct {
-	val    float64
-	lb, ub float64
-	runs   int
-	used   ComputeEngine
-	err    error
+	termVal
+	err error
 }
 
 // runTerms evaluates the 4*len(pairs) EMD* terms across the pool and
@@ -546,7 +529,7 @@ func (e *Engine) runTerms(ctx context.Context, pairs []StatePair, hashes [][2]ha
 					err = fmt.Errorf("core: pair %d term %d (%s over D(%s)): %w",
 						pi, term, spec.op, refName(term), err)
 				}
-				outs[t] = termOut{val: tv.val, lb: tv.lb, ub: tv.ub, runs: tv.runs, used: tv.used, err: err}
+				outs[t] = termOut{tv, err}
 				if termsLeft.Add(-1) == 0 && hp != nil {
 					hp.close()
 				}
@@ -625,9 +608,6 @@ type scratch struct {
 // network returns a flow network with n nodes and room for hintArcs
 // arcs, reusing the worker's previous network when possible.
 func (sc *scratch) network(n, hintArcs int) *flow.Network {
-	if sc == nil {
-		return flow.NewNetwork(n, hintArcs)
-	}
 	if sc.nw == nil {
 		sc.nw = flow.NewNetwork(n, hintArcs)
 		return sc.nw
@@ -636,21 +616,10 @@ func (sc *scratch) network(n, hintArcs int) *flow.Network {
 	return sc.nw
 }
 
-// resetRows recycles the row arena; rows handed out earlier in the same
-// term must no longer be referenced.
-func (sc *scratch) resetRows() {
-	if sc != nil {
-		sc.rowBuf = sc.rowBuf[:0]
-	}
-}
-
 // takeRowHeaders returns a k-sized row-header slice from the arena
 // (the [][]int64 whose entries index this term's rows), growing it as
 // needed; the headers are overwritten every term instead of allocated.
 func (sc *scratch) takeRowHeaders(k int) [][]int64 {
-	if sc == nil {
-		return make([][]int64, k)
-	}
 	if cap(sc.rows) < k {
 		sc.rows = make([][]int64, k)
 	}
@@ -662,9 +631,6 @@ func (sc *scratch) takeRowHeaders(k int) [][]int64 {
 // emptied, with capacity for at least hint entries; the caller appends
 // and stores the final slices back so growth persists across terms.
 func (sc *scratch) takeTargets(hint int) (targets, cols []int32) {
-	if sc == nil {
-		return make([]int32, 0, hint), make([]int32, 0, hint)
-	}
 	if cap(sc.targets) < hint {
 		sc.targets = make([]int32, 0, hint)
 	}
@@ -676,9 +642,6 @@ func (sc *scratch) takeTargets(hint int) (targets, cols []int32) {
 
 // takeRow returns an n-sized row from the arena, growing it as needed.
 func (sc *scratch) takeRow(n int) []int64 {
-	if sc == nil {
-		return make([]int64, n)
-	}
 	if len(sc.rowBuf)+n > cap(sc.rowBuf) {
 		grow := 2 * cap(sc.rowBuf)
 		if grow < 64*n {

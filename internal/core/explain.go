@@ -39,7 +39,7 @@ type TermPlan struct {
 // terms' transport plans — which users' opinion mass covered which
 // opinion changes, and what each unit cost. Every term takes the
 // bipartite route (it is the one that materializes user-level arcs),
-// whatever route Distance would choose, and is solved exactly: the
+// whatever route an Engine would choose, and is solved exactly: the
 // Result's envelope is degenerate (LB = UB = SND). Cancellation via ctx
 // is observed between SSSP runs and flow pushes, like the Engine batch
 // paths.
@@ -56,7 +56,7 @@ func Explain(ctx context.Context, g *graph.Digraph, a, b opinion.State, opts Opt
 		red := reduce(spec, opts.Clusters, g.N())
 		plans[i] = TermPlan{Op: spec.op, GroundState: refName(i)}
 		if len(red.S) == 0 && len(red.C) == 0 && len(red.banks) == 0 {
-			continue // no route, as Distance reports it (EngineAuto)
+			continue // no route, as an Engine reports it (EngineAuto)
 		}
 		bp, nw, tv, err := solvedInstance(ctx, g, spec, red, opts)
 		if err != nil {
@@ -87,7 +87,7 @@ func Explain(ctx context.Context, g *graph.Digraph, a, b opinion.State, opts Opt
 // solved network.
 func solvedInstance(ctx context.Context, g *graph.Digraph, spec termSpec, red reduction, o Options) (*bipartite, *flow.Network, termVal, error) {
 	bp := newBipartite(red, o.Gamma, infCost(g.N(), o.Costs.MaxCost(), o.EscapeHops))
-	tc := termCtx{ctx: ctx}
+	tc := termCtx{ctx: ctx, sc: &scratch{}}
 	if err := tc.fanOut(g, spec, o, &bp); err != nil {
 		return nil, nil, termVal{}, err
 	}

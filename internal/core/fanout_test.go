@@ -13,9 +13,23 @@ import (
 	"snd/internal/sssp"
 )
 
+// unoptimizedPairs is unoptimizedDistance over every pair.
+func unoptimizedPairs(t *testing.T, g *graph.Digraph, opts Options, pairs []StatePair) []Result {
+	t.Helper()
+	out := make([]Result, len(pairs))
+	for i, p := range pairs {
+		r, err := unoptimizedDistance(g, p.A, p.B, opts)
+		if err != nil {
+			t.Fatalf("pair %d: unoptimized reference: %v", i, err)
+		}
+		out[i] = r
+	}
+	return out
+}
+
 // TestGoalPruningMatchesFullRows pins the tentpole's exactness claim at
 // the engine level: distances with the goal-pruned fan-out are
-// bit-identical to the pre-pruning full-row pipeline, across
+// bit-identical to the full-row reference (unoptimizedDistance), across
 // clusterings, cache configurations, worker counts, randomized state
 // sequences, and the tracked delta path (AdvanceRef lineage, as
 // Network.Step drives it).
@@ -24,18 +38,12 @@ func TestGoalPruningMatchesFullRows(t *testing.T) {
 	ctx := context.Background()
 	for _, cacheBytes := range []int64{-1, 0} {
 		for oi, opts := range engineTestOptions(g) {
-			full := opts
-			full.ablate = ablateGoalPrune
-			fe := NewEngine(g, full, EngineConfig{Workers: 1, GroundCacheBytes: cacheBytes})
 			states := engineTestStates(g.N(), 8, 20, int64(40+oi))
 			var pairs []StatePair
 			for i := 0; i+1 < len(states); i++ {
 				pairs = append(pairs, StatePair{A: states[i], B: states[i+1]})
 			}
-			want, err := fe.Pairs(ctx, pairs)
-			if err != nil {
-				t.Fatalf("cache %d opts %d: full: %v", cacheBytes, oi, err)
-			}
+			want := unoptimizedPairs(t, g, opts, pairs)
 			for _, workers := range []int{1, 4} {
 				cfg := EngineConfig{Workers: workers, GroundCacheBytes: cacheBytes}
 				got, err := NewEngine(g, opts, cfg).Pairs(ctx, pairs)
@@ -283,9 +291,9 @@ func TestSeriesRetentionRule(t *testing.T) {
 // values. It covers forward and reversed terms, clustered and singleton
 // banks, terms with and without opposite users, sparse graphs whose
 // unreachable pairs and short escape radius saturate at the bp.inf
-// cutoff, columns dense enough for the row side's full-graph runs,
-// workers 1, 2 and 4 stealing through a help pool, and the arena-less
-// one-shot context Explain uses.
+// cutoff, terms with more columns than pruneLimit (whose rows the goal
+// search fills like any other), and workers 1, 2 and 4 stealing
+// through a help pool.
 func TestColumnFanOutMatchesRows(t *testing.T) {
 	type shape struct{ rev, clustered, opp bool }
 	seen := map[shape]bool{}
@@ -330,33 +338,28 @@ func TestColumnFanOutMatchesRows(t *testing.T) {
 			seen[shape{bp.rev, o.Clusters != nil, bp.nOpp() > 0}] = true
 			dense = dense || bp.nCols() > pruneLimit(n)
 			for _, workers := range []int{1, 2, 4} {
-				for _, arena := range []bool{true, false} {
-					tc := termCtx{}
-					if arena {
-						tc.sc = &scratch{}
-					}
-					stop := func() {}
-					if workers > 1 {
-						tc.help, stop = startHelpers(workers - 1)
-					}
-					// Rows fix the value; solving at one worker count
-					// keeps the flow solves from dominating the test.
-					solve := workers == 1
-					rows, rowVal := fanOutAndSolve(t, g, spec, o, tc, bp, false, solve)
-					cols, colVal := fanOutAndSolve(t, g, spec, o, tc, bp, true, solve)
-					stop()
-					if !reflect.DeepEqual(rows, cols) {
-						t.Fatalf("seed %d term %d workers %d arena %v: column rows diverged:\n%v\n%v",
-							seed, ti, workers, arena, cols, rows)
-					}
-					if rowVal != colVal {
-						t.Fatalf("seed %d term %d workers %d arena %v: term value %v by column, %v by row",
-							seed, ti, workers, arena, colVal, rowVal)
-					}
-					for _, row := range rows {
-						for _, d := range row {
-							saturated = saturated || d == sssp.Unreachable
-						}
+				tc := termCtx{sc: &scratch{}}
+				stop := func() {}
+				if workers > 1 {
+					tc.help, stop = startHelpers(workers - 1)
+				}
+				// Rows fix the value; solving at one worker count keeps
+				// the flow solves from dominating the test.
+				solve := workers == 1
+				rows, rowVal := fanOutAndSolve(t, g, spec, o, tc, bp, false, solve)
+				cols, colVal := fanOutAndSolve(t, g, spec, o, tc, bp, true, solve)
+				stop()
+				if !reflect.DeepEqual(rows, cols) {
+					t.Fatalf("seed %d term %d workers %d: column rows diverged:\n%v\n%v",
+						seed, ti, workers, cols, rows)
+				}
+				if rowVal != colVal {
+					t.Fatalf("seed %d term %d workers %d: term value %v by column, %v by row",
+						seed, ti, workers, colVal, rowVal)
+				}
+				for _, row := range rows {
+					for _, d := range row {
+						saturated = saturated || d == sssp.Unreachable
 					}
 				}
 			}
@@ -375,7 +378,7 @@ func TestColumnFanOutMatchesRows(t *testing.T) {
 		t.Error("no fan-out cell saturated at the cutoff")
 	}
 	if !dense {
-		t.Error("no term had columns dense enough for full-graph row runs")
+		t.Error("no term had more columns than pruneLimit")
 	}
 }
 
@@ -412,7 +415,7 @@ func fanOutAndSolve(t *testing.T, g *graph.Digraph, spec termSpec, o Options, tc
 	if !solve {
 		return rows, 0
 	}
-	tv, _, err := tc.solveTerm(&bp, o, 0, false, nil)
+	tv, _, err := tc.solveTerm(&bp, 0, false, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -449,7 +452,7 @@ func TestTrackedRefKeepsRowFanOut(t *testing.T) {
 	red := reduce(spec, o.Clusters, g.N())
 	bp := newBipartite(red, o.Gamma, 0)
 	series := termCtx{prov: e.prov, refHash: hashState(a), series: true}
-	byCols := func(tc termCtx) bool { c, _ := tc.fanOutPlan(g, o, &bp); return c }
+	byCols := func(tc termCtx) bool { c, _ := tc.fanOutPlan(g, &bp); return c }
 	if !byCols(series) {
 		t.Fatalf("untracked Series term with %d sources and %d columns keeps the row side", len(bp.sources), bp.nCols())
 	}
@@ -506,7 +509,7 @@ func decline(st opinion.State, frac float64, add int, rng *rand.Rand) opinion.St
 // TestPartialRowsMatchCompleteRows pins partial rows' exactness. Series
 // terms whose banks absorb stop each source's search once
 // partialRowColumns columns settle; their Results must be bit-identical
-// to complete rows (the ablated fan-out's full-graph runs), at workers
+// to complete rows (unoptimizedDistance's full-graph runs), at workers
 // 1, 2 and 4, with and without a ground provider, over BFS-clustered
 // and singleton banks. Across the cases some first plan must cross an
 // unknown cell (an extension round) and some re-solve must cross again
@@ -528,12 +531,11 @@ func TestPartialRowsMatchCompleteRows(t *testing.T) {
 		for i := 0; i < 3; i++ {
 			states = append(states, decline(states[i], 0.15+0.1*float64(i), 4, rng))
 		}
-		full := o
-		full.ablate = ablateGoalPrune
-		want, err := NewEngine(g, full, EngineConfig{Workers: 1, GroundCacheBytes: -1}).SeriesEps(ctx, states, 0)
-		if err != nil {
-			t.Fatal(err)
+		var pairs []StatePair
+		for i := 0; i+1 < len(states); i++ {
+			pairs = append(pairs, StatePair{A: states[i], B: states[i+1]})
 		}
+		want := unoptimizedPairs(t, g, o, pairs)
 		for _, workers := range []int{1, 2, 4} {
 			for _, cacheBytes := range []int64{-1, 0} {
 				e := NewEngine(g, o, EngineConfig{Workers: workers, GroundCacheBytes: cacheBytes})
@@ -557,7 +559,7 @@ func TestPartialRowsMatchCompleteRows(t *testing.T) {
 				red := reduce(spec, do.Clusters, g.N())
 				bp := newBipartite(red, do.Gamma, infCost(g.N(), do.Costs.MaxCost(), do.EscapeHops))
 				tc := termCtx{sc: &scratch{}}
-				if byCols, need := tc.fanOutPlan(g, do, &bp); byCols || need == 0 {
+				if byCols, need := tc.fanOutPlan(g, &bp); byCols || need == 0 {
 					continue
 				}
 				partialTerms++
@@ -586,7 +588,7 @@ func TestPartialRowsMatchCompleteRows(t *testing.T) {
 // every unknown cell inf (the upper bound must match it).
 func checkPartialGate(t *testing.T, bp *bipartite) {
 	t.Helper()
-	lb, ub := termBoundsFromRows(bp, nil)
+	lb, ub := termBoundsFromRows(bp, &scratch{})
 	low, high := *bp, *bp
 	low.radius, high.radius = nil, nil
 	high.rows = make([][]int64, len(bp.rows))
@@ -603,10 +605,10 @@ func checkPartialGate(t *testing.T, bp *bipartite) {
 	if unknown == 0 {
 		return
 	}
-	if wantLB, _ := termBoundsFromRows(&low, nil); lb != wantLB {
+	if wantLB, _ := termBoundsFromRows(&low, &scratch{}); lb != wantLB {
 		t.Fatalf("gate lower bound %d on partial rows, %d on their lower bounds", lb, wantLB)
 	}
-	if _, wantUB := termBoundsFromRows(&high, nil); ub != wantUB {
+	if _, wantUB := termBoundsFromRows(&high, &scratch{}); ub != wantUB {
 		t.Fatalf("gate upper bound %d on partial rows, %d with unknown cells at inf", ub, wantUB)
 	}
 }

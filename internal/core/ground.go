@@ -263,25 +263,6 @@ func (p *groundProvider) retention() (refs int64, bytes int64) {
 	return refs, bytes
 }
 
-// lookup returns the entry for h (nil when absent); the entry's
-// published slices are immutable, but its maps and flags must only be
-// inspected while no writer can run (tests, quiescent assertions).
-func (p *groundProvider) lookup(h hashKey) *groundRef {
-	s := p.shardFor(h)
-	s.mu.RLock()
-	ent := s.refs[h]
-	s.mu.RUnlock()
-	return ent
-}
-
-// windowLen reports the tracked-window depth.
-func (p *groundProvider) windowLen() int {
-	p.winMu.Lock()
-	n := len(p.window)
-	p.winMu.Unlock()
-	return n
-}
-
 // deriveDiffCap bounds how wide an opinion diff a derivation chases:
 // past it, patching the incident edges stops being meaningfully
 // cheaper than rematerializing, and tree repair would fall back

@@ -204,3 +204,22 @@ func TestEngineDeltaPathMatchesColdEngine(t *testing.T) {
 		}
 	}
 }
+
+// lookup returns the entry for h (nil when absent); the entry's
+// published slices are immutable, but its maps and flags must only be
+// inspected while no writer can run.
+func (p *groundProvider) lookup(h hashKey) *groundRef {
+	s := p.shardFor(h)
+	s.mu.RLock()
+	ent := s.refs[h]
+	s.mu.RUnlock()
+	return ent
+}
+
+// windowLen reports the tracked-window depth.
+func (p *groundProvider) windowLen() int {
+	p.winMu.Lock()
+	n := len(p.window)
+	p.winMu.Unlock()
+	return n
+}

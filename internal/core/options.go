@@ -124,30 +124,7 @@ type Options struct {
 	// distance on directed follower graphs. 0 selects 32; set it to
 	// n+1 (or math.MaxInt32) for the untruncated shortest-path metric.
 	EscapeHops int
-
-	// ablate switches off exact optimizations so package tests can pin
-	// the optimized pipeline bit-identical to the unoptimized one.
-	// Production code only reads it.
-	ablate ablation
 }
-
-// ablation is a bit set of exact optimizations to switch off.
-type ablation uint8
-
-const (
-	// ablateGoalPrune runs every SSSP of the bipartite fan-out over the
-	// whole graph, and has the ground provider retain full rows, as the
-	// pipeline did before goal pruning.
-	ablateGoalPrune ablation = 1 << iota
-	// ablateBounds disables lower-bound screening everywhere: the term
-	// pipeline always runs its flow solve (no LB == UB gate, and no
-	// approximation gates whatever the budget), Pairs and Matrix never
-	// decide identical-state pairs up front, and Engine.LowerBounds
-	// returns zeros, so bound-first consumers evaluate exhaustively.
-	ablateBounds
-)
-
-func (o Options) ablated(a ablation) bool { return o.ablate&a != 0 }
 
 // DefaultOptions returns the configuration used by the paper's
 // experiments: agnostic ground costs.

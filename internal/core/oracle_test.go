@@ -38,6 +38,116 @@ func termDense(g *graph.Digraph, spec termSpec, o Options) (float64, error) {
 	})
 }
 
+// Distance is the sequential reference for SND(a, b) over network g
+// (eq. 3): the four EMD* terms evaluated one after another by
+// computeTerm on one scratch arena, with no ground provider, warm ring
+// or help pool. Engine batches must match it bit for bit.
+func Distance(g *graph.Digraph, a, b opinion.State, opts Options) (Result, error) {
+	opts = opts.withDefaults()
+	if err := opts.validate(g, a, b); err != nil {
+		return Result{}, err
+	}
+	specs := eqSpecs(a, b)
+	var res Result
+	res.NDelta = a.DiffCount(b)
+	// The standalone path honors Options.Epsilon through the row-gate
+	// and entropic stages; the coarse cluster pass needs an Engine's
+	// partition and is engine-only.
+	tc := termCtx{sc: &scratch{}}
+	if opts.Epsilon > 0 {
+		tc.epsTerm = epsTermBudget(opts.Epsilon)
+	}
+	var lbs, ubs [4]float64
+	for i, spec := range specs {
+		tv, err := computeTerm(g, spec, opts, tc)
+		if err != nil {
+			return Result{}, fmt.Errorf("core: term %d (%s over D(%s)): %w", i, spec.op, refName(i), err)
+		}
+		res.Terms[i] = tv.val
+		lbs[i], ubs[i] = tv.lb, tv.ub
+		res.SSSPRuns += tv.runs
+		res.EnginesUsed[i] = tv.used
+	}
+	res.SND = (res.Terms[0] + res.Terms[1] + res.Terms[2] + res.Terms[3]) / 2
+	res.LB = (lbs[0] + lbs[1] + lbs[2] + lbs[3]) / 2
+	res.UB = (ubs[0] + ubs[1] + ubs[2] + ubs[3]) / 2
+	return res, nil
+}
+
+// unoptimizedDistance is the reference the fan-out's optimizations and
+// the bound screens are pinned against. Each term takes the route
+// computeTerm picks. A bipartite term fills its rows with fullRows and
+// is solved cold by flowSolve: no goal search, partial rows or column
+// side, no bound gate, no warm basis and no ground provider. The Result
+// matches an exact engine's field for field, SSSPRuns and EnginesUsed
+// included; identical states give the zero Result.
+func unoptimizedDistance(g *graph.Digraph, a, b opinion.State, opts Options) (Result, error) {
+	opts = opts.withDefaults()
+	if err := opts.validate(g, a, b); err != nil {
+		return Result{}, err
+	}
+	res := Result{NDelta: a.DiffCount(b)}
+	tc := termCtx{sc: &scratch{}}
+	for i, spec := range eqSpecs(a, b) {
+		red := reduce(spec, opts.Clusters, g.N())
+		if len(red.S) == 0 && len(red.C) == 0 && len(red.banks) == 0 {
+			continue
+		}
+		if !bipartiteRoute(red, g.N()) {
+			v, err := termNetwork(g, spec, red, opts, tc)
+			if err != nil {
+				return Result{}, fmt.Errorf("term %d: %w", i, err)
+			}
+			res.Terms[i], res.EnginesUsed[i] = v, EngineNetwork
+			continue
+		}
+		bp := newBipartite(red, opts.Gamma, infCost(g.N(), opts.Costs.MaxCost(), opts.EscapeHops))
+		fullRows(g, spec, opts, &bp)
+		tv, _, err := tc.flowSolve(&bp, nil)
+		if err != nil {
+			return Result{}, fmt.Errorf("term %d: %w", i, err)
+		}
+		res.Terms[i], res.EnginesUsed[i] = tv.val, EngineBipartite
+		res.SSSPRuns += len(bp.sources)
+	}
+	res.SND = (res.Terms[0] + res.Terms[1] + res.Terms[2] + res.Terms[3]) / 2
+	res.LB, res.UB = res.SND, res.SND
+	return res, nil
+}
+
+// fullRows fills bp.rows the unpruned way: one whole-graph
+// sssp.DijkstraInto per source (over the transpose when the banks sit
+// on the supplier side), an opposite user's column reading its
+// distance and a bank's column its nearest member's, every distance
+// past bp.inf read as unreachable, as the goal search reports it.
+func fullRows(g *graph.Digraph, spec termSpec, o Options, bp *bipartite) {
+	srcGraph, w := g, o.Costs.EdgeCosts(g, spec.ref, spec.op)
+	if bp.rev {
+		srcGraph, w = g.Reverse(), graph.PermuteToReverse(g, w)
+	}
+	var run sssp.Result
+	bp.rows, bp.radius = make([][]int64, len(bp.sources)), nil
+	for k, s := range bp.sources {
+		sssp.DijkstraInto(srcGraph, w, int(s), o.Costs.MaxCost(), &run)
+		row := make([]int64, bp.nCols())
+		for j, u := range bp.opposite {
+			row[j] = run.Dist[u]
+		}
+		for b, bank := range bp.red.banks {
+			row[bp.nOpp()+b] = sssp.Unreachable
+			for _, u := range bank.members {
+				row[bp.nOpp()+b] = min(row[bp.nOpp()+b], run.Dist[u])
+			}
+		}
+		for j, d := range row {
+			if d > bp.inf {
+				row[j] = sssp.Unreachable
+			}
+		}
+		bp.rows[k] = row
+	}
+}
+
 // termFn evaluates one term with a non-empty reduced instance along a
 // fixed strategy, bypassing computeTerm's choice.
 type termFn func(g *graph.Digraph, spec termSpec, red reduction, o Options) (float64, error)
@@ -46,11 +156,11 @@ type termFn func(g *graph.Digraph, spec termSpec, red reduction, o Options) (flo
 // directly, plus the oracle.
 var (
 	viaBipartite termFn = func(g *graph.Digraph, spec termSpec, red reduction, o Options) (float64, error) {
-		tv, err := termBipartite(g, spec, red, o, termCtx{}, 0)
+		tv, err := termBipartite(g, spec, red, o, termCtx{sc: &scratch{}}, 0)
 		return tv.val, err
 	}
 	viaNetwork termFn = func(g *graph.Digraph, spec termSpec, red reduction, o Options) (float64, error) {
-		return termNetwork(g, spec, red, o, termCtx{})
+		return termNetwork(g, spec, red, o, termCtx{sc: &scratch{}})
 	}
 	viaDense termFn = func(g *graph.Digraph, spec termSpec, _ reduction, o Options) (float64, error) {
 		return termDense(g, spec, o)
@@ -84,7 +194,7 @@ func viaBipartiteSolver(costScaling bool) termFn {
 // viaNetworkSolver is the network route solved by the named solver.
 func viaNetworkSolver(costScaling bool) termFn {
 	return func(g *graph.Digraph, spec termSpec, red reduction, o Options) (float64, error) {
-		nw := networkInstance(g, spec, red, o, termCtx{})
+		nw := networkInstance(g, spec, red, o, termCtx{sc: &scratch{}})
 		cost, err := solveWith(nw, costScaling)
 		return float64(cost) / float64(red.scale), err
 	}

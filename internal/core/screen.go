@@ -35,8 +35,9 @@ import (
 //
 // Both layers are exact-value-preserving: a gate fires only when the
 // bound pins the integer optimum, and screening consumers are required
-// to fall back to exact solves whenever a bound is not decisive.
-// Ablating bounds (package tests only) disables both.
+// to fall back to exact solves whenever a bound is not decisive. The
+// package tests pin the gated pipeline against an unscreened reference
+// that solves every term (unoptimizedDistance).
 
 // termBoundsFromRows computes admissible integer bounds on the scaled
 // optimal transportation cost of the instance bp from its
@@ -167,9 +168,6 @@ func termBoundsFromRows(bp *bipartite, sc *scratch) (lb, ub int64) {
 
 // takeBoundBuf returns an n-sized int64 buffer from the arena.
 func (sc *scratch) takeBoundBuf(n int) []int64 {
-	if sc == nil {
-		return make([]int64, n)
-	}
 	if cap(sc.boundBuf) < n {
 		sc.boundBuf = make([]int64, n)
 	}
@@ -198,9 +196,6 @@ func (e *Engine) LowerBounds(ctx context.Context, pairs []StatePair) ([]float64,
 		}
 	}
 	out := make([]float64, len(pairs))
-	if e.opts.ablated(ablateBounds) {
-		return out, nil
-	}
 	start := time.Now()
 	defer addPhase(&e.stats.boundNanos, start)
 	for i := range pairs {

@@ -130,8 +130,9 @@ func infCost(n int, maxEdgeCost int64, escapeHops int) int64 {
 
 // termCtx threads an engine worker's scratch arena, the engine's shared
 // ground-distance provider, and the request context into a term
-// computation. The zero value (no reuse, no provider, no cancellation)
-// reproduces the standalone sequential behavior.
+// computation. Every term needs the arena (sc); the other fields may be
+// left zero: no provider, no warm ring, no help pool, no stats and no
+// cancellation give the sequential computation on the arena alone.
 type termCtx struct {
 	// ctx, when non-nil, is checked between SSSP runs and handed to the
 	// flow solvers so a cancelled request stops mid-term. It never
@@ -140,7 +141,7 @@ type termCtx struct {
 	sc   *scratch
 	prov *groundProvider
 	// warm, when non-nil, is the engine's warm-basis ring (see
-	// warm.go); it requires sc.
+	// warm.go).
 	warm *warmCache
 	// stats, when non-nil, receives the engine's phase timings and
 	// warm/bound counters; the zero termCtx records nothing.
@@ -250,10 +251,9 @@ func computeTerm(g *graph.Digraph, spec termSpec, o Options, tc termCtx) (termVa
 	}
 	// The approximation tier serves only the bipartite route (its rows
 	// and reduced instance are what the bounds and the entropic solver
-	// consume); budget 0 — or ablated bounds, which pin unscreened exact
-	// solves — keeps every gate closed.
+	// consume); budget 0 keeps every approximation gate closed.
 	var budget int64
-	if tc.epsTerm > 0 && !o.ablated(ablateBounds) {
+	if tc.epsTerm > 0 {
 		budget = int64(tc.epsTerm * float64(red.scale))
 	}
 	if budget > 0 {
@@ -320,12 +320,12 @@ func termBipartite(g *graph.Digraph, spec termSpec, red reduction, o Options, tc
 		}
 		donor = d
 	}
-	byCols, need := tc.fanOutPlan(g, o, &bp)
+	byCols, need := tc.fanOutPlan(g, &bp)
 	run, err := tc.fanOutAs(g, spec, o, &bp, byCols, need)
 	if err != nil {
 		return termVal{}, err
 	}
-	tv, nw, err := tc.solveRows(&bp, run, o, budgetScaled, donor)
+	tv, nw, err := tc.solveRows(&bp, run, budgetScaled, donor)
 	tv.runs = runs
 	if err != nil {
 		return tv, err
@@ -360,35 +360,31 @@ func termBipartite(g *graph.Digraph, spec termSpec, red reduction, o Options, tc
 // Otherwise flowSolve computes the exact value, warm from donor when
 // one is given. The solved network is returned only in that case;
 // runs is left to the caller.
-func (tc termCtx) solveTerm(bp *bipartite, o Options, budgetScaled int64, coarse bool, donor *warmBasis) (termVal, *flow.Network, error) {
-	rowsLB, rowsUB := int64(0), int64(math.MaxInt64)
-	if !o.ablated(ablateBounds) {
-		boundStart := time.Now()
-		lb, ub := termBoundsFromRows(bp, tc.sc)
+func (tc termCtx) solveTerm(bp *bipartite, budgetScaled int64, coarse bool, donor *warmBasis) (termVal, *flow.Network, error) {
+	boundStart := time.Now()
+	lb, ub := termBoundsFromRows(bp, tc.sc)
+	if tc.stats != nil {
+		addPhase(&tc.stats.boundNanos, boundStart)
+	}
+	scale := float64(bp.red.scale)
+	if lb == ub {
 		if tc.stats != nil {
-			addPhase(&tc.stats.boundNanos, boundStart)
+			tc.stats.termsBoundDecided.Add(1)
 		}
-		scale := float64(bp.red.scale)
-		if lb == ub {
-			if tc.stats != nil {
-				tc.stats.termsBoundDecided.Add(1)
+		return exactVal(float64(lb)/scale, 0), nil, nil
+	}
+	if budgetScaled > 0 && ub != math.MaxInt64 && ub-lb <= budgetScaled {
+		if tc.stats != nil {
+			if coarse {
+				tc.stats.termsApproxCoarse.Add(1)
+			} else {
+				tc.stats.termsApproxGap.Add(1)
 			}
-			return exactVal(float64(lb)/scale, 0), nil, nil
 		}
-		if budgetScaled > 0 && ub != math.MaxInt64 && ub-lb <= budgetScaled {
-			if tc.stats != nil {
-				if coarse {
-					tc.stats.termsApproxCoarse.Add(1)
-				} else {
-					tc.stats.termsApproxGap.Add(1)
-				}
-			}
-			return termVal{val: float64(ub) / scale, lb: float64(lb) / scale, ub: float64(ub) / scale}, nil, nil
-		}
-		rowsLB, rowsUB = lb, ub
+		return termVal{val: float64(ub) / scale, lb: float64(lb) / scale, ub: float64(ub) / scale}, nil, nil
 	}
 	if budgetScaled > 0 {
-		if tv, ok := tc.termSinkhorn(bp, rowsLB, rowsUB, budgetScaled); ok {
+		if tv, ok := tc.termSinkhorn(bp, lb, ub, budgetScaled); ok {
 			return tv, nil, nil
 		}
 	}
@@ -400,8 +396,8 @@ func (tc termCtx) solveTerm(bp *bipartite, o Options, budgetScaled int64, coarse
 // an unknown cell: see bipartite.crossedRows. Otherwise the rows it
 // crossed are completed and the term is solved again, and a second
 // crossing completes every row for a last solve.
-func (tc termCtx) solveRows(bp *bipartite, run rowRun, o Options, budgetScaled int64, donor *warmBasis) (termVal, *flow.Network, error) {
-	tv, nw, err := tc.solveTerm(bp, o, budgetScaled, false, donor)
+func (tc termCtx) solveRows(bp *bipartite, run rowRun, budgetScaled int64, donor *warmBasis) (termVal, *flow.Network, error) {
+	tv, nw, err := tc.solveTerm(bp, budgetScaled, false, donor)
 	for round := 0; err == nil && nw != nil; round++ {
 		crossed := bp.crossedRows(nw)
 		if len(crossed) == 0 {
@@ -418,7 +414,7 @@ func (tc termCtx) solveRows(bp *bipartite, run rowRun, o Options, budgetScaled i
 		if err := tc.runTasks(len(crossed), func(sc *scratch, i int) { run(sc, int(crossed[i]), 0) }); err != nil {
 			return termVal{}, nil, err
 		}
-		tv, nw, err = tc.solveTerm(bp, o, budgetScaled, false, donor)
+		tv, nw, err = tc.solveTerm(bp, budgetScaled, false, donor)
 	}
 	return tv, nw, err
 }
@@ -475,10 +471,10 @@ const (
 // fanOutPlan picks how termBipartite fills bp's rows: by column
 // (byColumns), or by row, partial rows of need columns (partialRows)
 // or complete ones (need 0).
-func (tc termCtx) fanOutPlan(g *graph.Digraph, o Options, bp *bipartite) (byCols bool, need int) {
-	partial := tc.partialRows(g, o, bp)
+func (tc termCtx) fanOutPlan(g *graph.Digraph, bp *bipartite) (byCols bool, need int) {
+	partial := tc.partialRows(g, bp)
 	switch {
-	case tc.byColumns(o, bp, partial):
+	case tc.byColumns(bp, partial):
 		return true, 0
 	case partial:
 		return false, partialRowColumns
@@ -492,15 +488,14 @@ func (tc termCtx) fanOutPlan(g *graph.Digraph, o Options, bp *bipartite) (byCols
 // columnFanOutRatio times as many, or partialColumnFanOutRatio times
 // as many when the row side would run partial rows, whose balls are
 // smaller. The column side is taken only where the row side would
-// retain nothing (see retainsRows). Ablated goal pruning pins the row
-// side too: it runs the unoptimized fan-out. Both sides fill the same
-// rows, so the choice moves no bit.
-func (tc termCtx) byColumns(o Options, bp *bipartite, partial bool) bool {
+// retain nothing (see retainsRows). Both sides fill the same rows, so
+// the choice moves no bit.
+func (tc termCtx) byColumns(bp *bipartite, partial bool) bool {
 	ratio := columnFanOutRatio
 	if partial {
 		ratio = partialColumnFanOutRatio
 	}
-	if o.ablated(ablateGoalPrune) || ratio*bp.nCols() >= len(bp.sources) {
+	if ratio*bp.nCols() >= len(bp.sources) {
 		return false
 	}
 	return !tc.retainsRows()
@@ -528,15 +523,14 @@ const partialRowColumns = 8
 // partialRowColumns columns settle, leaving the farther cells unknown
 // (see bipartite.radius and solveRows, which checks the plan). It
 // takes terms whose banks absorb (residual suppliers are the sources),
-// with more columns than that, on the exact pipeline's goal search
-// (no error budget, no ablation, columns not dense), where the row
-// side retains nothing. Where the banks supply, plans reach far
-// columns: on the same analyze terms every such plan crossed unknown
-// cells twice, paying three solves and every row. Retained rows must
-// be complete.
-func (tc termCtx) partialRows(g *graph.Digraph, o Options, bp *bipartite) bool {
+// with more columns than that but no more than pruneLimit, on the
+// exact pipeline (no error budget), where the row side retains
+// nothing. Where the banks supply, plans reach far columns: on the
+// same analyze terms every such plan crossed unknown cells twice,
+// paying three solves and every row. Retained rows must be complete.
+func (tc termCtx) partialRows(g *graph.Digraph, bp *bipartite) bool {
 	return tc.epsTerm == 0 && !bp.rev && bp.nCols() > partialRowColumns &&
-		bp.nCols() <= pruneLimit(g.N()) && !o.ablated(ablateGoalPrune) && !tc.retainsRows()
+		bp.nCols() <= pruneLimit(g.N()) && !tc.retainsRows()
 }
 
 // fanOut fills bp.rows, rows[k][j] being the ground distance from
@@ -554,9 +548,9 @@ func (tc termCtx) partialRows(g *graph.Digraph, o Options, bp *bipartite) bool {
 // from each opposite user, and from each bank's whole member set at
 // once, which settles d(s -> nearest member) for every source s. Both
 // sides search with sssp.DijkstraGoalsInto cut off at inf and give the
-// same rows, bit for bit. The provider's retained rows and the row
-// side's dense fallback differ from them only past inf, where
-// bp.capped saturates every value alike. fanOut fills complete rows;
+// same rows, bit for bit, whatever the column count. The provider's
+// retained rows differ from them only past inf, where bp.capped
+// saturates every value alike. fanOut fills complete rows;
 // termBipartite may ask fanOutAs for partial ones.
 //
 // Runs are sub-tasks with a fixed output slot (a row, or a column of
@@ -564,7 +558,7 @@ func (tc termCtx) partialRows(g *graph.Digraph, o Options, bp *bipartite) bool {
 // with rows — and every downstream bit — identical to the sequential
 // order.
 func (tc termCtx) fanOut(g *graph.Digraph, spec termSpec, o Options, bp *bipartite) error {
-	_, err := tc.fanOutAs(g, spec, o, bp, tc.byColumns(o, bp, false), 0)
+	_, err := tc.fanOutAs(g, spec, o, bp, tc.byColumns(bp, false), 0)
 	return err
 }
 
@@ -573,7 +567,7 @@ func (tc termCtx) fanOut(g *graph.Digraph, spec termSpec, o Options, bp *biparti
 // side's run (nil by column), which completes a row when called with
 // need 0.
 func (tc termCtx) fanOutAs(g *graph.Digraph, spec termSpec, o Options, bp *bipartite, byCols bool, need int) (rowRun, error) {
-	tc.sc.resetRows()
+	tc.sc.rowBuf = tc.sc.rowBuf[:0] // rows of the previous term are dead
 	rows := tc.sc.takeRowHeaders(len(bp.sources))
 	for i := range rows {
 		rows[i] = tc.sc.takeRow(bp.nCols())
@@ -592,13 +586,9 @@ func (tc termCtx) fanOutAs(g *graph.Digraph, spec termSpec, o Options, bp *bipar
 // runTasks runs the fan-out sub-tasks 0..total-1, split across the help
 // pool's idle workers when there is one, and charges the time to SSSP.
 func (tc termCtx) runTasks(total int, run func(sc *scratch, i int)) error {
-	owner := tc.sc
-	if owner == nil {
-		owner = &scratch{} // one-shot callers (Explain) carry no arena
-	}
 	start := time.Now()
 	if tc.help != nil && total > 1 {
-		if err := tc.help.runFanout(tc.ctx, owner, total, run); err != nil {
+		if err := tc.help.runFanout(tc.ctx, tc.sc, total, run); err != nil {
 			return err
 		}
 	} else {
@@ -606,7 +596,7 @@ func (tc termCtx) runTasks(total int, run func(sc *scratch, i int)) error {
 			if err := tc.cancelled(); err != nil {
 				return err
 			}
-			run(owner, i)
+			run(tc.sc, i)
 		}
 	}
 	if tc.stats != nil {
@@ -624,9 +614,8 @@ type rowRun func(sc *scratch, i, need int)
 // then every bank's members, with cols mapping each to its column.
 //
 // A row is filled by the provider's fast paths when one is attached,
-// by the grouped goal search on the no-provider, budget-exhausted and
-// Series-miss paths, and by a full-graph run when goal pruning is
-// ablated or the columns are dense.
+// and by the grouped goal search on the no-provider, budget-exhausted
+// and Series-miss paths, however many columns the term has.
 //
 // With need > 0 the goal search stops once need columns settle (and
 // that key level is finished); the row then keeps its radius in
@@ -653,12 +642,8 @@ func (tc termCtx) sourceRuns(g *graph.Digraph, spec termSpec, o Options, bp *bip
 			cols = append(cols, int32(nOpp+b))
 		}
 	}
-	if tc.sc != nil {
-		tc.sc.targets, tc.sc.cols = targets, cols
-	}
+	tc.sc.targets, tc.sc.cols = targets, cols
 
-	dense := bp.nCols() > pruneLimit(g.N())
-	noPrune := o.ablated(ablateGoalPrune)
 	maxCost := o.Costs.MaxCost()
 	rows := bp.rows
 	return func(sc *scratch, i, need int) {
@@ -667,28 +652,7 @@ func (tc termCtx) sourceRuns(g *graph.Digraph, spec termSpec, o Options, bp *bip
 		if bp.radius != nil {
 			bp.radius[i] = sssp.Unreachable
 		}
-		if tc.prov != nil {
-			if !noPrune {
-				if tc.prov.rowGoals(tc.refHash, spec.ref, spec.op, bp.rev, s, srcW, targets, cols, out, !tc.series, sc) {
-					return
-				}
-			} else if row, ok := tc.prov.row(tc.refHash, spec.ref, spec.op, bp.rev, s, srcW); ok {
-				foldCols(out, row, targets, cols)
-				return
-			}
-		}
-		if noPrune || dense {
-			// Unpruned: settle the whole graph into the worker's result
-			// buffer, then fold out the queried columns.
-			sssp.DijkstraFrontierInto(srcGraph, srcW, int(s), maxCost, &sc.res, &sc.fr)
-			foldCols(out, sc.res.Dist, targets, cols)
-			// Read through the cutoff, as the goal search (and so the
-			// column side) reports it.
-			for c, d := range out {
-				if d > bp.inf {
-					out[c] = sssp.Unreachable
-				}
-			}
+		if tc.prov != nil && tc.prov.rowGoals(tc.refHash, spec.ref, spec.op, bp.rev, s, srcW, targets, cols, out, !tc.series, sc) {
 			return
 		}
 		r := sssp.DijkstraGoalsInto(srcGraph, srcW, bp.sources[i:i+1], targets, cols, need, maxCost, bp.inf, out, &sc.goals)
@@ -733,14 +697,16 @@ func (tc termCtx) columnRuns(g *graph.Digraph, spec termSpec, o Options, bp *bip
 	}
 }
 
-// pruneLimit is the column count, on a graph of n users, past which a
-// row-side run settles the whole graph instead of running the goal
-// search. A goal search must settle a ball reaching every column; once
-// columns are plentiful relative to the graph that ball is the graph
-// itself, and the search's bookkeeping only adds per-edge overhead
-// (measured ~10-30% on the delta workload's ~600 scattered targets). A
-// bank is one column however many members it has: the search settles
-// it with its nearest member.
+// pruneLimit is the target count, on a graph of n users, past which a
+// goal search's ball is about the whole graph: the search must settle
+// a ball reaching every target, and once targets are plentiful
+// relative to the graph that ball is the graph itself. Two rules read
+// it. partialRows stops at it: a partial row that settles that many
+// columns saves nothing over a complete one (a bank is one column,
+// settled by its nearest member). termApproxMultilevel takes it as its
+// margin proxy: it asks for more sources per column before its coarse
+// pass runs where a term's bank members and opposite users fit under
+// it, since the exact fan-out's runs are then cheap partial balls.
 func pruneLimit(n int) int {
 	return max(n/64, 64)
 }

@@ -16,9 +16,9 @@ import (
 
 // benchTerm builds one mid-size EMD* term on a 5000-user scale-free
 // network: activeFrac sets the activation density (which drives the
-// bank-member target count — the dense case exceeds the fan-out's
-// pruning threshold, the sparse case engages the goal-pruned search),
-// flips the number of opinion changes between the two states.
+// bank-member target count — the dense case has more columns than
+// pruneLimit, the sparse case far fewer), flips the number of opinion
+// changes between the two states.
 func benchTerm(b *testing.B, activeFrac float64, flips int) (*graph.Digraph, termSpec, Options) {
 	b.Helper()
 	g := graph.ScaleFree(graph.ScaleFreeConfig{
@@ -32,15 +32,12 @@ func benchTerm(b *testing.B, activeFrac float64, flips int) (*graph.Digraph, ter
 }
 
 // BenchmarkTermBipartite measures one term of the Theorem 4 pipeline
-// through the worker scratch arena — the auto path (goal-pruned below
-// the column-density threshold, full rows above it) against the pinned
-// pre-pruning fan-out, at a dense and a sparse activation with
-// singleton banks. The clustered shape is the one the analyze
+// through the worker scratch arena, at a dense and a sparse activation
+// with singleton banks. The clustered shape is the one the analyze
 // benchmark workload is made of: only deactivations, so the opposite
 // side is empty, and 64 banks of scattered members, one column each.
-// Run with -benchmem: the auto
-// variants must stay allocation-light (rows, headers, targets and
-// column maps all live in the arena).
+// Run with -benchmem: each term must stay allocation-light (rows,
+// headers, targets and column maps all live in the arena).
 func BenchmarkTermBipartite(b *testing.B) {
 	for _, shape := range []struct {
 		name       string
@@ -65,26 +62,16 @@ func BenchmarkTermBipartite(b *testing.B) {
 			spec.q = q
 		}
 		red := reduce(spec, labels, g.N())
-		for _, cfg := range []struct {
-			name  string
-			prune bool
-		}{{"auto", true}, {"fullrows", false}} {
-			b.Run(shape.name+"/"+cfg.name, func(b *testing.B) {
-				o := opts
-				if !cfg.prune {
-					o.ablate = ablateGoalPrune
+		b.Run(shape.name, func(b *testing.B) {
+			tc := termCtx{sc: &scratch{}}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if _, err := termBipartite(g, spec, red, opts, tc, 0); err != nil {
+					b.Fatal(err)
 				}
-				sc := &scratch{}
-				tc := termCtx{sc: sc}
-				b.ReportAllocs()
-				b.ResetTimer()
-				for i := 0; i < b.N; i++ {
-					if _, err := termBipartite(g, spec, red, o, tc, 0); err != nil {
-						b.Fatal(err)
-					}
-				}
-			})
-		}
+			}
+		})
 	}
 }
 
@@ -238,7 +225,7 @@ func BenchmarkFanOutOrientation(b *testing.B) {
 				b.Fatalf("instance has rev=%v, %d sources, %d opposite users", bp.rev, len(bp.sources), bp.nOpp())
 			}
 			rule := "rows"
-			if byCols, need := (termCtx{}).fanOutPlan(g, o, &bp); byCols {
+			if byCols, need := (termCtx{}).fanOutPlan(g, &bp); byCols {
 				rule = "columns"
 			} else if need > 0 {
 				rule = "partial"
@@ -271,7 +258,7 @@ func BenchmarkFanOutOrientation(b *testing.B) {
 						want = append(want, append([]int64(nil), row...))
 					}
 					if opp == 0 { // the opp variants' added users unbalance the instance
-						tv, _, err := tc.solveTerm(&bp, o, 0, false, nil)
+						tv, _, err := tc.solveTerm(&bp, 0, false, nil)
 						if err != nil {
 							b.Fatal(err)
 						}
@@ -293,7 +280,7 @@ func BenchmarkFanOutOrientation(b *testing.B) {
 						}
 					}
 					if opp == 0 {
-						tv, _, err := tc.solveRows(&bp, run, o, 0, nil)
+						tv, _, err := tc.solveRows(&bp, run, 0, nil)
 						if err != nil || tv.val != wantVal {
 							b.Fatalf("%s: partial rows give term value %v (%v), complete rows %v", name, tv.val, err, wantVal)
 						}

@@ -205,8 +205,9 @@ func TestWarmStartMonitoringMatchesCold(t *testing.T) {
 
 // TestScreenedPairsAndMatrixMatchExhaustive pins the bounds-first
 // decided passes: batches salted with identical-state pairs and
-// duplicate states produce bit-identical results with and without
-// screening.
+// duplicate states produce results bit-identical to the unscreened
+// reference (unoptimizedDistance on every pair, the matrix filled from
+// its i < j pairs).
 func TestScreenedPairsAndMatrixMatchExhaustive(t *testing.T) {
 	g := engineTestGraph(200, 75)
 	states := engineTestStates(g.N(), 5, 20, 76)
@@ -218,20 +219,15 @@ func TestScreenedPairsAndMatrixMatchExhaustive(t *testing.T) {
 			pairs = append(pairs, StatePair{A: states[i], B: states[j]})
 		}
 	}
+	n := len(states)
 	for oi, opts := range engineTestOptions(g) {
-		ex := opts
-		ex.ablate = ablateBounds
 		se := NewEngine(g, opts, EngineConfig{Workers: 3})
-		ee := NewEngine(g, ex, EngineConfig{Workers: 3})
 		ctx := context.Background()
 		got, err := se.Pairs(ctx, pairs)
 		if err != nil {
 			t.Fatalf("opts %d: screened pairs: %v", oi, err)
 		}
-		want, err := ee.Pairs(ctx, pairs)
-		if err != nil {
-			t.Fatalf("opts %d: exhaustive pairs: %v", oi, err)
-		}
+		want := unoptimizedPairs(t, g, opts, pairs)
 		if !reflect.DeepEqual(got, want) {
 			t.Fatalf("opts %d: screened pairs diverged", oi)
 		}
@@ -239,9 +235,15 @@ func TestScreenedPairsAndMatrixMatchExhaustive(t *testing.T) {
 		if err != nil {
 			t.Fatalf("opts %d: screened matrix: %v", oi, err)
 		}
-		wantM, err := ee.Matrix(ctx, states)
-		if err != nil {
-			t.Fatalf("opts %d: exhaustive matrix: %v", oi, err)
+		wantM := make([][]float64, n)
+		for i := range wantM {
+			wantM[i] = make([]float64, n)
+		}
+		for i := 0; i < n; i++ {
+			for j := i + 1; j < n; j++ {
+				wantM[i][j] = want[i*n+j].SND
+				wantM[j][i] = want[i*n+j].SND
+			}
 		}
 		if !reflect.DeepEqual(gotM, wantM) {
 			t.Fatalf("opts %d: screened matrix diverged", oi)
@@ -427,7 +429,6 @@ func TestTrackedExactHitWithStrippedBasis(t *testing.T) {
 	}
 	e.AdvanceRef(prev, tracked, changed)
 	query := perturb(tracked, 40, rng)
-	cold := NewEngine(g, Options{ablate: ablateBounds}, EngineConfig{Workers: 1, WarmCacheBytes: -1})
 	for round := 0; round < 3; round++ {
 		if round > 0 {
 			// Terms 2-3 run over the tracked state; each must meet its
@@ -454,9 +455,9 @@ func TestTrackedExactHitWithStrippedBasis(t *testing.T) {
 		if err != nil {
 			t.Fatalf("round %d: %v", round, err)
 		}
-		want, err := cold.Distance(ctx, query, tracked)
+		want, err := unoptimizedDistance(g, query, tracked, DefaultOptions())
 		if err != nil {
-			t.Fatalf("round %d cold: %v", round, err)
+			t.Fatalf("round %d reference: %v", round, err)
 		}
 		if !reflect.DeepEqual(got, want) {
 			t.Fatalf("round %d diverged: %+v vs %+v", round, got, want)
@@ -534,13 +535,9 @@ func TestMatrixValidatesDuplicateInvalidStates(t *testing.T) {
 	bad := make(opinion.State, g.N())
 	bad[3] = 7 // invalid opinion value
 	states := []opinion.State{bad, append(opinion.State(nil), bad...)}
-	for _, ablate := range []ablation{0, ablateBounds} {
-		opts := DefaultOptions()
-		opts.ablate = ablate
-		e := NewEngine(g, opts, EngineConfig{Workers: 1})
-		if _, err := e.Matrix(context.Background(), states); err == nil {
-			t.Fatalf("ablate=%d: invalid duplicate states accepted", ablate)
-		}
+	e := NewEngine(g, DefaultOptions(), EngineConfig{Workers: 1})
+	if _, err := e.Matrix(context.Background(), states); err == nil {
+		t.Fatal("invalid duplicate states accepted")
 	}
 }
 

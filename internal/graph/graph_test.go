@@ -234,10 +234,17 @@ func TestReadFromErrors(t *testing.T) {
 	cases := []string{
 		"",
 		"3",
-		"3 2\n0 1",     // header promises 2 edges, file has 1
-		"3 1\n0 one",   // malformed int
-		"3 1\n0 1 2",   // malformed line
-		"notanint 1\n", // malformed header
+		"3 2\n0 1",        // header promises 2 edges, file has 1
+		"3 1\n0 one",      // malformed int
+		"3 1\n0 1 2",      // malformed line
+		"notanint 1\n",    // malformed header
+		"-1 0",            // negative node count
+		"3 -1",            // negative edge count
+		"3 1\n0 5",        // endpoint past n
+		"3 1\n-1 0",       // negative endpoint
+		"3 1\n0 1\n1 2",   // more edges than declared
+		"3000000000000 0", // node count past the int32 CSR
+		"3 3000000000000", // edge count past the int32 CSR
 	}
 	for _, in := range cases {
 		if _, err := Decode(strings.NewReader(in)); err == nil {

@@ -4,6 +4,7 @@ import (
 	"bufio"
 	"fmt"
 	"io"
+	"math"
 	"strconv"
 	"strings"
 )
@@ -34,28 +35,41 @@ func (g *Digraph) Encode(w io.Writer) error {
 }
 
 // Decode parses the edge-list format written by Encode. Blank lines
-// and lines starting with '#' are ignored.
+// and lines starting with '#' are ignored. Untrusted input gets an
+// error, never a panic: the header's counts must be non-negative and
+// fit the int32 CSR, every endpoint must lie in [0, n), and the edge
+// lines must number exactly what the header declares. Decode still
+// allocates the n+1 CSR offsets the header asks for, so a caller that
+// takes edge lists from strangers bounds n before handing them over.
 func Decode(r io.Reader) (*Digraph, error) {
 	sc := bufio.NewScanner(r)
 	sc.Buffer(make([]byte, 64*1024), 1<<20)
 	var b *Builder
-	want := -1
-	got := 0
+	want, got := 0, 0
 	for sc.Scan() {
 		line := strings.TrimSpace(sc.Text())
 		if line == "" || strings.HasPrefix(line, "#") {
 			continue
 		}
-		a, c, err := parsePair(line)
+		u, v, err := parsePair(line)
 		if err != nil {
 			return nil, fmt.Errorf("graph: %v", err)
 		}
 		if b == nil {
-			b = NewBuilder(a)
-			want = c
+			if u < 0 || v < 0 || u > math.MaxInt32 || v > math.MaxInt32 {
+				return nil, fmt.Errorf("graph: header declares %d nodes and %d edges, want each in [0, %d]", u, v, math.MaxInt32)
+			}
+			b = NewBuilder(u)
+			want = v
 			continue
 		}
-		b.AddEdge(a, c)
+		if u < 0 || u >= b.n || v < 0 || v >= b.n {
+			return nil, fmt.Errorf("graph: edge (%d,%d) out of range [0,%d)", u, v, b.n)
+		}
+		if got == want {
+			return nil, fmt.Errorf("graph: header declared %d edges, found more", want)
+		}
+		b.AddEdge(u, v)
 		got++
 	}
 	if err := sc.Err(); err != nil {
@@ -64,7 +78,7 @@ func Decode(r io.Reader) (*Digraph, error) {
 	if b == nil {
 		return nil, fmt.Errorf("graph: empty input")
 	}
-	if want >= 0 && got != want {
+	if got != want {
 		return nil, fmt.Errorf("graph: header declared %d edges, found %d", want, got)
 	}
 	return b.Build(), nil

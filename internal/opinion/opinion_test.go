@@ -96,6 +96,8 @@ func TestDecodeStateErrors(t *testing.T) {
 		"2\n1\n0\n-1",
 		"1\n5",
 		"1\nx",
+		"1\n257",            // wraps to a valid int8 opinion
+		"99999999999999\n1", // huge header, one value
 	}
 	for _, in := range cases {
 		if _, err := DecodeState(strings.NewReader(in)); err == nil {

@@ -148,7 +148,7 @@ func DecodeState(r io.Reader) (State, error) {
 	sc := bufio.NewScanner(r)
 	sc.Buffer(make([]byte, 64*1024), 1<<20)
 	var st State
-	idx := 0
+	size := -1
 	for sc.Scan() {
 		line := strings.TrimSpace(sc.Text())
 		if line == "" || strings.HasPrefix(line, "#") {
@@ -158,31 +158,32 @@ func DecodeState(r io.Reader) (State, error) {
 		if err != nil {
 			return nil, fmt.Errorf("opinion: malformed line %q", line)
 		}
-		if st == nil {
+		if size < 0 {
 			if v < 0 {
 				return nil, fmt.Errorf("opinion: negative state size %d", v)
 			}
-			st = NewState(v)
+			// The state grows as values arrive: the header alone never
+			// sizes an allocation.
+			size = v
+			st = make(State, 0, min(size, 1<<16))
 			continue
 		}
-		if idx >= len(st) {
-			return nil, fmt.Errorf("opinion: more values than declared size %d", len(st))
+		if len(st) == size {
+			return nil, fmt.Errorf("opinion: more values than declared size %d", size)
 		}
-		o := Opinion(v)
-		if !o.Valid() {
-			return nil, fmt.Errorf("opinion: invalid opinion %d at user %d", v, idx)
+		if v < int(Negative) || v > int(Positive) {
+			return nil, fmt.Errorf("opinion: invalid opinion %d at user %d", v, len(st))
 		}
-		st[idx] = o
-		idx++
+		st = append(st, Opinion(v))
 	}
 	if err := sc.Err(); err != nil {
 		return nil, fmt.Errorf("opinion: read: %v", err)
 	}
-	if st == nil {
+	if size < 0 {
 		return nil, fmt.Errorf("opinion: empty input")
 	}
-	if idx != len(st) {
-		return nil, fmt.Errorf("opinion: declared %d users, found %d", len(st), idx)
+	if len(st) != size {
+		return nil, fmt.Errorf("opinion: declared %d users, found %d", size, len(st))
 	}
 	return st, nil
 }

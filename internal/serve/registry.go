@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"sort"
+	"strconv"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -385,6 +386,29 @@ func validName(name string) error {
 	return nil
 }
 
+// maxTenantUsers caps a tenant's graph, generated or uploaded: the
+// graph decoder allocates for the node count a header declares, so an
+// edge list is checked against it before it is built.
+const maxTenantUsers = 1 << 22
+
+// edgeListUsers returns the node count an edge list's header declares:
+// the first field of its first line that is neither blank nor a '#'
+// comment, as graph decoding reads it. ok is false when that field is
+// not an integer; decoding then reports the malformed header.
+func edgeListUsers(edges string) (n int, ok bool) {
+	for rest := edges; rest != ""; {
+		var line string
+		line, rest, _ = strings.Cut(rest, "\n")
+		line = strings.TrimSpace(line)
+		if line == "" || strings.HasPrefix(line, "#") {
+			continue
+		}
+		n, err := strconv.Atoi(strings.Fields(line)[0])
+		return n, err == nil
+	}
+	return 0, false
+}
+
 // Create registers a tenant: builds the graph, the engine-backed
 // Network handle, and an empty state set. With a WAL attached the
 // create is logged before the tenant becomes visible.
@@ -404,7 +428,7 @@ func (rg *Registry) create(req CreateTenantRequest) (*Tenant, error) {
 	switch {
 	case req.Graph.ScaleFree != nil:
 		sf := req.Graph.ScaleFree
-		if sf.N <= 0 || sf.N > 1<<22 {
+		if sf.N <= 0 || sf.N > maxTenantUsers {
 			return nil, badRequestf("scale_free.n = %d out of range", sf.N)
 		}
 		g = snd.ScaleFreeGraph(snd.ScaleFreeConfig{
@@ -412,6 +436,9 @@ func (rg *Registry) create(req CreateTenantRequest) (*Tenant, error) {
 			Reciprocity: sf.Reciprocity, Seed: sf.Seed,
 		})
 	case req.Graph.Edges != "":
+		if n, ok := edgeListUsers(req.Graph.Edges); ok && n > maxTenantUsers {
+			return nil, badRequestf("edge list declares %d users, more than %d", n, maxTenantUsers)
+		}
 		var err error
 		g, err = snd.ReadGraph(strings.NewReader(req.Graph.Edges))
 		if err != nil {

@@ -8,6 +8,7 @@ import (
 	"math/rand"
 	"net/http"
 	"net/http/httptest"
+	"strings"
 	"testing"
 	"time"
 
@@ -512,5 +513,33 @@ func TestServeMetrics(t *testing.T) {
 		if !bytes.Contains(line, []byte(" ")) {
 			t.Errorf("malformed metrics line %q", line)
 		}
+	}
+}
+
+// TestCreateTenantRejectsBadEdgeLists sends edge lists that once
+// panicked the decoder (a negative node count, an endpoint past n) or
+// ended the process allocating for a huge header. Each must get 400
+// with no handler panic, and a valid list must still create a tenant.
+func TestCreateTenantRejectsBadEdgeLists(t *testing.T) {
+	c, _ := newTestServer(t, Config{}, 0)
+	for _, edges := range []string{
+		"-1 0",
+		"3 1\n0 5",
+		"3000000000000 0",
+		"# comment first\n4194305 0",
+		"3 -1",
+	} {
+		code, e := c.do("POST", "/v1/tenants", nil, CreateTenantRequest{Name: "bad", Graph: GraphSpec{Edges: edges}}, nil)
+		if code != http.StatusBadRequest || e.Sentinel != "BadRequest" {
+			t.Errorf("edges %q: %d %+v, want 400 BadRequest", edges, code, e)
+		}
+	}
+	if _, body := fetch(t, c, "/metrics"); !strings.Contains(body, "snd_panics_total 0") {
+		t.Fatal("metrics missing snd_panics_total 0")
+	}
+	var ti TenantInfo
+	c.must("POST", "/v1/tenants", CreateTenantRequest{Name: "ok", Graph: GraphSpec{Edges: "3 2\n0 1\n1 2\n"}}, &ti)
+	if ti.Users != 3 || ti.Edges != 2 {
+		t.Fatalf("create from edge list: %+v", ti)
 	}
 }
