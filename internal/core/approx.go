@@ -89,7 +89,7 @@ func termApproxMultilevel(g *graph.Digraph, spec termSpec, red reduction, o Opti
 	if tc.stats != nil {
 		tc.stats.terms.Add(1)
 	}
-	if _, err := tc.fanOutAs(g, spec, o, &bp, true, 0); err != nil {
+	if _, err := tc.fanOutAs(g, spec, o, &bp, planColumns); err != nil {
 		return termVal{}, false, err
 	}
 

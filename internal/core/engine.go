@@ -587,6 +587,7 @@ func eqSpecs(a, b opinion.State) [4]termSpec {
 type scratch struct {
 	res     sssp.Result
 	goals   sssp.GoalsScratch
+	knear   sssp.KNearestScratch
 	fr      sssp.Frontier
 	nw      *flow.Network
 	rowBuf  []int64
@@ -603,6 +604,14 @@ type scratch struct {
 	slotSup, slotCon, slotBank []int32
 	mapRows, mapCols, mapNodes []int32
 	boundBuf                   []int64
+	// arcBuf backs bipartite.arcs and forced bipartite.forced, for the
+	// term being solved.
+	arcBuf, forced []int32
+}
+
+// takeArcs returns an n-sized int32 buffer for bipartite.arcs.
+func (sc *scratch) takeArcs(n int) []int32 {
+	return sc.takeMap(&sc.arcBuf, n)
 }
 
 // network returns a flow network with n nodes and room for hintArcs

@@ -19,13 +19,14 @@ type engineCase struct {
 	eps      float64
 }
 
-// decodeEngineCase reads, in order: the user count n (2..24), the edge
-// count (0..4n, so a graph may have no edges at all), the cluster mode
-// (nil for singleton banks, u mod k, or one label byte per user), k,
-// the budget index, and the number of flips from A to B (0 gives an
-// identical pair); then A's opinions, the flips as (user, opinion)
-// pairs, the edges as (tail, head) pairs, and any per-user labels.
-// Missing bytes read as zero.
+// decodeEngineCase reads, in order: the user count n (2..48; a first
+// byte below 23 gives 2..24, so a corpus written for that range
+// decodes unchanged), the edge count (0..4n, so a graph may have no
+// edges at all), the cluster mode (nil for singleton banks, u mod k,
+// or one label byte per user), k, the budget index, and the number of
+// flips from A to B (0 gives an identical pair); then A's opinions,
+// the flips as (user, opinion) pairs, the edges as (tail, head) pairs,
+// and any per-user labels. Missing bytes read as zero.
 func decodeEngineCase(data []byte) engineCase {
 	in := data
 	next := func(mod int) int {
@@ -36,7 +37,7 @@ func decodeEngineCase(data []byte) engineCase {
 		in = in[1:]
 		return v % mod
 	}
-	n := 2 + next(23)
+	n := 2 + next(47)
 	m := next(4*n + 1)
 	mode, k := next(3), 1+next(4)
 	eps := []float64{0, 0, 0.01, 0.1, 0.5, 2, 10}[next(7)]
@@ -73,7 +74,7 @@ func decodeEngineCase(data []byte) engineCase {
 // FuzzEngineMatchesOracle is the differential check of the whole term
 // pipeline on small random inputs: the exact Engine is bit-identical at
 // one and two workers and in a Series (whose terms may run partial
-// rows), and matches the dense oracle (the network route
+// rows or the K-nearest search), and matches the dense oracle (the network route
 // under clustered banks), a positive budget's envelope contains the
 // exact value, and Explain's Result keeps its envelope and its moves
 // add up to each term.
@@ -102,7 +103,8 @@ func checkEngineCase(t *testing.T, data []byte) {
 			t.Fatalf("1 worker %+v != 2 workers %+v", exact[0], exact[1])
 		}
 		// A Series retains no rows, so its terms whose banks absorb run
-		// partial rows; it must match Distance bit for bit.
+		// partial rows or the K-nearest search; it must match Distance
+		// bit for bit.
 		eng := NewEngine(c.g, opts, EngineConfig{Workers: 1})
 		series, err := eng.SeriesEps(ctx, []opinion.State{c.a, c.b}, 0)
 		eng.Close()

@@ -104,10 +104,11 @@ func (bp *bipartite) moves(nw *flow.Network) []Move {
 	for u := 0; u < nSup; u++ {
 		for v := 0; v < nDem; v++ {
 			k, j := bp.cell(u, v)
-			f := nw.Flow(bp.arc(k, j))
-			if f <= 0 {
+			a := bp.arc(k, j)
+			if a < 0 || nw.Flow(a) <= 0 {
 				continue
 			}
+			f := nw.Flow(a)
 			src, col, bank := int(bp.sources[k]), 0, j >= bp.nOpp()
 			if bank {
 				col = int(bp.red.banks[j-bp.nOpp()].members[0])

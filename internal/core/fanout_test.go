@@ -405,7 +405,11 @@ func startHelpers(k int) (hp *helpPool, stop func()) {
 // reused by the next fan-out) and the term value (0 unsolved).
 func fanOutAndSolve(t *testing.T, g *graph.Digraph, spec termSpec, o Options, tc termCtx, bp bipartite, byCols, solve bool) ([][]int64, float64) {
 	t.Helper()
-	if _, err := tc.fanOutAs(g, spec, o, &bp, byCols, 0); err != nil {
+	plan := planRows
+	if byCols {
+		plan = planColumns
+	}
+	if _, err := tc.fanOutAs(g, spec, o, &bp, plan); err != nil {
 		t.Fatal(err)
 	}
 	rows := make([][]int64, len(bp.rows))
@@ -452,7 +456,7 @@ func TestTrackedRefKeepsRowFanOut(t *testing.T) {
 	red := reduce(spec, o.Clusters, g.N())
 	bp := newBipartite(red, o.Gamma, 0)
 	series := termCtx{prov: e.prov, refHash: hashState(a), series: true}
-	byCols := func(tc termCtx) bool { c, _ := tc.fanOutPlan(g, &bp); return c }
+	byCols := func(tc termCtx) bool { p := tc.fanOutPlan(g, &bp); return p == planColumns || p == planKNearest }
 	if !byCols(series) {
 		t.Fatalf("untracked Series term with %d sources and %d columns keeps the row side", len(bp.sources), bp.nCols())
 	}
@@ -506,20 +510,23 @@ func decline(st opinion.State, frac float64, add int, rng *rand.Rand) opinion.St
 	return out
 }
 
-// TestPartialRowsMatchCompleteRows pins partial rows' exactness. Series
-// terms whose banks absorb stop each source's search once
-// partialRowColumns columns settle; their Results must be bit-identical
-// to complete rows (unoptimizedDistance's full-graph runs), at workers
-// 1, 2 and 4, with and without a ground provider, over BFS-clustered
-// and singleton banks. Across the cases some first plan must cross an
-// unknown cell (an extension round) and some re-solve must cross again
-// (the all-rows fallback). The test also checks the bound gate on every
-// partial term: its lower bound must be the one the cells' lower
-// bounds give, and its greedy upper bound the one the same rows give
-// with every unknown cell charged inf, never less.
+// TestPartialRowsMatchCompleteRows pins the exactness of partial rows
+// and of their known-cell flow instances. Series terms whose banks
+// absorb either stop each source's search once partialRowColumns
+// columns settle, or, where their sources outnumber their columns, run
+// one K-nearest-column search; their Results must be bit-identical to
+// complete rows (unoptimizedDistance's full-graph runs), at workers 1,
+// 2 and 4, with and without a ground provider, over BFS-clustered and
+// singleton banks. Across the cases both plans must run, and some plan
+// must ship on an unknown cell (a crossed-row re-solve). The test also
+// checks the bound gate on every such term: its lower bound must be
+// the one the cells' lower bounds give, and its greedy upper bound the
+// one the same rows give with every unknown cell charged inf, never
+// less.
 func TestPartialRowsMatchCompleteRows(t *testing.T) {
 	ctx := context.Background()
-	var extended, fallback, partialTerms int64
+	var total EngineStats
+	gated := map[fanOutPlan]int{}
 	for seed := int64(0); seed < 12; seed++ {
 		rng := rand.New(rand.NewSource(seed))
 		g := engineTestGraph(400+20*int(seed), 90+seed)
@@ -527,59 +534,81 @@ func TestPartialRowsMatchCompleteRows(t *testing.T) {
 		if seed%3 != 2 {
 			o.Clusters = cluster.BFSPartition(g, 12+4*int(seed%4))
 		}
-		states := []opinion.State{randState(g.N(), 0.25, rng)}
+		// The first series declines slowly (partial rows); the second
+		// starts denser and sheds most of its users, so its sources
+		// outnumber four times its columns (the K-nearest search).
+		slow := []opinion.State{randState(g.N(), 0.25, rng)}
 		for i := 0; i < 3; i++ {
-			states = append(states, decline(states[i], 0.15+0.1*float64(i), 4, rng))
+			slow = append(slow, decline(slow[i], 0.15+0.1*float64(i), 4, rng))
 		}
-		var pairs []StatePair
-		for i := 0; i+1 < len(states); i++ {
-			pairs = append(pairs, StatePair{A: states[i], B: states[i+1]})
+		steep := []opinion.State{randState(g.N(), 0.5, rng)}
+		for i := 0; i < 2; i++ {
+			steep = append(steep, decline(steep[i], 0.6, 4, rng))
 		}
-		want := unoptimizedPairs(t, g, o, pairs)
-		for _, workers := range []int{1, 2, 4} {
-			for _, cacheBytes := range []int64{-1, 0} {
-				e := NewEngine(g, o, EngineConfig{Workers: workers, GroundCacheBytes: cacheBytes})
-				got, err := e.SeriesEps(ctx, states, 0)
-				if err != nil {
-					t.Fatal(err)
-				}
-				if !reflect.DeepEqual(got, want) {
-					t.Fatalf("seed %d workers %d cache %d: partial rows diverged from complete rows:\n%v\n%v",
-						seed, workers, cacheBytes, got, want)
-				}
-				extended += e.stats.rowsExtended.Load()
-				fallback += e.stats.rowsCompletedAll.Load()
+		for _, states := range [][]opinion.State{slow, steep} {
+			var pairs []StatePair
+			for i := 0; i+1 < len(states); i++ {
+				pairs = append(pairs, StatePair{A: states[i], B: states[i+1]})
 			}
-		}
+			want := unoptimizedPairs(t, g, o, pairs)
+			for _, workers := range []int{1, 2, 4} {
+				for _, cacheBytes := range []int64{-1, 0} {
+					e := NewEngine(g, o, EngineConfig{Workers: workers, GroundCacheBytes: cacheBytes})
+					got, err := e.SeriesEps(ctx, states, 0)
+					if err != nil {
+						t.Fatal(err)
+					}
+					if !reflect.DeepEqual(got, want) {
+						t.Fatalf("seed %d workers %d cache %d: partial rows diverged from complete rows:\n%v\n%v",
+							seed, workers, cacheBytes, got, want)
+					}
+					total = addEngineStats(total, e.Stats())
+				}
+			}
 
-		do := o.withDefaults()
-		for i := 0; i+1 < len(states); i++ {
-			for ti := 0; ti < 4; ti++ {
-				spec := eqSpec(states[i], states[i+1], ti)
-				red := reduce(spec, do.Clusters, g.N())
-				bp := newBipartite(red, do.Gamma, infCost(g.N(), do.Costs.MaxCost(), do.EscapeHops))
-				tc := termCtx{sc: &scratch{}}
-				if byCols, need := tc.fanOutPlan(g, &bp); byCols || need == 0 {
-					continue
+			do := o.withDefaults()
+			for i := 0; i+1 < len(states); i++ {
+				for ti := 0; ti < 4; ti++ {
+					spec := eqSpec(states[i], states[i+1], ti)
+					red := reduce(spec, do.Clusters, g.N())
+					bp := newBipartite(red, do.Gamma, infCost(g.N(), do.Costs.MaxCost(), do.EscapeHops))
+					tc := termCtx{sc: &scratch{}}
+					plan := tc.fanOutPlan(g, &bp)
+					if plan != planPartialRows && plan != planKNearest {
+						continue
+					}
+					gated[plan]++
+					if _, err := tc.fanOutAs(g, spec, do, &bp, plan); err != nil {
+						t.Fatal(err)
+					}
+					checkPartialGate(t, &bp)
 				}
-				partialTerms++
-				if _, err := tc.fanOutAs(g, spec, do, &bp, false, partialRowColumns); err != nil {
-					t.Fatal(err)
-				}
-				checkPartialGate(t, &bp)
 			}
 		}
 	}
-	t.Logf("%d partial terms, %d extension rounds, %d all-rows fallbacks", partialTerms, extended, fallback)
-	if partialTerms == 0 {
+	t.Logf("terms: %d partial rows, %d K-nearest; %d crossed-row and %d priced re-solves",
+		total.TermsPartialRows, total.TermsKNearest, total.CrossedResolves, total.PricedResolves)
+	if total.TermsPartialRows == 0 || gated[planPartialRows] == 0 {
 		t.Fatal("no term ran partial rows")
 	}
-	if extended == 0 {
-		t.Error("no plan crossed an unknown cell; the extension round went untested")
+	if total.TermsKNearest == 0 || gated[planKNearest] == 0 {
+		t.Fatal("no term ran the K-nearest search")
 	}
-	if fallback == 0 {
-		t.Error("no re-solve crossed an unknown cell again; the all-rows fallback went untested")
+	if total.CrossedResolves == 0 {
+		t.Error("no plan crossed an unknown cell; the crossed-row re-solve went untested")
 	}
+}
+
+// addEngineStats sums the fan-out plan counters the partial-row tests
+// read.
+func addEngineStats(a, b EngineStats) EngineStats {
+	a.TermsByColumn += b.TermsByColumn
+	a.TermsKNearest += b.TermsKNearest
+	a.TermsPartialRows += b.TermsPartialRows
+	a.TermsCompleteRows += b.TermsCompleteRows
+	a.CrossedResolves += b.CrossedResolves
+	a.PricedResolves += b.PricedResolves
+	return a
 }
 
 // checkPartialGate compares the bound gate on bp's partial rows with

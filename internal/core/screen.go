@@ -56,7 +56,9 @@ import (
 // On partial rows an unknown cell holds a lower bound on its distance,
 // which keeps the lower bound admissible; the greedy plan charges it
 // inf instead (plus gamma on a bank column), no less than the cell can
-// cost, which keeps the upper bound feasible.
+// cost, which keeps the upper bound feasible. The unknown cells the
+// greedy plan ships on go to bp.forced: with the known cells they hold
+// a feasible plan, which bipartite.network relies on.
 func termBoundsFromRows(bp *bipartite, sc *scratch) (lb, ub int64) {
 	rows, nOpp, gamma := bp.rows, bp.nOpp(), bp.gamma
 	nSrc := len(rows)
@@ -84,6 +86,8 @@ func termBoundsFromRows(bp *bipartite, sc *scratch) (lb, ub int64) {
 	// per-arc shipments respect the assembled capacities (scale on
 	// opposite arcs, min(units, scale) on bank arcs).
 	var srcSide, tgtSide int64
+	forced := sc.forced[:0]
+	defer func() { sc.forced, bp.forced = forced, forced }()
 	for k := 0; k < nSrc; k++ {
 		row := rows[k]
 		best := int64(math.MaxInt64)
@@ -143,6 +147,9 @@ func termBoundsFromRows(bp *bipartite, sc *scratch) (lb, ub int64) {
 				// Cannot happen on a balanced instance; make the gate
 				// a no-op rather than deciding a wrong value.
 				return 0, math.MaxInt64
+			}
+			if row[bestJ] > known {
+				forced = append(forced, int32(k*ents+bestJ))
 			}
 			ship := need
 			if rem[bestJ] < ship {

@@ -21,10 +21,9 @@ type engineStats struct {
 	termsWarmSolved   atomic.Int64 // terms solved warm from a transplanted basis
 	flowSolves        atomic.Int64 // cold flow solves (SSP or cost-scaling)
 
-	// Partial-row terms whose first plan crossed an unknown cell, and of
-	// those, the ones whose re-solve crossed again (see solveRows);
-	// kept for tests, not part of EngineStats.
-	rowsExtended, rowsCompletedAll atomic.Int64
+	plans           [4]atomic.Int64 // terms by fan-out plan, indexed by fanOutPlan
+	crossedResolves atomic.Int64    // re-solves after completing crossed rows (see solveRows)
+	pricedResolves  atomic.Int64    // re-solves after pricing in left-out cells (see solveRows)
 
 	termsApproxCoarse   atomic.Int64 // terms decided by coarse cluster-representative bounds
 	termsApproxGap      atomic.Int64 // terms decided by the relaxed LB/UB row gate
@@ -65,6 +64,17 @@ type EngineStats struct {
 	// respectively. All are zero on an exact engine (Epsilon == 0); the
 	// sum is the approx-vs-exact solve split a dashboard wants.
 	TermsApproxCoarse, TermsApproxGap, TermsApproxSinkhorn int64
+	// TermsByColumn, TermsKNearest, TermsPartialRows and
+	// TermsCompleteRows split the terms that ran an SSSP fan-out by its
+	// plan: one search per column, one K-nearest-column search, one
+	// partial or one complete search per source. A term served whole
+	// from a retained basis runs none.
+	TermsByColumn, TermsKNearest, TermsPartialRows, TermsCompleteRows int64
+	// CrossedResolves counts the warm re-solves of terms whose plan
+	// over partial rows shipped on an unknown cell, after those rows
+	// were completed; PricedResolves the re-solves after left-out cells
+	// of negative reduced cost joined a term's network.
+	CrossedResolves, PricedResolves int64
 	// Pairs counts pairs entering Engine.Pairs; PairsDecided of them
 	// were answered without scheduling any term (identical states).
 	// PairBounds counts pair lower bounds served by LowerBounds.
@@ -100,6 +110,12 @@ func (s EngineStats) Sub(prev EngineStats) EngineStats {
 		TermsApproxCoarse:   s.TermsApproxCoarse - prev.TermsApproxCoarse,
 		TermsApproxGap:      s.TermsApproxGap - prev.TermsApproxGap,
 		TermsApproxSinkhorn: s.TermsApproxSinkhorn - prev.TermsApproxSinkhorn,
+		TermsByColumn:       s.TermsByColumn - prev.TermsByColumn,
+		TermsKNearest:       s.TermsKNearest - prev.TermsKNearest,
+		TermsPartialRows:    s.TermsPartialRows - prev.TermsPartialRows,
+		TermsCompleteRows:   s.TermsCompleteRows - prev.TermsCompleteRows,
+		CrossedResolves:     s.CrossedResolves - prev.CrossedResolves,
+		PricedResolves:      s.PricedResolves - prev.PricedResolves,
 		Pairs:               s.Pairs - prev.Pairs,
 		PairsDecided:        s.PairsDecided - prev.PairsDecided,
 		PairBounds:          s.PairBounds - prev.PairBounds,
@@ -131,6 +147,12 @@ func (e *Engine) Stats() EngineStats {
 		TermsApproxCoarse:   s.termsApproxCoarse.Load(),
 		TermsApproxGap:      s.termsApproxGap.Load(),
 		TermsApproxSinkhorn: s.termsApproxSinkhorn.Load(),
+		TermsByColumn:       s.plans[planColumns].Load(),
+		TermsKNearest:       s.plans[planKNearest].Load(),
+		TermsPartialRows:    s.plans[planPartialRows].Load(),
+		TermsCompleteRows:   s.plans[planRows].Load(),
+		CrossedResolves:     s.crossedResolves.Load(),
+		PricedResolves:      s.pricedResolves.Load(),
 		Pairs:               s.pairsRequested.Load(),
 		PairsDecided:        s.pairsDecided.Load(),
 		PairBounds:          s.pairBounds.Load(),

@@ -60,6 +60,8 @@ func TestEngineStatsSubRoundTrip(t *testing.T) {
 		if w.SSSPTime < 0 || w.FlowTime < 0 || w.BoundTime < 0 ||
 			w.Terms < 0 || w.TermsBoundDecided < 0 || w.TermsWarmExact < 0 ||
 			w.TermsWarmSolved < 0 || w.FlowSolves < 0 ||
+			w.TermsByColumn < 0 || w.TermsKNearest < 0 || w.TermsPartialRows < 0 ||
+			w.TermsCompleteRows < 0 || w.CrossedResolves < 0 || w.PricedResolves < 0 ||
 			w.Pairs < 0 || w.PairsDecided < 0 || w.PairBounds < 0 {
 			t.Errorf("window %s has a negative counter: %+v", name, w)
 		}
@@ -75,6 +77,12 @@ func TestEngineStatsSubRoundTrip(t *testing.T) {
 		TermsWarmExact:    w01.TermsWarmExact + w12.TermsWarmExact,
 		TermsWarmSolved:   w01.TermsWarmSolved + w12.TermsWarmSolved,
 		FlowSolves:        w01.FlowSolves + w12.FlowSolves,
+		TermsByColumn:     w01.TermsByColumn + w12.TermsByColumn,
+		TermsKNearest:     w01.TermsKNearest + w12.TermsKNearest,
+		TermsPartialRows:  w01.TermsPartialRows + w12.TermsPartialRows,
+		TermsCompleteRows: w01.TermsCompleteRows + w12.TermsCompleteRows,
+		CrossedResolves:   w01.CrossedResolves + w12.CrossedResolves,
+		PricedResolves:    w01.PricedResolves + w12.PricedResolves,
 		Pairs:             w01.Pairs + w12.Pairs,
 		PairsDecided:      w01.PairsDecided + w12.PairsDecided,
 		PairBounds:        w01.PairBounds + w12.PairBounds,

@@ -320,8 +320,11 @@ func termBipartite(g *graph.Digraph, spec termSpec, red reduction, o Options, tc
 		}
 		donor = d
 	}
-	byCols, need := tc.fanOutPlan(g, &bp)
-	run, err := tc.fanOutAs(g, spec, o, &bp, byCols, need)
+	plan := tc.fanOutPlan(g, &bp)
+	if tc.stats != nil {
+		tc.stats.plans[plan].Add(1)
+	}
+	run, err := tc.fanOutAs(g, spec, o, &bp, plan)
 	if err != nil {
 		return termVal{}, err
 	}
@@ -391,32 +394,65 @@ func (tc termCtx) solveTerm(bp *bipartite, budgetScaled int64, coarse bool, dono
 	return tc.flowSolve(bp, donor)
 }
 
-// solveRows is solveTerm over rows the row side's run may have left
-// partial. A plan over partial rows stands once it routes nothing over
-// an unknown cell: see bipartite.crossedRows. Otherwise the rows it
-// crossed are completed and the term is solved again, and a second
-// crossing completes every row for a last solve.
+// solveRows is solveTerm over rows the fan-out may have left partial
+// (see bipartite.radius). Their flow instance holds only some cells
+// (see bipartite.network), so the plan is checked in rounds, each
+// re-solved warm from the network's own basis:
+//
+//   - A left-out cell whose cost, a lower bound where the cell is
+//     unknown, has a negative reduced cost under the solved potentials
+//     joins the network. With none, the plan is optimal over every
+//     cell at those costs.
+//   - Then, if the plan ships over an unknown cell, the rows it
+//     crossed are completed and their cells repriced at the true
+//     distances; with none crossed, the plan is optimal under the true
+//     distances too (see bipartite.crossedRows).
+//
+// Each round adds a cell or completes a row, so the rounds end.
 func (tc termCtx) solveRows(bp *bipartite, run rowRun, budgetScaled int64, donor *warmBasis) (termVal, *flow.Network, error) {
 	tv, nw, err := tc.solveTerm(bp, budgetScaled, false, donor)
-	for round := 0; err == nil && nw != nil; round++ {
-		crossed := bp.crossedRows(nw)
-		if len(crossed) == 0 {
-			break
-		}
-		if round > 0 {
-			crossed = bp.openRows()
+	for err == nil && nw != nil && bp.radius != nil {
+		if bp.priceIn(nw) > 0 {
 			if tc.stats != nil {
-				tc.stats.rowsCompletedAll.Add(1)
+				tc.stats.pricedResolves.Add(1)
 			}
-		} else if tc.stats != nil {
-			tc.stats.rowsExtended.Add(1)
+		} else {
+			crossed := bp.crossedRows(nw)
+			if len(crossed) == 0 {
+				break
+			}
+			if err := tc.runTasks(len(crossed), func(sc *scratch, i int) { run(sc, int(crossed[i]), 0) }); err != nil {
+				return termVal{}, nil, err
+			}
+			bp.reprice(nw, crossed)
+			if tc.stats != nil {
+				tc.stats.crossedResolves.Add(1)
+			}
 		}
-		if err := tc.runTasks(len(crossed), func(sc *scratch, i int) { run(sc, int(crossed[i]), 0) }); err != nil {
-			return termVal{}, nil, err
-		}
-		tv, nw, err = tc.solveTerm(bp, budgetScaled, false, donor)
+		tv, err = tc.resolve(bp, nw)
 	}
 	return tv, nw, err
+}
+
+// resolve re-solves nw, bp's solved network after arcs were added or
+// repriced, warm from its own flow and potentials; a basis the repair
+// finds to be junk is solved cold instead.
+func (tc termCtx) resolve(bp *bipartite, nw *flow.Network) (termVal, error) {
+	start := time.Now()
+	cost, warm, err := nw.SolveSSPWarm(tc.ctx)
+	if !warm && err == nil {
+		cost, err = solveBipartite(tc.ctx, nw, bp.red)
+		if tc.stats != nil && err == nil {
+			tc.stats.flowSolves.Add(1)
+		}
+	}
+	if tc.stats != nil {
+		addPhase(&tc.stats.flowNanos, start)
+	}
+	if err != nil {
+		return termVal{}, err
+	}
+	return exactVal(float64(cost)/float64(bp.red.scale), 0), nil
 }
 
 // flowSolve assembles bp and solves it exactly. With a donor, its basis
@@ -452,53 +488,61 @@ func (tc termCtx) flowSolve(bp *bipartite, donor *warmBasis) (termVal, *flow.Net
 	return exactVal(float64(cost)/float64(bp.red.scale), 0), nw, nil
 }
 
-// columnFanOutRatio and partialColumnFanOutRatio are the sources per
-// column past which the fan-out runs by column (see byColumns), against
-// complete and against partial rows, fixed by
+// columnFanOutRatio is the sources per column past which a term whose
+// rows must be complete runs by column (see byColumns), fixed by
 // BenchmarkFanOutOrientation (term_bench_test.go; numbers in
 // docs/PERFORMANCE.md, "Strategy selection"). Against 64 bank columns
 // complete rows won at 2 sources per column and lost at 4. With 50
 // opposite users added, whose scattered single-user columns make every
 // row run cover more of the graph, they won at 0.56 and lost at 1.12
 // and 2.25: the rule gives up 1.06x at 1.12 rather than 1.9x at 2.25.
-// Partial rows won at 4 and lost at 6 against 64 banks, and won at 3.4
-// and tied at 4.5 with the 50 opposite users added.
+const columnFanOutRatio = 2
+
+// fanOutPlan is how termBipartite fills a term's rows.
+type fanOutPlan uint8
+
 const (
-	columnFanOutRatio        = 2
-	partialColumnFanOutRatio = 4
+	// planRows runs one complete search per source.
+	planRows fanOutPlan = iota
+	// planPartialRows runs one search per source that stops once
+	// partialRowColumns columns settle (see partialRows).
+	planPartialRows
+	// planColumns runs one search per column over the transpose (see
+	// columnRuns).
+	planColumns
+	// planKNearest runs one search over the transpose from every column
+	// at once that finds each source's kNearestColumns nearest columns
+	// (see kNearestRows); its rows are partial like planPartialRows'.
+	planKNearest
 )
 
-// fanOutPlan picks how termBipartite fills bp's rows: by column
-// (byColumns), or by row, partial rows of need columns (partialRows)
-// or complete ones (need 0).
-func (tc termCtx) fanOutPlan(g *graph.Digraph, bp *bipartite) (byCols bool, need int) {
-	partial := tc.partialRows(g, bp)
+// fanOutPlan picks how termBipartite fills bp's rows. A term whose
+// rows may be partial runs the K-nearest search once its sources
+// outnumber kNearestFanOutRatio times its columns, and partial rows
+// otherwise; every other term runs by column or by complete rows, as
+// byColumns picks.
+func (tc termCtx) fanOutPlan(g *graph.Digraph, bp *bipartite) fanOutPlan {
 	switch {
-	case tc.byColumns(bp, partial):
-		return true, 0
-	case partial:
-		return false, partialRowColumns
+	case !tc.partialRows(g, bp):
+		if tc.byColumns(bp) {
+			return planColumns
+		}
+		return planRows
+	case kNearestFanOutRatio*bp.nCols() < len(bp.sources):
+		return planKNearest
 	}
-	return false, 0
+	return planPartialRows
 }
 
-// byColumns reports whether bp's fan-out runs by column: one search per
-// column instead of one per source. Each run costs about a ball around
-// its source set, so the side with fewer runs wins once the other has
-// columnFanOutRatio times as many, or partialColumnFanOutRatio times
-// as many when the row side would run partial rows, whose balls are
-// smaller. The column side is taken only where the row side would
-// retain nothing (see retainsRows). Both sides fill the same rows, so
-// the choice moves no bit.
-func (tc termCtx) byColumns(bp *bipartite, partial bool) bool {
-	ratio := columnFanOutRatio
-	if partial {
-		ratio = partialColumnFanOutRatio
-	}
-	if ratio*bp.nCols() >= len(bp.sources) {
-		return false
-	}
-	return !tc.retainsRows()
+// byColumns reports whether bp's complete rows are filled by column:
+// one search per column instead of one per source. Each run costs
+// about a ball around its source set, so the side with fewer runs wins
+// once the other has columnFanOutRatio times as many. The column side
+// is taken only where the row side would retain nothing (see
+// retainsRows). Both sides fill the same rows, so the choice moves no
+// bit.
+func (tc termCtx) byColumns(bp *bipartite) bool {
+	return columnFanOutRatio*bp.nCols() < len(bp.sources) && !tc.retainsRows()
 }
 
 // retainsRows reports whether the ground provider keeps what the row
@@ -519,15 +563,33 @@ func (tc termCtx) retainsRows() bool {
 // terms, where 4 certified 3-9 and cost 1.6-2.1 solves per term.
 const partialRowColumns = 8
 
-// partialRows reports whether bp's row-side runs stop once
-// partialRowColumns columns settle, leaving the farther cells unknown
-// (see bipartite.radius and solveRows, which checks the plan). It
-// takes terms whose banks absorb (residual suppliers are the sources),
-// with more columns than that but no more than pruneLimit, on the
-// exact pipeline (no error budget), where the row side retains
-// nothing. Where the banks supply, plans reach far columns: on the
-// same analyze terms every such plan crossed unknown cells twice,
-// paying three solves and every row. Retained rows must be complete.
+// kNearestColumns is the labels per vertex of the K-nearest search
+// (see kNearestRows). Its searches cost 7-16 ms at K = 1 to 16 on
+// BenchmarkFanOutOrientation's 512-source term, so K trades the known
+// cells of the flow instance against its pricing and crossed-row
+// rounds: on analyze, K = 8 ran no faster than 4 (docs/PERFORMANCE.md,
+// "Strategy selection").
+const kNearestColumns = 4
+
+// kNearestFanOutRatio is the sources per column past which a term
+// whose rows may be partial runs the K-nearest search instead of
+// partial rows (see fanOutPlan). Filling and solving one term of
+// BenchmarkFanOutOrientation's shape against 64 banks, partial rows
+// won at 0.75 sources per column and lost from 1 on; at 8 the K-nearest
+// term cost 35 ms against 120-140 ms by column (docs/PERFORMANCE.md,
+// "Strategy selection").
+const kNearestFanOutRatio = 1
+
+// partialRows reports whether bp's rows may be left partial: each
+// source's row known only up to its nearest columns, the farther cells
+// unknown (see bipartite.radius and solveRows, which checks the plan).
+// It takes terms whose banks absorb (residual suppliers are the
+// sources), with more columns than partialRowColumns but no more than
+// pruneLimit, on the exact pipeline (no error budget), where the row
+// side retains nothing. Where the banks supply, plans reach far
+// columns: on the same analyze terms every such plan crossed unknown
+// cells twice, paying three solves and every row. Retained rows must
+// be complete.
 func (tc termCtx) partialRows(g *graph.Digraph, bp *bipartite) bool {
 	return tc.epsTerm == 0 && !bp.rev && bp.nCols() > partialRowColumns &&
 		bp.nCols() <= pruneLimit(g.N()) && !tc.retainsRows()
@@ -558,28 +620,36 @@ func (tc termCtx) partialRows(g *graph.Digraph, bp *bipartite) bool {
 // with rows — and every downstream bit — identical to the sequential
 // order.
 func (tc termCtx) fanOut(g *graph.Digraph, spec termSpec, o Options, bp *bipartite) error {
-	_, err := tc.fanOutAs(g, spec, o, bp, tc.byColumns(bp, false), 0)
+	plan := planRows
+	if tc.byColumns(bp) {
+		plan = planColumns
+	}
+	_, err := tc.fanOutAs(g, spec, o, bp, plan)
 	return err
 }
 
-// fanOutAs is fanOut with the orientation given; need > 0 asks the row
-// side for partial rows of that many columns. It returns the row
-// side's run (nil by column), which completes a row when called with
-// need 0.
-func (tc termCtx) fanOutAs(g *graph.Digraph, spec termSpec, o Options, bp *bipartite, byCols bool, need int) (rowRun, error) {
+// fanOutAs is fanOut by the given plan. It returns the row side's run
+// (nil by column), which completes a row when called with need 0.
+func (tc termCtx) fanOutAs(g *graph.Digraph, spec termSpec, o Options, bp *bipartite, plan fanOutPlan) (rowRun, error) {
 	tc.sc.rowBuf = tc.sc.rowBuf[:0] // rows of the previous term are dead
 	rows := tc.sc.takeRowHeaders(len(bp.sources))
 	for i := range rows {
 		rows[i] = tc.sc.takeRow(bp.nCols())
 	}
 	bp.rows, bp.radius = rows, nil
-	if byCols {
+	if plan == planColumns {
 		return nil, tc.runTasks(bp.nCols(), tc.columnRuns(g, spec, o, bp, rows))
 	}
-	if need > 0 {
-		bp.radius = tc.sc.takeRow(len(bp.sources))
-	}
 	run := tc.sourceRuns(g, spec, o, bp)
+	need := 0
+	switch plan {
+	case planKNearest:
+		bp.radius = tc.sc.takeRow(len(bp.sources))
+		return run, tc.kNearestRows(g, spec, o, bp)
+	case planPartialRows:
+		bp.radius = tc.sc.takeRow(len(bp.sources))
+		need = partialRowColumns
+	}
 	return run, tc.runTasks(len(bp.sources), func(sc *scratch, i int) { run(sc, i, need) })
 }
 
@@ -656,15 +726,37 @@ func (tc termCtx) sourceRuns(g *graph.Digraph, spec termSpec, o Options, bp *bip
 			return
 		}
 		r := sssp.DijkstraGoalsInto(srcGraph, srcW, bp.sources[i:i+1], targets, cols, need, maxCost, bp.inf, out, &sc.goals)
-		if r < bp.inf { // need > 0, so bp.radius is in place
-			bp.radius[i] = r
-			for c, d := range out {
-				if d > r {
-					out[c] = r + 1
-				}
-			}
-		}
+		bp.boundRow(i, r) // need > 0 when r < Unreachable, so bp.radius is in place
 	}
+}
+
+// kNearestRows fills bp's rows with one sssp.DijkstraKNearestInto over
+// the transpose of the row side's graph: every column's entities (the opposite users,
+// and every member of each bank) are its sources, labelled with their
+// column, and the term's sources its targets. Each row is then exact
+// up to its kNearestColumns-th column (ties included) and partial past
+// it, as a partial row is; sourceRuns, which fanOutAs set up first,
+// completes it. The search is one task: it cannot be split across the
+// help pool's workers.
+func (tc termCtx) kNearestRows(g *graph.Digraph, spec termSpec, o Options, bp *bipartite) error {
+	if err := tc.cancelled(); err != nil {
+		return err
+	}
+	start := time.Now()
+	colGraph := g.Reverse()
+	if bp.rev {
+		colGraph = g
+	}
+	colW := tc.groundWeights(g, spec, o, !bp.rev)
+	sssp.DijkstraKNearestInto(colGraph, colW, tc.sc.targets, tc.sc.cols, bp.nCols(), bp.sources,
+		kNearestColumns, o.Costs.MaxCost(), bp.inf, bp.rows, bp.radius, &tc.sc.knear)
+	for k, r := range bp.radius {
+		bp.boundRow(k, r)
+	}
+	if tc.stats != nil {
+		addPhase(&tc.stats.ssspNanos, start)
+	}
+	return nil
 }
 
 // columnRuns returns the column side's sub-task: run j fills column j

@@ -176,20 +176,21 @@ func BenchmarkColdSolveShape(b *testing.B) {
 	}
 }
 
-// BenchmarkFanOutOrientation is the probe behind byColumns: the row
-// and column sides of one term's fan-out, on the graph and grown state
-// of BenchmarkColdSolveShape with 64 BFS banks. A term's first state
-// deactivates `sources` of the grown state's positive users, so its
-// sources are those users and its columns the 64 banks; the opp=50
-// variants add 50 neutral users as opposite-side columns (the fan-out
-// reads nothing of the reduction but its users and bank members). Each
-// name carries the column count and the side fanOutPlan picks; the row
-// and column sides must fill identical rows. The partial side fills the rows
-// partialRows asks for on these terms (their banks absorb); its check,
-// untimed, compares every cell within a row's radius with the complete
-// rows and every cell past it against the radius, and where the term
-// balances (opp=0) solves the rows as termBipartite does, completing
-// crossed rows, which must reach the complete rows' term value.
+// BenchmarkFanOutOrientation is the probe behind byColumns and
+// fanOutPlan: the four ways to fill one term's rows, on the graph and
+// grown state of BenchmarkColdSolveShape with 64 BFS banks. A term's
+// first state deactivates `sources` of the grown state's positive
+// users, so its sources are those users and its columns the 64 banks;
+// the opp=50 variants add 50 neutral users as opposite-side columns
+// (the fan-out reads nothing of the reduction but its users and bank
+// members). Each name carries the column count and the plan fanOutPlan
+// picks. The rows and columns sides must fill identical rows. The
+// partial and klabel sides fill the partial rows of planPartialRows and
+// planKNearest (these terms' banks absorb); their check, untimed,
+// compares every cell within a row's radius with the complete rows and
+// every cell past it against the radius, and where the term balances
+// (opp=0) solves the rows as termBipartite does, which must reach the
+// complete rows' term value.
 func BenchmarkFanOutOrientation(b *testing.B) {
 	g := graph.ScaleFree(graph.ScaleFreeConfig{
 		N: 20000, OutDeg: 6, Exponent: -2.3, Reciprocity: 0.2, Seed: 1_000_014,
@@ -208,6 +209,7 @@ func BenchmarkFanOutOrientation(b *testing.B) {
 			neutral = append(neutral, int32(u))
 		}
 	}
+	rules := map[fanOutPlan]string{planRows: "rows", planPartialRows: "partial", planColumns: "columns", planKNearest: "klabel"}
 	for _, sources := range []int{32, 64, 128, 256, 384, 512} {
 		q, left := base.Clone(), sources
 		for _, u := range perm {
@@ -224,36 +226,27 @@ func BenchmarkFanOutOrientation(b *testing.B) {
 			if bp.rev || len(bp.sources) != sources || bp.nOpp() != opp {
 				b.Fatalf("instance has rev=%v, %d sources, %d opposite users", bp.rev, len(bp.sources), bp.nOpp())
 			}
-			rule := "rows"
-			if byCols, need := (termCtx{}).fanOutPlan(g, &bp); byCols {
-				rule = "columns"
-			} else if need > 0 {
-				rule = "partial"
-			}
-			name := fmt.Sprintf("sources=%d/opp=%d/cols=%d/rule=%s", sources, opp, bp.nCols(), rule)
+			name := fmt.Sprintf("sources=%d/opp=%d/cols=%d/rule=%s", sources, opp, bp.nCols(), rules[(termCtx{}).fanOutPlan(g, &bp)])
 			var want [][]int64
 			var wantVal float64
-			for _, side := range []string{"rows", "columns", "partial"} {
-				byCols, need := side == "columns", 0
-				if side == "partial" {
-					need = partialRowColumns
-				}
+			for _, plan := range []fanOutPlan{planRows, planColumns, planPartialRows, planKNearest} {
+				side := rules[plan]
 				tc := termCtx{sc: &scratch{}}
 				b.Run(name+"/"+side, func(b *testing.B) {
 					for i := 0; i < b.N; i++ {
-						if _, err := tc.fanOutAs(g, spec, o, &bp, byCols, need); err != nil {
+						if _, err := tc.fanOutAs(g, spec, o, &bp, plan); err != nil {
 							b.Fatal(err)
 						}
 					}
 				})
 				// Refill untimed, so the checks run when the filter skips
 				// this side.
-				run, err := tc.fanOutAs(g, spec, o, &bp, byCols, need)
+				run, err := tc.fanOutAs(g, spec, o, &bp, plan)
 				if err != nil {
 					b.Fatal(err)
 				}
-				switch side {
-				case "rows":
+				switch plan {
+				case planRows:
 					for _, row := range bp.rows {
 						want = append(want, append([]int64(nil), row...))
 					}
@@ -264,25 +257,25 @@ func BenchmarkFanOutOrientation(b *testing.B) {
 						}
 						wantVal = tv.val
 					}
-				case "columns":
+				case planColumns:
 					if !reflect.DeepEqual(bp.rows, want) {
 						b.Fatalf("%s: the column side's rows differ from the row side's", name)
 					}
-				case "partial":
+				default:
 					if run == nil || bp.radius == nil {
-						b.Fatalf("%s: the partial side filled no partial rows", name)
+						b.Fatalf("%s/%s: no partial rows filled", name, side)
 					}
 					for k, row := range bp.rows {
 						for j, d := range row {
 							if bp.unknown(k, j) && want[k][j] <= bp.radius[k] || !bp.unknown(k, j) && d != want[k][j] {
-								b.Fatalf("%s: partial cell (%d, %d) = %d with radius %d, complete %d", name, k, j, d, bp.radius[k], want[k][j])
+								b.Fatalf("%s/%s: partial cell (%d, %d) = %d with radius %d, complete %d", name, side, k, j, d, bp.radius[k], want[k][j])
 							}
 						}
 					}
 					if opp == 0 {
 						tv, _, err := tc.solveRows(&bp, run, 0, nil)
 						if err != nil || tv.val != wantVal {
-							b.Fatalf("%s: partial rows give term value %v (%v), complete rows %v", name, tv.val, err, wantVal)
+							b.Fatalf("%s/%s: partial rows give term value %v (%v), complete rows %v", name, side, tv.val, err, wantVal)
 						}
 					}
 				}

@@ -92,18 +92,14 @@ func newWarmBasis(refHash hashKey, op opinion.Opinion, bp *bipartite, nw *flow.N
 	for v := range prices {
 		prices[v] = nw.Price(v)
 	}
-	// Arc (u, v) is forward arc 2*(u*nDem+v), so the scan reads the
-	// arcs in id order.
 	nSup, nDem := bp.shape()
 	cells := make([]warmCell, 0, nSup+nDem)
-	a := 0
 	for u := 0; u < nSup; u++ {
 		for v := 0; v < nDem; v++ {
-			if f := nw.Flow(a); f > 0 {
-				k, j := bp.cell(u, v)
-				cells = append(cells, warmCell{k: int32(k), j: int32(j), flow: f})
+			k, j := bp.cell(u, v)
+			if a := bp.arc(k, j); a >= 0 && nw.Flow(a) > 0 {
+				cells = append(cells, warmCell{k: int32(k), j: int32(j), flow: nw.Flow(a)})
 			}
-			a += 2
 		}
 	}
 	return &warmBasis{refHash: refHash, op: op, red: bp.red, arcs: bp.numArcs(), val: val, prices: prices, cells: cells}
@@ -407,11 +403,13 @@ func (sc *scratch) transplant(nw *flow.Network, bp *bipartite, wb *warmBasis) {
 		}
 	}
 
-	// Routed flow, replayed cell by cell (PreloadFlow clamps to the new
-	// capacities).
+	// Routed flow, replayed cell by cell onto the cells the network
+	// holds (PreloadFlow clamps to the new capacities).
 	for _, c := range wb.cells {
 		if nk, nj := rowMap[c.k], colMap[c.j]; nk >= 0 && nj >= 0 {
-			nw.PreloadFlow(bp.arc(int(nk), int(nj)), c.flow)
+			if a := bp.arc(int(nk), int(nj)); a >= 0 {
+				nw.PreloadFlow(a, c.flow)
+			}
 		}
 	}
 }

@@ -45,6 +45,16 @@ func (nw *Network) Price(v int) int64 { return nw.price[v] }
 // feasibility before draining.
 func (nw *Network) SetPrice(v int, p int64) { nw.price[v] = p }
 
+// SetCost changes forward arc arcID's cost, and its reversal's, and
+// leaves its flow as it is. SolveSSPWarm then re-solves from the
+// network's flow and potentials: a raised cost only raises the arc's
+// reduced cost, and the repair unroutes its flow where that leaves the
+// reversal negative.
+func (nw *Network) SetCost(arcID int, cost int64) {
+	nw.cost[arcID] = cost
+	nw.cost[arcID^1] = -cost
+}
+
 // PreloadFlow routes up to x units onto forward arc arcID without any
 // optimality bookkeeping — the primal half of a warm-start transplant.
 // The amount is clamped to the arc's remaining residual capacity (and

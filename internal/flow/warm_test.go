@@ -244,3 +244,70 @@ func TestSolveSSPWarmGarbagePrices(t *testing.T) {
 		}
 	}
 }
+
+// TestSolveSSPWarmInPlace pins the re-solve the term pipeline runs on
+// its own solved network: some arcs left out of the first solve are
+// added afterwards, and some costs are raised with SetCost (flowed arcs
+// among them). SolveSSPWarm from the network's own flow and potentials
+// must reach the cold optimum of the final instance.
+func TestSolveSSPWarmInPlace(t *testing.T) {
+	const maxCost = 50
+	solved := 0
+	for seed := int64(0); seed < 200; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		inst := randBipInstance(rng, maxCost)
+		cols := inst.nC + len(inst.slack)
+		// Leave out about a third of the arcs outside column 0, so
+		// every supplier keeps at least one.
+		left := map[[2]int]bool{}
+		for i := 0; i < inst.nS; i++ {
+			for j := 1; j < cols; j++ {
+				if rng.Intn(3) == 0 {
+					left[[2]int{i, j}] = true
+				}
+			}
+		}
+		nw := NewNetwork(inst.nodes(), inst.arcs())
+		arc := map[[2]int]int{}
+		for i := 0; i < inst.nS; i++ {
+			nw.SetExcess(i, inst.scale)
+			for j := 0; j < cols; j++ {
+				if !left[[2]int{i, j}] {
+					arc[[2]int{i, j}] = nw.AddArc(i, inst.nS+j, inst.scale, inst.cost[i][j])
+				}
+			}
+		}
+		for j := 0; j < inst.nC; j++ {
+			nw.SetExcess(inst.nS+j, -inst.scale)
+		}
+		for k, amt := range inst.slack {
+			nw.SetExcess(inst.nS+inst.nC+k, -amt)
+		}
+		// The cut instance may be infeasible; skip it then.
+		if _, err := nw.SolveSSP(nil); err != nil {
+			continue
+		}
+		solved++
+		final := inst.perturb(rng, maxCost, 0) // a copy of the costs
+		for cell := range left {
+			arc[cell] = nw.AddArc(cell[0], inst.nS+cell[1], inst.scale, inst.cost[cell[0]][cell[1]])
+		}
+		for cell, a := range arc {
+			if rng.Intn(4) == 0 || nw.Flow(a) > 0 && rng.Intn(2) == 0 {
+				c := inst.cost[cell[0]][cell[1]] + rng.Int63n(maxCost)
+				final.cost[cell[0]][cell[1]] = c
+				nw.SetCost(a, c)
+			}
+		}
+		got, err := warmOrCold(nw)
+		if err != nil {
+			t.Fatalf("seed %d: in-place warm solve: %v", seed, err)
+		}
+		if want := coldCost(t, final); got != want {
+			t.Fatalf("seed %d: in-place warm cost %d != cold cost %d", seed, got, want)
+		}
+	}
+	if solved < 100 {
+		t.Fatalf("only %d of 200 cut instances were feasible", solved)
+	}
+}
