@@ -25,8 +25,9 @@ type approxPoint struct {
 	// MaxErr is the largest observed |approx - exact|, necessarily
 	// <= MaxGap.
 	MaxErr float64 `json:"max_err"`
-	// Stage attribution: terms decided by the coarse cluster pass, the
-	// relaxed row-bound gate, and the entropic stage, out of Terms.
+	// Stage attribution, out of Terms: terms decided by the relaxed
+	// row-bound gate over rows filled by column (coarse) or by source
+	// (gap), and by the entropic stage.
 	TermsApproxCoarse   int64 `json:"terms_approx_coarse"`
 	TermsApproxGap      int64 `json:"terms_approx_gap"`
 	TermsApproxSinkhorn int64 `json:"terms_approx_sinkhorn"`

@@ -215,38 +215,39 @@
 //
 // # Certified approximation
 //
-// The Eps entry points — Network.DistanceEps, PairsEps, SeriesEps,
-// MatrixEps, and Options.Epsilon for the free functions — trade
-// accuracy for speed under a certified error contract. Each returned
-// distance carries an envelope [Result.LB, Result.UB] satisfying
+// The Eps entry points — Network.DistanceEps, PairsEps, SeriesEps and
+// MatrixEps — trade accuracy for speed under a certified error
+// contract; their eps argument is the only way to set a budget, and
+// Distance, Pairs, Series and Matrix are exact. Each returned distance
+// carries an envelope [Result.LB, Result.UB] satisfying
 //
-//	LB <= SND <= UB,  UB - LB <= Epsilon,  LB <= exact <= UB
+//	LB <= SND <= UB,  UB - LB <= eps,  LB <= exact <= UB
 //
-// so the reported value is within Epsilon of the exact distance, with
-// the bound computed (not estimated) by the engine: the lower end is
-// an admissible bound and the upper end is the cost of a feasible
-// transport plan, per term. The approximation tier has three stages,
-// each sound on its own: a multilevel cluster-bank pass that runs the
-// shortest-path fan-out column-wise from the small side of the
-// reduced instance — one run per residual consumer plus one
-// multi-source run per cluster bank on the transpose graph — so the
-// coarsened cost matrix is exact while the fan-out collapses from one
-// run per supplier to one per column, with that matrix handed to the
-// exact pipeline's own tail (row bounds, then an entropic solve,
-// finally an exact min-cost-flow solve); the row-level screening
-// bounds of the exact pipeline, accepted when their gap fits the
-// budget rather than only when they coincide; and an entropic
-// (Sinkhorn) transport solve whose rounded plan and repaired duals
-// certify an envelope on mid-size instances. Terms no stage decides
-// fall through to the
-// exact solver, so the contract holds for every input — Epsilon only
-// controls how often the cheap stages win.
+// so the reported value is within eps of the exact distance, with the
+// bound computed (not estimated) by the engine: the lower end is an
+// admissible bound and the upper end is the cost of a feasible
+// transport plan, per term. A budgeted term runs the exact term
+// pipeline, whose stages then admit an envelope, each sound on its
+// own: the exact column fan-out — one run per opposite residual user
+// plus one multi-source run per cluster bank on the transpose graph,
+// taken whenever the sources outnumber the columns, so the rows stay
+// exact while the runs collapse from one per source to one per column;
+// the row-level screening bounds of the exact pipeline over those rows,
+// accepted when their gap fits the budget rather than only when they
+// coincide; and an entropic (Sinkhorn) transport solve whose rounded
+// plan and repaired duals certify an envelope on mid-size instances.
+// Terms no stage decides fall through to the exact solver, so the
+// contract holds for every input — the budget only controls how often
+// the cheap stages win. Budgeted terms neither read nor store warm
+// bases, so a budgeted result does not depend on what the handle
+// computed before.
 //
-// Epsilon = 0 (the default) disables every approximate stage and is
-// bit-identical to the exact entry points, for any worker count.
-// Exact results carry the degenerate envelope LB = UB = SND.
-// Engine.Stats reports how many terms each stage decided
-// (TermsApproxCoarse, TermsApproxGap, TermsApproxSinkhorn).
+// eps = 0 disables every approximate stage and is bit-identical to the
+// exact entry points, for any worker count. Exact results carry the
+// degenerate envelope LB = UB = SND. Engine.Stats reports how many
+// terms each stage decided (TermsApproxCoarse and TermsApproxGap for
+// the row gate over rows filled by column and by source,
+// TermsApproxSinkhorn).
 //
 // # Errors
 //

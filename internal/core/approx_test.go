@@ -5,6 +5,7 @@ import (
 	"errors"
 	"math"
 	"math/rand"
+	"reflect"
 	"testing"
 
 	"snd/internal/cluster"
@@ -160,15 +161,17 @@ func TestEpsilonZeroBitIdentical(t *testing.T) {
 	}
 }
 
-// TestApproxMultilevelOneSided drives the multilevel cluster-bank
-// fan-out on its home turf: an activation-only pair (b adds newly
-// active users to a) makes every term one-sided, so the pass can
-// aggregate the whole target side into a handful of bank columns and
-// charge one multi-source run per bank instead of one run per source.
-// The decided envelope must certify the exact value, the counters must
-// attribute the decision to the coarse stage, and a budget too tight
-// to certify must refine down to a value within that tight budget.
-func TestApproxMultilevelOneSided(t *testing.T) {
+// TestApproxColumnFanOutOneSided drives the column fan-out of budgeted
+// terms on its home turf: an activation-only pair (b adds newly active
+// users to a) makes every term one-sided, so each term's sources far
+// outnumber its handful of cluster-bank columns. An exact Pairs call
+// retains its rows and so fills them by source, complete; a budgeted
+// one takes the column side anyway (see byColumns), and the counters
+// must attribute its gate decisions to rows filled by column. The
+// decided envelope must certify the exact value, both calls charge one
+// SSSP run per source, and a budget too tight to certify must refine
+// down to a value within that tight budget.
+func TestApproxColumnFanOutOneSided(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
 	n := 500
 	g := graph.ErdosRenyi(n, 6*n, 11)
@@ -191,9 +194,13 @@ func TestApproxMultilevelOneSided(t *testing.T) {
 
 	exactEng := NewEngine(g, opts, EngineConfig{Workers: 1})
 	exact, err := exactEng.Distance(context.Background(), a, b)
+	exactStats := exactEng.Stats()
 	exactEng.Close()
 	if err != nil {
 		t.Fatal(err)
+	}
+	if exactStats.TermsCompleteRows == 0 || exactStats.TermsByColumn != 0 {
+		t.Fatalf("exact Pairs should retain complete rows: %+v", exactStats)
 	}
 
 	const eps = 50.0
@@ -204,8 +211,11 @@ func TestApproxMultilevelOneSided(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	if stats.TermsByColumn == 0 {
+		t.Fatalf("budgeted PairsEps filled no term by column: %+v", stats)
+	}
 	if stats.TermsApproxCoarse == 0 {
-		t.Fatalf("multilevel pass decided no term at generous budget: %+v", stats)
+		t.Fatalf("no gate decision over rows filled by column at a generous budget: %+v", stats)
 	}
 	if res.UB-res.LB > eps {
 		t.Fatalf("envelope width %v exceeds eps %v", res.UB-res.LB, eps)
@@ -214,7 +224,7 @@ func TestApproxMultilevelOneSided(t *testing.T) {
 	if res.LB > exact.SND+slack || res.UB < exact.SND-slack {
 		t.Fatalf("exact %v outside envelope [%v, %v]", exact.SND, res.LB, res.UB)
 	}
-	if res.SSSPRuns >= exact.SSSPRuns {
+	if res.SSSPRuns != exact.SSSPRuns {
 		t.Fatalf("column fan-out charged %d SSSP runs, exact charged %d",
 			res.SSSPRuns, exact.SSSPRuns)
 	}
@@ -264,8 +274,8 @@ func TestApproxStatsAndValidation(t *testing.T) {
 	if s := eng.Stats(); s.TermsApproxCoarse+s.TermsApproxGap+s.TermsApproxSinkhorn != 0 {
 		t.Fatalf("exact run recorded approx solves: %+v", s)
 	}
-	// A fresh pair: re-querying (a, b) would be served exactly from the
-	// warm-start ring before any approximation gate is consulted.
+	// A fresh pair, though (a, b) would decide alike: budgeted terms
+	// skip the warm ring the exact run filled.
 	c := perturb(b, 20, rng)
 	if _, err := eng.DistanceEps(context.Background(), b, c, 100); err != nil {
 		t.Fatal(err)
@@ -278,6 +288,80 @@ func TestApproxStatsAndValidation(t *testing.T) {
 	if d := s.Sub(EngineStats{}); d.TermsApproxCoarse != s.TermsApproxCoarse ||
 		d.TermsApproxGap != s.TermsApproxGap || d.TermsApproxSinkhorn != s.TermsApproxSinkhorn {
 		t.Fatal("Sub dropped approx counters")
+	}
+}
+
+// TestApproxIgnoresEngineHistory pins that a budgeted result is a
+// function of its inputs alone: a fresh engine, an engine that has just
+// solved the same pair exactly (its warm ring and ground cache hold the
+// pair's instances and rows), and an engine with no warm ring return
+// the same Results, bit for bit.
+func TestApproxIgnoresEngineHistory(t *testing.T) {
+	ctx := context.Background()
+	for seed := int64(0); seed < 12; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		n := 64
+		g := graph.ErdosRenyi(n, 5*n, seed)
+		a := randState(n, 0.5, rng)
+		b := perturb(a, 20, rng)
+		for _, eps := range []float64{5, 20, 100} {
+			var got [3]Result
+			for k, cfg := range []EngineConfig{{Workers: 2}, {Workers: 2}, {Workers: 2, WarmCacheBytes: -1}} {
+				eng := NewEngine(g, DefaultOptions(), cfg)
+				if k == 1 {
+					if _, err := eng.Distance(ctx, a, b); err != nil {
+						t.Fatal(err)
+					}
+				}
+				r, err := eng.DistanceEps(ctx, a, b, eps)
+				eng.Close()
+				if err != nil {
+					t.Fatal(err)
+				}
+				got[k] = r
+			}
+			if !reflect.DeepEqual(got[1], got[0]) {
+				t.Fatalf("seed %d eps %v: after an exact Distance %+v, fresh %+v", seed, eps, got[1], got[0])
+			}
+			if !reflect.DeepEqual(got[2], got[0]) {
+				t.Fatalf("seed %d eps %v: without a warm ring %+v, fresh %+v", seed, eps, got[2], got[0])
+			}
+		}
+	}
+}
+
+// TestApproxHugeBudgetSaturates pins the scaled term budget's
+// saturation: every budget validEps accepts, up to 1e300, decides the
+// terms as a budget that already admits every envelope does, instead of
+// overflowing into a negative budget that solves them exactly.
+func TestApproxHugeBudgetSaturates(t *testing.T) {
+	rng := rand.New(rand.NewSource(7))
+	n := 64
+	g := graph.ErdosRenyi(n, 5*n, 7)
+	a := randState(n, 0.5, rng)
+	b := perturb(a, 20, rng)
+	run := func(eps float64) (Result, [5]int64) {
+		eng := NewEngine(g, DefaultOptions(), EngineConfig{Workers: 1})
+		defer eng.Close()
+		r, err := eng.DistanceEps(context.Background(), a, b, eps)
+		if err != nil {
+			t.Fatal(err)
+		}
+		s := eng.Stats()
+		return r, [5]int64{s.TermsBoundDecided, s.TermsApproxCoarse, s.TermsApproxGap, s.TermsApproxSinkhorn, s.FlowSolves}
+	}
+	want, wantCounts := run(1e6)
+	if wantCounts[4] != 0 {
+		t.Fatalf("eps 1e6 ran %d flow solves", wantCounts[4])
+	}
+	for _, eps := range []float64{1e17, 1e300} {
+		got, counts := run(eps)
+		if counts != wantCounts {
+			t.Fatalf("eps %v: bound/coarse/gap/sinkhorn/flow counts %v, eps 1e6 %v", eps, counts, wantCounts)
+		}
+		if !reflect.DeepEqual(got, want) {
+			t.Fatalf("eps %v: %+v, eps 1e6 %+v", eps, got, want)
+		}
 	}
 }
 

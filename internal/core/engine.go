@@ -178,17 +178,17 @@ func (e *Engine) Distance(ctx context.Context, a, b opinion.State) (Result, erro
 // Pairs computes SND for every requested pair, scheduling all 4*len
 // terms across the worker pool. Results are aligned with pairs. When
 // ctx is cancelled mid-batch, Pairs stops scheduling work and returns
-// ctx.Err(). The engine's Options.Epsilon (default 0 — exact) is the
-// error budget; PairsEps overrides it per call.
+// ctx.Err(). Pairs is exact; PairsEps takes an error budget.
 func (e *Engine) Pairs(ctx context.Context, pairs []StatePair) ([]Result, error) {
-	return e.PairsEps(ctx, pairs, e.opts.Epsilon)
+	return e.PairsEps(ctx, pairs, 0)
 }
 
 // DistanceEps is Distance under an explicit certified error budget:
 // the result's [LB, UB] envelope contains the exact distance, its
 // width is at most eps, and the reported SND is the envelope's upper
 // end (so |SND - exact| <= eps). eps == 0 is the exact pipeline,
-// bit-identical to Distance on an Epsilon-0 engine.
+// bit-identical to Distance. A budgeted result does not depend on the
+// engine's history: budgeted terms neither read nor store warm bases.
 func (e *Engine) DistanceEps(ctx context.Context, a, b opinion.State, eps float64) (Result, error) {
 	res, err := e.PairsEps(ctx, []StatePair{{A: a, B: b}}, eps)
 	if err != nil {
@@ -303,7 +303,7 @@ func epsTermBudget(eps float64) float64 {
 // grouped goal search instead (tracked reference states, reported
 // through AdvanceRef, still keep their trees).
 func (e *Engine) Series(ctx context.Context, states []opinion.State) ([]float64, error) {
-	results, err := e.SeriesEps(ctx, states, e.opts.Epsilon)
+	results, err := e.SeriesEps(ctx, states, 0)
 	if err != nil {
 		return nil, err
 	}
@@ -341,7 +341,7 @@ func (e *Engine) SeriesEps(ctx context.Context, states []opinion.State, eps floa
 // every pair, since the engine's result is a pure function of state
 // content.
 func (e *Engine) Matrix(ctx context.Context, states []opinion.State) ([][]float64, error) {
-	out, _, err := e.MatrixEps(ctx, states, e.opts.Epsilon)
+	out, _, err := e.MatrixEps(ctx, states, 0)
 	return out, err
 }
 
@@ -463,12 +463,17 @@ type termOut struct {
 // the SSSP and flow loops of each term), so a cancelled batch stops
 // claiming work and runTerms returns ctx.Err(). series marks the terms
 // of a Series batch (see termCtx.series).
+//
+// A batch with a budget (eps > 0) runs without the warm ring: an exact
+// hit would return the exact value where a fresh engine returns the
+// gate's envelope, and storing its bases would only grow the lookup's
+// slot maps.
 func (e *Engine) runTerms(ctx context.Context, pairs []StatePair, hashes [][2]hashKey, eps float64, series bool) ([]termOut, error) {
 	total := 4 * len(pairs)
 	outs := make([]termOut, total)
-	epsTerm := 0.0
+	epsTerm, warm := 0.0, e.warm
 	if eps > 0 {
-		epsTerm = epsTermBudget(eps)
+		epsTerm, warm = epsTermBudget(eps), nil
 	}
 	// All configured workers spawn even when the batch has fewer terms
 	// than workers: a term's SSSP fan-out is split into sub-tasks, and
@@ -517,7 +522,7 @@ func (e *Engine) runTerms(ctx context.Context, pairs []StatePair, hashes [][2]ha
 					ctx:     ctx,
 					sc:      sc,
 					prov:    e.prov,
-					warm:    e.warm,
+					warm:    warm,
 					help:    hp,
 					stats:   &e.stats,
 					refHash: hashes[pi][term/2],

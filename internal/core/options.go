@@ -98,21 +98,6 @@ type Options struct {
 	// Clusters optionally groups users for bank allocation (nil =
 	// one bank per user, the Theorem 4 setting).
 	Clusters []int
-	// Epsilon is the default certified error budget for the
-	// approximation tier, in SND units: every distance an engine batch
-	// returns is accompanied by an envelope [LB, UB] with
-	// UB - LB <= Epsilon that provably contains the exact value (the
-	// reported SND is the envelope's feasible-plan upper end, so
-	// |SND - exact| <= Epsilon). 0 — the default — pins the exact
-	// pipeline: every value is bit-identical to an engine with no
-	// approximation code at all, and LB == UB == SND. Positive budgets
-	// let terms be decided by coarse cluster-representative bounds, by
-	// the relaxed LB/UB row gate, or by the entropic (Sinkhorn) solver's
-	// certified envelope, skipping SSSP runs and flow solves; a term
-	// whose envelope cannot be tightened within budget falls back to the
-	// exact solve, so the contract holds unconditionally. The per-call
-	// *Eps engine methods override this default.
-	Epsilon float64
 	// EscapeHops thresholds the ground distance: transport between
 	// users with no directed path (or one costing more) is charged
 	// EscapeHops maximally-expensive virtual hops (EscapeHops * U).
@@ -141,9 +126,6 @@ func (o Options) withDefaults() Options {
 	}
 	if o.EscapeHops <= 0 {
 		o.EscapeHops = 32
-	}
-	if !(o.Epsilon > 0) {
-		o.Epsilon = 0 // negatives and NaN mean "exact"
 	}
 	return o
 }
@@ -179,10 +161,10 @@ type Result struct {
 	// two states.
 	NDelta int
 	// LB and UB are the certified envelope around the exact distance:
-	// LB <= SND(exact) <= UB, with UB - LB bounded by the requested
-	// Epsilon. SND reports the feasible upper end of the envelope, so
-	// LB <= SND <= UB always holds. With Epsilon == 0 (the exact
-	// pipeline) both equal SND.
+	// LB <= SND(exact) <= UB, with UB - LB bounded by the error budget
+	// of the *Eps call. SND reports the feasible upper end of the
+	// envelope, so LB <= SND <= UB always holds. With budget 0 (the
+	// exact pipeline) both equal SND.
 	LB, UB float64
 	// SSSPRuns counts the single-source shortest-path computations the
 	// evaluation charges. Engine batches may serve some of them from

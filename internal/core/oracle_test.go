@@ -50,13 +50,7 @@ func Distance(g *graph.Digraph, a, b opinion.State, opts Options) (Result, error
 	specs := eqSpecs(a, b)
 	var res Result
 	res.NDelta = a.DiffCount(b)
-	// The standalone path honors Options.Epsilon through the row-gate
-	// and entropic stages; the coarse cluster pass needs an Engine's
-	// partition and is engine-only.
 	tc := termCtx{sc: &scratch{}}
-	if opts.Epsilon > 0 {
-		tc.epsTerm = epsTermBudget(opts.Epsilon)
-	}
 	var lbs, ubs [4]float64
 	for i, spec := range specs {
 		tv, err := computeTerm(g, spec, opts, tc)

@@ -25,8 +25,8 @@ type engineStats struct {
 	crossedResolves atomic.Int64    // re-solves after completing crossed rows (see solveRows)
 	pricedResolves  atomic.Int64    // re-solves after pricing in left-out cells (see solveRows)
 
-	termsApproxCoarse   atomic.Int64 // terms decided by coarse cluster-representative bounds
-	termsApproxGap      atomic.Int64 // terms decided by the relaxed LB/UB row gate
+	termsApproxCoarse   atomic.Int64 // terms decided by the relaxed LB/UB row gate over rows filled by column
+	termsApproxGap      atomic.Int64 // terms decided by the relaxed LB/UB row gate over rows filled by source
 	termsApproxSinkhorn atomic.Int64 // terms decided by the entropic envelope
 
 	pairsRequested atomic.Int64 // pairs entering Pairs
@@ -59,10 +59,10 @@ type EngineStats struct {
 	Terms, TermsBoundDecided, TermsWarmExact, TermsWarmSolved, FlowSolves int64
 	// TermsApproxCoarse, TermsApproxGap, and TermsApproxSinkhorn count
 	// the terms the approximation tier decided within its certified
-	// budget — by the coarse cluster-representative pass, by the relaxed
-	// LB/UB row gate, and by the entropic solver's envelope
-	// respectively. All are zero on an exact engine (Epsilon == 0); the
-	// sum is the approx-vs-exact solve split a dashboard wants.
+	// budget — by the relaxed LB/UB row gate over rows filled by column
+	// (coarse) or by source (gap), and by the entropic solver's
+	// envelope respectively. All are zero on exact calls (budget 0);
+	// the sum is the approx-vs-exact solve split a dashboard wants.
 	TermsApproxCoarse, TermsApproxGap, TermsApproxSinkhorn int64
 	// TermsByColumn, TermsKNearest, TermsPartialRows and
 	// TermsCompleteRows split the terms that ran an SSSP fan-out by its

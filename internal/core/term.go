@@ -141,7 +141,7 @@ type termCtx struct {
 	sc   *scratch
 	prov *groundProvider
 	// warm, when non-nil, is the engine's warm-basis ring (see
-	// warm.go).
+	// warm.go). It is nil on budgeted terms (see runTerms).
 	warm *warmCache
 	// stats, when non-nil, receives the engine's phase timings and
 	// warm/bound counters; the zero termCtx records nothing.
@@ -156,9 +156,9 @@ type termCtx struct {
 	// sequential loop regardless of who computes which row.
 	help *helpPool
 	// epsTerm is this term's certified error budget in SND units
-	// (Epsilon/2 with a float-safety margin; see pairsEps). 0 — the
-	// zero termCtx — pins the exact pipeline: no approximation branch
-	// is even consulted.
+	// (half the pair's, with a float-safety margin; see epsTermBudget).
+	// 0 — the zero termCtx — pins the exact pipeline: no approximation
+	// branch is even consulted.
 	epsTerm float64
 	// series marks a term of a Series batch: on a provider miss for an
 	// untracked reference state it runs the grouped goal search into
@@ -235,9 +235,8 @@ const (
 )
 
 // computeTerm evaluates one EMD* term. With tc.epsTerm == 0 every
-// branch below is the exact pipeline, bit-identical to the
-// pre-approximation engine; a positive budget admits the certified
-// approximation tier on the bipartite route.
+// branch below is the exact pipeline; a positive budget admits the
+// certified approximation tier on the bipartite route.
 func computeTerm(g *graph.Digraph, spec termSpec, o Options, tc termCtx) (termVal, error) {
 	red := reduce(spec, o.Clusters, g.N())
 	if len(red.S) == 0 && len(red.C) == 0 && len(red.banks) == 0 {
@@ -251,17 +250,13 @@ func computeTerm(g *graph.Digraph, spec termSpec, o Options, tc termCtx) (termVa
 	}
 	// The approximation tier serves only the bipartite route (its rows
 	// and reduced instance are what the bounds and the entropic solver
-	// consume); budget 0 keeps every approximation gate closed.
+	// consume); budget 0 keeps every approximation gate closed. A budget
+	// past the int64 range saturates: it admits every finite envelope.
 	var budget int64
-	if tc.epsTerm > 0 {
-		budget = int64(tc.epsTerm * float64(red.scale))
-	}
-	if budget > 0 {
-		tv, ok, err := termApproxMultilevel(g, spec, red, o, tc, budget)
-		if err != nil || ok {
-			tv.used = EngineBipartite
-			return tv, err
-		}
+	if scaled := tc.epsTerm * float64(red.scale); scaled >= math.MaxInt64 {
+		budget = math.MaxInt64
+	} else if scaled > 0 {
+		budget = int64(scaled)
 	}
 	tv, err := termBipartite(g, spec, red, o, tc, budget)
 	tv.used = EngineBipartite
@@ -328,7 +323,7 @@ func termBipartite(g *graph.Digraph, spec termSpec, red reduction, o Options, tc
 	if err != nil {
 		return termVal{}, err
 	}
-	tv, nw, err := tc.solveRows(&bp, run, budgetScaled, donor)
+	tv, nw, err := tc.solveRows(&bp, run, budgetScaled, plan == planColumns, donor)
 	tv.runs = runs
 	if err != nil {
 		return tv, err
@@ -354,8 +349,8 @@ func termBipartite(g *graph.Digraph, spec termSpec, red reduction, o Options, tc
 // bound are a rows-scan away; when they coincide they pin the integer
 // optimum and the flow solve is skipped. A positive error budget
 // relaxes the gate: an envelope within budget decides the term at its
-// feasible upper end (counted as coarse when the rows are the
-// multilevel pass's matrix).
+// feasible upper end (counted as coarse when the rows were filled by
+// column).
 //
 // Entropic stage: with a budget, the Sinkhorn envelope (termSinkhorn)
 // combined with the row bounds may certify the term instead.
@@ -408,9 +403,10 @@ func (tc termCtx) solveTerm(bp *bipartite, budgetScaled int64, coarse bool, dono
 //     distances; with none crossed, the plan is optimal under the true
 //     distances too (see bipartite.crossedRows).
 //
-// Each round adds a cell or completes a row, so the rounds end.
-func (tc termCtx) solveRows(bp *bipartite, run rowRun, budgetScaled int64, donor *warmBasis) (termVal, *flow.Network, error) {
-	tv, nw, err := tc.solveTerm(bp, budgetScaled, false, donor)
+// Each round adds a cell or completes a row, so the rounds end. coarse
+// is solveTerm's.
+func (tc termCtx) solveRows(bp *bipartite, run rowRun, budgetScaled int64, coarse bool, donor *warmBasis) (termVal, *flow.Network, error) {
+	tv, nw, err := tc.solveTerm(bp, budgetScaled, coarse, donor)
 	for err == nil && nw != nil && bp.radius != nil {
 		if bp.priceIn(nw) > 0 {
 			if tc.stats != nil {
@@ -537,12 +533,15 @@ func (tc termCtx) fanOutPlan(g *graph.Digraph, bp *bipartite) fanOutPlan {
 // byColumns reports whether bp's complete rows are filled by column:
 // one search per column instead of one per source. Each run costs
 // about a ball around its source set, so the side with fewer runs wins
-// once the other has columnFanOutRatio times as many. The column side
-// is taken only where the row side would retain nothing (see
-// retainsRows). Both sides fill the same rows, so the choice moves no
-// bit.
+// once the other has columnFanOutRatio times as many. An exact term
+// takes the column side only where the row side would retain nothing
+// (see retainsRows); a budgeted term takes it regardless. On the small
+// preset of sndbench's approx experiment (one worker, 2-vCPU Xeon), a
+// budgeted Matrix took 14.2 s on complete rows kept for retention and
+// 1.9 s by column. Both sides fill the same rows, so the choice moves
+// no bit.
 func (tc termCtx) byColumns(bp *bipartite) bool {
-	return columnFanOutRatio*bp.nCols() < len(bp.sources) && !tc.retainsRows()
+	return columnFanOutRatio*bp.nCols() < len(bp.sources) && (tc.epsTerm > 0 || !tc.retainsRows())
 }
 
 // retainsRows reports whether the ground provider keeps what the row
@@ -792,13 +791,10 @@ func (tc termCtx) columnRuns(g *graph.Digraph, spec termSpec, o Options, bp *bip
 // pruneLimit is the target count, on a graph of n users, past which a
 // goal search's ball is about the whole graph: the search must settle
 // a ball reaching every target, and once targets are plentiful
-// relative to the graph that ball is the graph itself. Two rules read
-// it. partialRows stops at it: a partial row that settles that many
-// columns saves nothing over a complete one (a bank is one column,
-// settled by its nearest member). termApproxMultilevel takes it as its
-// margin proxy: it asks for more sources per column before its coarse
-// pass runs where a term's bank members and opposite users fit under
-// it, since the exact fan-out's runs are then cheap partial balls.
+// relative to the graph that ball is the graph itself. partialRows
+// stops at it: a partial row that settles that many columns saves
+// nothing over a complete one (a bank is one column, settled by its
+// nearest member).
 func pruneLimit(n int) int {
 	return max(n/64, 64)
 }

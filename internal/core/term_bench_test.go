@@ -273,7 +273,7 @@ func BenchmarkFanOutOrientation(b *testing.B) {
 						}
 					}
 					if opp == 0 {
-						tv, _, err := tc.solveRows(&bp, run, 0, nil)
+						tv, _, err := tc.solveRows(&bp, run, 0, false, nil)
 						if err != nil || tv.val != wantVal {
 							b.Fatalf("%s/%s: partial rows give term value %v (%v), complete rows %v", name, side, tv.val, err, wantVal)
 						}

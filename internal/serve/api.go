@@ -232,9 +232,10 @@ type StatsResponse struct {
 	PairBounds        int64   `json:"pair_bounds"`
 	GroundRefs        int64   `json:"ground_refs"`
 	GroundBytes       int64   `json:"ground_bytes"`
-	// The approximation-tier counters: terms decided by the coarse
-	// cluster pass, by the relaxed row-bound gate, and by the entropic
-	// (Sinkhorn) stage. Exact traffic leaves all three at zero.
+	// The approximation-tier counters: terms decided by the relaxed
+	// row-bound gate over rows filled by column (coarse) or by source
+	// (gap), and by the entropic (Sinkhorn) stage. Exact traffic leaves
+	// all three at zero.
 	TermsApproxCoarse   int64 `json:"terms_approx_coarse"`
 	TermsApproxGap      int64 `json:"terms_approx_gap"`
 	TermsApproxSinkhorn int64 `json:"terms_approx_sinkhorn"`

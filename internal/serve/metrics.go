@@ -222,9 +222,9 @@ func renderTenants(w io.Writer, infos []tenantMetrics) {
 		func(ti tenantMetrics) string {
 			return i64(ti.stats.TermsApproxCoarse + ti.stats.TermsApproxGap + ti.stats.TermsApproxSinkhorn)
 		})
-	counter("snd_engine_terms_approx_coarse_total", "Terms decided by the coarse cluster-representative pass.",
+	counter("snd_engine_terms_approx_coarse_total", "Terms decided by the relaxed row-bound gate over rows filled by column.",
 		func(ti tenantMetrics) string { return i64(ti.stats.TermsApproxCoarse) })
-	counter("snd_engine_terms_approx_gap_total", "Terms decided by the relaxed row-bound gap gate.",
+	counter("snd_engine_terms_approx_gap_total", "Terms decided by the relaxed row-bound gate over rows filled by source.",
 		func(ti tenantMetrics) string { return i64(ti.stats.TermsApproxGap) })
 	counter("snd_engine_terms_approx_sinkhorn_total", "Terms decided by the entropic transport stage.",
 		func(ti tenantMetrics) string { return i64(ti.stats.TermsApproxSinkhorn) })

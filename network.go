@@ -33,8 +33,7 @@ var (
 	// ErrEngineClosed reports a call on a closed Network (or Engine).
 	ErrEngineClosed = core.ErrEngineClosed
 	// ErrBadEpsilon reports an invalid certified-error budget handed to
-	// the Eps entry points or Options.Epsilon: negative, NaN, or
-	// absurdly large.
+	// the Eps entry points: negative, NaN, or absurdly large.
 	ErrBadEpsilon = core.ErrBadEpsilon
 	// ErrDeltaIndex reports an invalid StateDelta entry: a change
 	// addressing a user outside [0, n), or carrying an opinion value
@@ -170,7 +169,8 @@ func (nw *Network) Pairs(ctx context.Context, pairs []StatePair) ([]Result, erro
 // UB - LB <= eps, and the exact distance is guaranteed to lie inside
 // the envelope, so |SND - exact| <= eps. eps = 0 is the exact path,
 // bit-identical to Distance. A negative or NaN eps fails with an error
-// wrapping ErrBadEpsilon. See Options.Epsilon for the contract.
+// wrapping ErrBadEpsilon. A budgeted result does not depend on what
+// the handle computed before.
 func (nw *Network) DistanceEps(ctx context.Context, a, b State, eps float64) (Result, error) {
 	return nw.eng.DistanceEps(ctx, a, b, eps)
 }

@@ -70,7 +70,9 @@ func NewState(n int) State { return opinion.NewState(n) }
 func ReadState(r io.Reader) (State, error) { return opinion.DecodeState(r) }
 
 // Options configures SND: ground-cost model, bank-bin distance, bank
-// clustering, certified error budget, and escape threshold. Every optimization of the pipeline is exact and always on.
+// clustering, and escape threshold. Every optimization of the pipeline
+// is exact and always on; an error budget is an argument of the *Eps
+// methods, not an option.
 // Options is a value: copies are independent, and an Engine or Network
 // snapshots the options it was constructed with, so mutating the
 // caller's copy afterwards has no effect and no concurrency hazard.
