@@ -232,7 +232,7 @@ func BenchmarkSeriesEngine(b *testing.B) {
 	g := benchGraph(b, 2000)
 	states := benchSeriesStates(b, g, 10)
 	for _, workers := range []int{1, 0} {
-		e := NewEngine(g, DefaultOptions(), EngineConfig{Workers: workers})
+		e := NewNetwork(g, DefaultOptions(), EngineConfig{Workers: workers}).Engine()
 		b.Run(sizeName("workers", e.Workers()), func(b *testing.B) {
 			b.ReportAllocs()
 			b.ResetTimer()
@@ -250,7 +250,7 @@ func BenchmarkSeriesEngine(b *testing.B) {
 func BenchmarkEngineMatrix(b *testing.B) {
 	g := benchGraph(b, 1000)
 	states := benchSeriesStates(b, g, 8)
-	e := NewEngine(g, DefaultOptions(), EngineConfig{})
+	e := NewNetwork(g, DefaultOptions(), EngineConfig{}).Engine()
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {

@@ -75,7 +75,7 @@ func scalingWorkerAxis() []int {
 // SSSP fan-out, sharded ground provider, the engine's warm ring, bound
 // screening — across a worker axis, on the four workload shapes the
 // repo's applications reduce to: Series (cold engine and warm
-// second pass), Step (the delta-monitoring tick), Matrix, and
+// second pass), StepFrom (the delta-monitoring tick), Matrix, and
 // nearest-neighbor queries. Per workload, the distance checksum must
 // be bit-identical at every worker count (the engine's determinism
 // contract); the run aborts otherwise. Emits BENCH_scaling.json via
@@ -171,16 +171,15 @@ func runScalingCores(sc scale, seed int64) {
 			}
 			return measurement{dur.Seconds(), sum}
 		case "step":
-			if err := nw.SetState(base); err != nil {
-				fatalf("scalingcores step w=%d: %v", w, err)
-			}
+			cur := base
 			var sum float64
 			start := time.Now()
 			for t, d := range deltas {
-				res, err := nw.Step(ctx, d)
+				next, res, err := nw.StepFrom(ctx, cur, d)
 				if err != nil {
 					fatalf("scalingcores step w=%d tick %d: %v", w, t, err)
 				}
+				cur = next
 				sum += res.SND
 			}
 			return measurement{time.Since(start).Seconds(), sum}

@@ -51,50 +51,54 @@
 // # Context semantics
 //
 // Every batch entry point — Network.Distance, Pairs, Series, Matrix,
-// Explain, DetectAnomalies, Step, the predictors' Predict, and the
+// Explain, DetectAnomalies, StepFrom, the predictors' Predict, and the
 // StateIndex search methods — takes a context.Context first. A
 // cancelled context makes the call return ctx.Err(); cancellation is
 // observed at term boundaries, between the SSSP runs inside a term,
 // and between the pushes of the min-cost-flow solvers, so a cancelled
 // request releases the worker pool within one such step. With an
 // un-cancelled context, results are bit-identical to sequential
-// snd.Distance loops for any worker count (pinned by tests under the
+// Network.Distance loops for any worker count (pinned by tests under the
 // race detector).
 //
 // # Incremental state (deltas)
 //
-// Online monitoring wants the state shipped once and then kept current
-// cheaply. Network tracks a state for exactly that:
+// Online monitoring wants each tick's state evaluated from just its
+// changes. The caller holds the current state and advances it by
+// sparse deltas:
 //
-//	nw.SetState(initial)                  // full state crosses once
-//	res, err := nw.Step(ctx, snd.StateDelta{
+//	next, res, err := nw.StepFrom(ctx, cur, snd.StateDelta{
 //	        {User: 17, Opinion: snd.Positive},
 //	        {User: 4242, Opinion: snd.Neutral},
-//	})                                    // SND(previous, current)
+//	})                                    // SND(cur, next)
+//	cur = next
 //
-// Apply advances the state without computing a distance; Current
-// returns the tracked snapshot and its version. Updates copy-on-write,
-// so snapshots returned earlier stay valid.
+// ApplyFrom advances a state without computing a distance. Neither
+// mutates the state it is handed (updates copy), so states returned
+// earlier stay valid; a rejected delta returns a nil state. The handle
+// keeps no state of its own, so one Network advances any number of
+// independent states.
 //
 // # The delta-aware ground-distance provider
 //
-// Every delta routed through Step or Apply also feeds the engine's
-// ground-distance provider, the subsystem that owns the materialized
-// eq. 2 edge costs and the per-source shortest-path trees behind each
-// distance evaluation. A delta invalidates nothing: retained entries
-// are immutable, and the new reference state's data is derived lazily,
-// on first use, from the retained state at the smallest opinion diff —
-// cost arrays are cloned and patched over only the edges incident to
-// the changed users, and shortest-path trees are cloned and repaired
-// Ramalingam-Reps-style over that same dirty edge set. A repair falls
-// back to a full Dijkstra when the delta invalidated too much of a
-// tree (an unsupported region beyond a quarter of the users), and
-// derivation is skipped entirely for diffs wider than n/8 users or
-// for cost models whose penalties aggregate over neighborhoods (ICC,
-// LinearThreshold — only the model-agnostic costs patch locally).
-// Either way the distances are bit-identical to a full SetState
-// recompute (pinned by randomized tests); the delta path is purely a
-// cost decision, making Step scale with |delta| instead of the graph.
+// Every delta routed through StepFrom or ApplyFrom also feeds the
+// engine's ground-distance provider, the subsystem that owns the
+// materialized eq. 2 edge costs and the per-source shortest-path
+// trees behind each distance evaluation. A delta invalidates nothing:
+// retained entries are immutable, and the new reference state's data
+// is derived lazily, on first use, from the retained state at the
+// smallest opinion diff — cost arrays are cloned and patched over
+// only the edges incident to the changed users, and shortest-path
+// trees are cloned and repaired Ramalingam-Reps-style over that same
+// dirty edge set. A repair falls back to a full Dijkstra when the
+// delta invalidated too much of a tree (an unsupported region beyond
+// a quarter of the users), and derivation is skipped entirely for
+// diffs wider than n/8 users or for cost models whose penalties
+// aggregate over neighborhoods (ICC, LinearThreshold — only the
+// model-agnostic costs patch locally). Either way the distances are
+// bit-identical to a full recompute of both states (pinned by
+// randomized tests and FuzzStepFrom); the delta path is purely a cost
+// decision, making StepFrom scale with |delta| instead of the graph.
 //
 // Retention is provider-owned: reference states reported by a delta
 // ride a fixed window (deep enough for contested users that flip again
@@ -146,20 +150,21 @@
 // term is solved again, and a second crossing completes every row.
 //
 // Retention differs by reference-state kind and batch kind. Tracked
-// states (the delta-monitoring window) keep exact full rows with parent
-// trees — they are the repair donors Step's incremental path derives
-// from. Untracked states in Pairs, Matrix and nearest-neighbour
-// batches retain compact rows capped at the saturation cost, a third
-// of a tree's bytes, so traffic that revisits a reference state keeps
-// hitting at scales where full-tree retention would thrash; the caps
-// never change a result bit because term assembly saturates at the
-// same threshold. Series batches retain no rows for untracked states,
-// only their cost arrays: a Series reference state serves just its two
-// adjacent pairs, and a row recurs between those only for a user who
-// leaves an opinion and returns to it on the next tick, so retained
-// rows would fill the budget without being read back. Such a miss, or
-// any miss once the budget is spent, computes pruned rows into
-// per-worker scratch and retains nothing.
+// states (the delta-monitoring window) keep exact full rows with
+// parent trees — they are the repair donors StepFrom's incremental
+// path derives from. Untracked states in Pairs, Matrix and
+// nearest-neighbour batches retain compact rows capped at the
+// saturation cost, a third of a tree's bytes, so traffic that
+// revisits a reference state keeps hitting at scales where full-tree
+// retention would thrash; the caps never change a result bit because
+// term assembly saturates at the same threshold. Series batches
+// retain no rows for untracked states, only their cost arrays: a
+// Series reference state serves just its two adjacent pairs, and a
+// row recurs between those only for a user who leaves an opinion and
+// returns to it on the next tick, so retained rows would fill the
+// budget without being read back. Such a miss, or any miss once the
+// budget is spent, computes pruned rows into per-worker scratch and
+// retains nothing.
 //
 // Within one term the per-source searches are independent: engine
 // workers that run out of terms steal them (a single Distance call has
@@ -263,8 +268,8 @@
 // The package re-exports the full pipeline of the paper:
 //
 //   - Network / Engine: the handle and its concurrent batch compute
-//     layer. Engine remains available (Network.Engine) for callers
-//     that want the lower level.
+//     layer. The engine is reachable through Network.Engine, for its
+//     Stats counters.
 //   - SND itself (eq. 3), computed exactly in time near-linear in the
 //     number of users via the Theorem 4 reduction. The engine picks
 //     each term's route — the reduced bipartite instance, or a flow

@@ -167,21 +167,22 @@ func TestSndbenchExperimentsExist(t *testing.T) {
 
 // TestDocsCiteExistingFields fails when a Go comment, README.md,
 // docs/*.md, the .claude/skills notes or the CI workflow cites
-// Options.<name>, EngineConfig.<name> or EMDStarConfig.<name> for a
-// field or method the type does not have. The types are core.Options,
-// core.EngineConfig and emd.StarConfig, which package snd re-exports; a
-// Go comment in a package that declares its own type of the cited name
-// (wal.Options) is checked against that type instead.
+// Options.<name>, EngineConfig.<name>, EMDStarConfig.<name> or
+// Network.<name> for a field or method the type does not have. The
+// types are core.Options, core.EngineConfig and emd.StarConfig, which
+// package snd re-exports, and snd.Network; a Go comment in a package
+// that declares its own type of the cited name (wal.Options,
+// flow.Network) is checked against that type instead.
 func TestDocsCiteExistingFields(t *testing.T) {
-	owners := typeMembers(t, "internal/core/options.go", "internal/core/engine.go", "internal/emd/star.go")
+	owners := typeMembers(t, "internal/core/options.go", "internal/core/engine.go", "internal/emd/star.go", "network.go")
 	owners["EMDStarConfig"] = owners["StarConfig"]
-	for _, name := range []string{"Options", "EngineConfig", "EMDStarConfig"} {
+	for _, name := range []string{"Options", "EngineConfig", "EMDStarConfig", "Network"} {
 		if len(owners[name]) == 0 {
 			t.Fatalf("no fields found for %s", name)
 		}
 	}
 	local := map[string]map[string]map[string]bool{} // Go package dir -> its own types
-	cite := regexp.MustCompile(`\b(Options|EngineConfig|EMDStarConfig)\.(\w+)`)
+	cite := regexp.MustCompile(`\b(Options|EngineConfig|EMDStarConfig|Network)\.(\w+)`)
 	scanDocs(t, func(where, goDir, text string) {
 		for _, m := range cite.FindAllStringSubmatch(text, -1) {
 			known := owners[m[1]]
@@ -236,7 +237,9 @@ func typeMembers(t *testing.T, paths ...string) map[string]map[string]bool {
 					if !ok {
 						continue
 					}
-					members[ts.Name.Name] = map[string]bool{}
+					if members[ts.Name.Name] == nil {
+						members[ts.Name.Name] = map[string]bool{}
+					}
 					for _, f := range st.Fields.List {
 						for _, name := range f.Names {
 							add(ts.Name.Name, name.Name)

@@ -87,22 +87,18 @@ func main() {
 		}
 	}
 
-	// Online monitoring: ship the state once, then advance it by sparse
-	// deltas; Step returns the SND each tick's changes covered. Each
-	// delta also feeds the engine's ground-distance provider, which
-	// serves the next tick by patching edge costs and repairing
-	// shortest-path trees instead of recomputing them — Step cost
-	// scales with the delta, and the distances are bit-identical to a
-	// full recompute (see BENCH_delta.json for the measured speedup at
-	// scale).
-	if err := nw.SetState(before); err != nil {
-		log.Fatal(err)
-	}
-	tick1, err := nw.Step(ctx, snd.StateDelta{{User: 1, Opinion: snd.Positive}})
+	// Online monitoring: hold the current state, then advance it by
+	// sparse deltas; StepFrom returns the advanced state and the SND
+	// each tick's changes covered. Each delta also feeds the engine's
+	// ground-distance provider, which serves the next tick by patching
+	// edge costs and repairing shortest-path trees instead of
+	// recomputing them — StepFrom cost scales with the delta, and the
+	// distances are bit-identical to a full recompute.
+	cur, tick1, err := nw.StepFrom(ctx, before, snd.StateDelta{{User: 1, Opinion: snd.Positive}})
 	if err != nil {
 		log.Fatal(err)
 	}
-	tick2, err := nw.Step(ctx, snd.StateDelta{{User: 10, Opinion: snd.Positive}})
+	cur, tick2, err := nw.StepFrom(ctx, cur, snd.StateDelta{{User: 10, Opinion: snd.Positive}})
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -111,9 +107,9 @@ func main() {
 
 	// Deltas are validated before they advance anything: a change
 	// addressing a user outside the graph (or an invalid opinion
-	// value) fails with an error wrapping snd.ErrDeltaIndex and leaves
-	// the tracked state untouched.
-	if _, err := nw.Step(ctx, snd.StateDelta{{User: n + 5, Opinion: snd.Positive}}); errors.Is(err, snd.ErrDeltaIndex) {
+	// value) fails with an error wrapping snd.ErrDeltaIndex and
+	// returns no state, so cur stays current.
+	if _, _, err := nw.StepFrom(ctx, cur, snd.StateDelta{{User: n + 5, Opinion: snd.Positive}}); errors.Is(err, snd.ErrDeltaIndex) {
 		fmt.Println("rejected out-of-range delta:", err)
 	}
 }

@@ -21,9 +21,9 @@ type EngineConfig struct {
 	// GroundCacheBytes budgets the shared ground-distance provider (edge
 	// costs and shortest-path trees keyed by reference state and
 	// opinion), which Matrix and Series hit whenever two pairs share a
-	// reference state and which serves Network.Step's delta traffic by
-	// cost patching and tree repair. 0 selects 128 MiB; negative
-	// disables the provider.
+	// reference state and which serves Network.StepFrom's delta
+	// traffic by cost patching and tree repair. 0 selects 128 MiB;
+	// negative disables the provider.
 	GroundCacheBytes int64
 	// WarmCacheBytes budgets the solved-basis retention behind
 	// warm-started transportation solves: the engine keeps one ring of
@@ -152,9 +152,9 @@ func (e *Engine) closedErr() error {
 
 // AdvanceRef tells the ground-distance provider that reference state
 // next derives from prev by changing the opinions of the listed users.
-// Incremental-state callers (snd.Network.Step/Apply) report every delta
-// through this; the provider then serves next's edge costs by patching
-// prev's over the dirty edges and next's shortest-path trees by
+// Incremental-state callers (snd.Network.StepFrom/ApplyFrom) report
+// every delta through this; the provider then serves next's edge costs
+// by patching prev's over the dirty edges and next's shortest-path trees by
 // Ramalingam-Reps repair of prev's, making delta-step cost scale with
 // |changed| instead of the graph. Results are bit-identical to full
 // recomputation. The call itself does no work beyond bookkeeping;

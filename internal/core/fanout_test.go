@@ -32,7 +32,7 @@ func unoptimizedPairs(t *testing.T, g *graph.Digraph, opts Options, pairs []Stat
 // bit-identical to the full-row reference (unoptimizedDistance), across
 // clusterings, cache configurations, worker counts, randomized state
 // sequences, and the tracked delta path (AdvanceRef lineage, as
-// Network.Step drives it).
+// Network.StepFrom drives it).
 func TestGoalPruningMatchesFullRows(t *testing.T) {
 	g := engineTestGraph(250, 31)
 	ctx := context.Background()
@@ -120,7 +120,7 @@ func TestIntraTermParallelMatchesSequential(t *testing.T) {
 // TestTrackedRefBuildsTreesAfterUntrackedUse pins that a reference
 // state first seen as untracked batch traffic (compact rows cached)
 // still builds exact repair-donor trees once it becomes tracked:
-// without them every later Step would silently degrade to cold
+// without them every later StepFrom would silently degrade to cold
 // Dijkstras.
 func TestTrackedRefBuildsTreesAfterUntrackedUse(t *testing.T) {
 	g := engineTestGraph(150, 61)
@@ -429,7 +429,7 @@ func fanOutAndSolve(t *testing.T, g *graph.Digraph, spec termSpec, o Options, tc
 // TestTrackedRefKeepsRowFanOut pins where the column side may run. A
 // Series term over an untracked reference state with few columns runs
 // by column, but once the state is tracked the same term keeps the row
-// side, whose runs build the exact trees Step repairs from; a Pairs
+// side, whose runs build the exact trees StepFrom repairs from; a Pairs
 // term, which retains compact rows, keeps it too. The Series over the
 // tracked state must retain those trees and stay bit-identical to a
 // cold engine.
@@ -465,7 +465,7 @@ func TestTrackedRefKeepsRowFanOut(t *testing.T) {
 	}
 	e.AdvanceRef(a, b, changed)
 	if byCols(series) {
-		t.Fatal("tracked Series term takes the column side; Step would lose its repair trees")
+		t.Fatal("tracked Series term takes the column side; StepFrom would lose its repair trees")
 	}
 	got, err := e.Series(ctx, []opinion.State{a, b})
 	if err != nil {

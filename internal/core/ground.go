@@ -37,7 +37,7 @@ import (
 // budget is deliberately NOT split per shard: all rows and trees of
 // one reference state land in one shard, so a per-shard slice would
 // cap each state's working set at 1/providerShards of the configured
-// bytes and starve warm Series/Step traffic. Instead the remaining
+// bytes and starve warm Series/StepFrom traffic. Instead the remaining
 // budget is a single lock-free atomic — touched only on retention and
 // eviction events, which are rare next to lookups — while the used
 // gauges stay shard-local and merge on Stats(). Published entry data
@@ -56,10 +56,10 @@ import (
 // fingerprint), so identical states share entries no matter how they
 // were produced, and each entry retains a snapshot of its state — the
 // diff base for derivations. Tracked reference states — those reported
-// through Engine.AdvanceRef by delta-routing callers (snd.Network.Step
-// and Apply) — ride a fixed-size window: when an advance pushes the
-// window past providerWindow states, the oldest tracked entry is
-// dropped and its bytes refunded, which keeps a long-running
+// through Engine.AdvanceRef by delta-routing callers
+// (snd.Network.StepFrom and ApplyFrom) — ride a fixed-size window:
+// when an advance pushes the window past providerWindow states, the
+// oldest tracked entry is dropped and its bytes refunded, which keeps a long-running
 // monitoring workload's budget on reference states that can still
 // recur or serve as repair donors. Untracked entries (batch
 // Pairs/Matrix traffic) are retained first-come until the byte budget
@@ -170,7 +170,7 @@ type diffEntry struct {
 }
 
 // providerWindow is how many tracked reference states the provider
-// retains. Each Step advance enrolls two states (previous and next),
+// retains. Each StepFrom advance enrolls two states (previous and next),
 // so the window spans about providerWindow/2 ticks of history; the
 // slack lets contested users that flip again within that horizon find
 // a repairable donor tree instead of paying a cold Dijkstra.
@@ -651,7 +651,7 @@ func (p *groundProvider) rowGoals(ref hashKey, st opinion.State, op opinion.Opin
 		// trees even when a compact row from an earlier untracked life
 		// is cached: the trees are the repair donors the delta path
 		// derives the next tick's rows from, and serving the compact
-		// row instead would silently degrade every later Step to cold
+		// row instead would silently degrade every later StepFrom to cold
 		// Dijkstras. The compact row remains only as the
 		// budget-exhausted fallback.
 		if full, ok := p.row(ref, st, op, reversed, src, w); ok {

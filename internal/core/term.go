@@ -303,7 +303,7 @@ func termBipartite(g *graph.Digraph, spec termSpec, red reduction, o Options, tc
 		// Tracked reference states never take the whole-instance
 		// shortcut: their fan-out materializes the exact trees the next
 		// delta tick repairs from, and skipping it would silently
-		// degrade every later Step to cold Dijkstras. The identical
+		// degrade every later StepFrom to cold Dijkstras. The identical
 		// basis is then a perfect transplant donor instead.
 		shortcut := tc.prov == nil || !tc.prov.isTracked(tc.refHash)
 		val, exact, d := tc.warm.lookup(tc.sc, tc.refHash, spec, &bp, shortcut)
@@ -547,7 +547,7 @@ func (tc termCtx) byColumns(bp *bipartite) bool {
 // retainsRows reports whether the ground provider keeps what the row
 // side's runs compute. It keeps nothing with no provider, or in a
 // Series over an untracked reference state. A tracked state's source
-// runs build the trees Step repairs from, and Pairs and Matrix retain
+// runs build the trees StepFrom repairs from, and Pairs and Matrix retain
 // compact rows for their repeated queries.
 func (tc termCtx) retainsRows() bool {
 	return tc.prov != nil && (!tc.series || tc.prov.isTracked(tc.refHash))

@@ -16,6 +16,7 @@
 package distance
 
 import (
+	"context"
 	"fmt"
 	"math"
 
@@ -23,12 +24,29 @@ import (
 	"snd/internal/opinion"
 )
 
-// Measure is a distance between two network states over a fixed graph.
+// Measure is a distance between two network states over a fixed
+// graph: the baselines here and the engine-backed SND measure
+// (predict.SNDMeasure) satisfy it, and the anomaly, prediction and
+// search pipelines take it.
 type Measure interface {
 	// Distance returns the distance between states a and b.
 	Distance(a, b opinion.State) (float64, error)
 	// Name identifies the measure in experiment tables.
 	Name() string
+}
+
+// PairDistancer is the optional batch fast path of a Measure: it
+// evaluates many (a, b) pairs at once. The engine-backed SND measure
+// satisfies it, scheduling every pair's terms across the worker pool.
+type PairDistancer interface {
+	DistancePairs(ctx context.Context, pairs [][2]opinion.State) ([]float64, error)
+}
+
+// SeriesDistancer is the optional series fast path of a Measure: it
+// evaluates the distance between every adjacent pair of states at
+// once. The engine-backed SND measure satisfies it.
+type SeriesDistancer interface {
+	Series(ctx context.Context, states []opinion.State) ([]float64, error)
 }
 
 func checkStates(n int, a, b opinion.State) error {

@@ -23,19 +23,14 @@ import (
 
 	"snd/internal/cluster"
 	"snd/internal/core"
+	"snd/internal/distance"
 	"snd/internal/graph"
 	"snd/internal/opinion"
 	"snd/internal/stats"
 )
 
-// StateDistance is any distance between two network states (package
-// distance's measures and the SND adapter below satisfy it).
-type StateDistance interface {
-	Distance(a, b opinion.State) (float64, error)
-	Name() string
-}
-
-// SNDMeasure adapts SND to the StateDistance interface. Every call runs
+// SNDMeasure adapts SND to distance.Measure and its batch fast paths
+// (distance.SeriesDistancer, distance.PairDistancer). Every call runs
 // on Engine's worker pool (with scratch reuse and ground-distance
 // caching), and the batch entry points Series and DistancePairs
 // parallelize across all requested pairs. Engine is required and
@@ -44,10 +39,10 @@ type SNDMeasure struct {
 	Engine *core.Engine
 }
 
-// Name implements StateDistance.
+// Name implements distance.Measure.
 func (SNDMeasure) Name() string { return "snd" }
 
-// Distance implements StateDistance.
+// Distance implements distance.Measure.
 func (m SNDMeasure) Distance(a, b opinion.State) (float64, error) {
 	res, err := m.Engine.Distance(context.Background(), a, b)
 	if err != nil {
@@ -92,12 +87,6 @@ func statePairs(pairs [][2]opinion.State) []core.StatePair {
 	return sp
 }
 
-// PairDistancer is satisfied by measures that can evaluate many state
-// pairs in one batch (SNDMeasure).
-type PairDistancer interface {
-	DistancePairs(ctx context.Context, pairs [][2]opinion.State) ([]float64, error)
-}
-
 // Predictor predicts the opinions of target users in the current
 // (incomplete) network state. past holds the observed recent states,
 // oldest first; current has the targets' opinions blanked to Neutral.
@@ -112,11 +101,12 @@ type Predictor interface {
 
 // DistanceBased is the Section 6.3 randomized-search predictor.
 type DistanceBased struct {
-	Measure StateDistance
+	Measure distance.Measure
 	// Assignments is the number of random candidate assignments
 	// sampled (the paper uses 100).
 	Assignments int
-	// Rng drives the randomized search; nil seeds from Seed.
+	// Seed seeds the randomized search: equal seeds sample equal
+	// candidate assignments.
 	Seed int64
 }
 
@@ -138,7 +128,7 @@ func (d DistanceBased) Predict(ctx context.Context, past []opinion.State, curren
 	// Distances between adjacent past states, extrapolated one step.
 	var dists []float64
 	var err error
-	if sm, ok := d.Measure.(seriesDistancer); ok {
+	if sm, ok := d.Measure.(distance.SeriesDistancer); ok {
 		dists, err = sm.Series(ctx, past)
 	} else {
 		dists = make([]float64, 0, len(past)-1)
@@ -163,7 +153,7 @@ func (d DistanceBased) Predict(ctx context.Context, past []opinion.State, curren
 	// engine-backed measure parallelizes within each chunk while peak
 	// memory stays at chunkSize states rather than Assignments states.
 	const chunkSize = 64
-	pd, batched := d.Measure.(PairDistancer)
+	pd, batched := d.Measure.(distance.PairDistancer)
 	best := make([]opinion.Opinion, len(targets))
 	bestGap := math.Inf(1)
 	candidates := make([]opinion.State, 0, chunkSize)
@@ -211,12 +201,6 @@ func (d DistanceBased) Predict(ctx context.Context, past []opinion.State, curren
 		}
 	}
 	return best, nil
-}
-
-// seriesDistancer is satisfied by measures with a batch adjacent-pair
-// entry point.
-type seriesDistancer interface {
-	Series(ctx context.Context, states []opinion.State) ([]float64, error)
 }
 
 // NhoodVoting predicts each target's opinion by probabilistic voting

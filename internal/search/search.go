@@ -3,8 +3,8 @@
 // network states, k-medoids clustering of states, and classification
 // by nearest labelled state.
 //
-// All routines work with any state distance (the Measure interface of
-// package predict); plugging SND in gives the paper's intended use.
+// All routines work with any state distance (distance.Measure);
+// plugging SND in gives the paper's intended use.
 // Distances are cached per (i, j) pair. Nothing here assumes the
 // triangle inequality, which SND satisfies only in some configurations
 // (docs/ARCHITECTURE.md, "Design notes"): NearestNeighbors screens
@@ -18,21 +18,9 @@ import (
 	"math/rand"
 	"sort"
 
+	"snd/internal/distance"
 	"snd/internal/opinion"
 )
-
-// Distance is any distance between two network states.
-type Distance interface {
-	Distance(a, b opinion.State) (float64, error)
-	Name() string
-}
-
-// pairDistancer is the optional batch fast path: measures that can
-// evaluate many pairs at once (the engine-backed SND measure) satisfy
-// it, and the index routes its bulk workloads through it.
-type pairDistancer interface {
-	DistancePairs(ctx context.Context, pairs [][2]opinion.State) ([]float64, error)
-}
 
 // pairBounder is the optional screening fast path: measures that can
 // cheaply lower-bound many pairs at once (the engine-backed SND
@@ -48,7 +36,7 @@ type pairBounder interface {
 // Index is a collection of network states searchable by distance.
 type Index struct {
 	states []opinion.State
-	dist   Distance
+	dist   distance.Measure
 	// The pair cache is a dense upper-triangular array: pair (i, j)
 	// with i < j lives at triIdx(i, j), with a validity bit aside. It
 	// replaces a map[[2]int]float64 whose per-lookup hashing dominated
@@ -61,7 +49,7 @@ type Index struct {
 
 // NewIndex builds an index over the given states (which are not
 // copied).
-func NewIndex(states []opinion.State, dist Distance) *Index {
+func NewIndex(states []opinion.State, dist distance.Measure) *Index {
 	return &Index{states: states, dist: dist}
 }
 
@@ -112,7 +100,7 @@ func (ix *Index) between(i, j int) (float64, error) {
 // k-medoids and classification loops then hit without ever calling the
 // measure again. A no-op for scalar measures.
 func (ix *Index) prefill(ctx context.Context) error {
-	pd, ok := ix.dist.(pairDistancer)
+	pd, ok := ix.dist.(distance.PairDistancer)
 	if !ok || len(ix.states) < 2 {
 		return nil
 	}
@@ -168,7 +156,7 @@ func (ix *Index) NearestNeighbors(ctx context.Context, query opinion.State, k in
 		ctx = context.Background()
 	}
 	var out []Neighbor
-	if pd, ok := ix.dist.(pairDistancer); ok && len(ix.states) > 1 {
+	if pd, ok := ix.dist.(distance.PairDistancer); ok && len(ix.states) > 1 {
 		pairs := make([][2]opinion.State, len(ix.states))
 		for i := range ix.states {
 			pairs[i] = [2]opinion.State{query, ix.states[i]}
@@ -236,7 +224,7 @@ func sortNeighbors(out []Neighbor) {
 // Every unevaluated candidate then satisfies dist >= bound > tau, i.e.
 // is strictly farther than the current k-th neighbor, so the evaluated
 // set contains the exhaustive top k exactly.
-func (ix *Index) screenedScan(ctx context.Context, pd pairDistancer, pairs [][2]opinion.State, lbs []float64, k int) ([]Neighbor, error) {
+func (ix *Index) screenedScan(ctx context.Context, pd distance.PairDistancer, pairs [][2]opinion.State, lbs []float64, k int) ([]Neighbor, error) {
 	order := make([]int, len(pairs))
 	for i := range order {
 		order[i] = i

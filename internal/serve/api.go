@@ -1,12 +1,14 @@
 // Package serve is the multi-tenant SND monitoring service: a
 // long-running HTTP+JSON front door over many snd.Network handles at
 // once. It owns a tenant registry (one graph + engine + named tracked
-// states per tenant), routes streaming StateDelta ingestion onto the
-// incremental Step/Apply path, answers snapshot-isolated batch queries
-// (a query pins the state versions it opened with), applies admission
-// control (bounded in-flight semaphores per tenant and global,
-// per-request deadlines), and exports per-tenant engine statistics
-// plus request metrics in Prometheus text format at /metrics.
+// states per tenant; the registry holds each state, and the handle
+// holds none), routes streaming StateDelta ingestion onto the
+// incremental Network.StepFrom path, answers snapshot-isolated batch
+// queries (a query pins the state versions it opened with), applies
+// admission control (bounded in-flight semaphores per tenant and
+// global, per-request deadlines), and exports per-tenant engine
+// statistics plus request metrics in Prometheus text format at
+// /metrics.
 //
 // # Routes
 //

@@ -3,7 +3,6 @@ package snd
 import (
 	"context"
 	"fmt"
-	"sync"
 
 	"snd/internal/anomaly"
 	"snd/internal/core"
@@ -12,8 +11,7 @@ import (
 )
 
 // Structured sentinel errors. Every validation failure of the handle
-// API (and of the deprecated free functions, which delegate to it)
-// wraps exactly one of these; branch with errors.Is, not string
+// API wraps exactly one of these; branch with errors.Is, not string
 // matching. The sentinels are immutable values, safe to compare from
 // any goroutine.
 var (
@@ -51,26 +49,26 @@ type OpinionChange struct {
 }
 
 // StateDelta is a sparse state update: the users whose opinion changed
-// since the last tracked state, in any order. Duplicate users are
+// since the state it applies to, in any order. Duplicate users are
 // allowed; the last change wins. Deltas are how a client keeps a
-// million-user state current without re-shipping it: the full state
-// crosses the API once (Network.SetState), every subsequent tick is
-// just its changed coordinates. A StateDelta is a plain slice: do not
-// mutate one while a Network call is consuming it; handing distinct
-// deltas to concurrent calls is fine.
+// million-user state current without re-computing it from scratch:
+// the caller holds the full state and hands Network.StepFrom just
+// each tick's changed coordinates. A StateDelta is a plain slice: do
+// not mutate one while a Network call is consuming it; handing
+// distinct deltas to concurrent calls is fine.
 type StateDelta []OpinionChange
 
-// Network is the long-lived handle of the package: one social graph,
-// one concurrent compute engine, and (optionally) one tracked state
-// updated by sparse deltas. Construct it once per graph and hang every
-// workload off it — batch distances, anomaly detection over a series,
-// metric-space search, and online monitoring of an evolving state.
+// Network is the long-lived handle of the package: one social graph
+// and one concurrent compute engine. Construct it once per graph and
+// hang every workload off it — batch distances, anomaly detection over
+// a series, metric-space search, and online monitoring of evolving
+// states by sparse deltas (StepFrom). The handle tracks no state of
+// its own: the caller holds each current state.
 //
-// All methods are safe for concurrent use: any mix of Step, Distance,
-// Matrix, Apply, and Close may race from many goroutines (the tracked
-// state sits under the handle's own mutex; everything else rides the
-// engine's sharded provider and per-worker scratch). Batch methods
-// take a context.Context and return ctx.Err() when cancelled
+// All methods are safe for concurrent use: any mix of StepFrom,
+// Distance, Matrix and Close may race from many goroutines (everything
+// rides the engine's sharded provider and per-worker scratch). Batch
+// methods take a context.Context and return ctx.Err() when cancelled
 // mid-batch; with an un-cancelled context, results are bit-identical
 // to sequential Distance loops (the engine's tests pin this under the
 // race detector).
@@ -87,15 +85,11 @@ type Network struct {
 	g    *Graph
 	opts Options
 	eng  *Engine
-
-	mu      sync.Mutex
-	cur     State // tracked state; nil until SetState
-	version uint64
 }
 
-// NewNetwork builds a handle over g. opts configures SND exactly as in
-// the free functions; cfg sizes the engine (zero value: one worker per
-// CPU, 128 MiB ground-distance cache).
+// NewNetwork builds a handle over g. opts configures SND; cfg sizes
+// the engine (zero value: one worker per CPU, 128 MiB ground-distance
+// cache).
 func NewNetwork(g *Graph, opts Options, cfg EngineConfig) *Network {
 	return &Network{
 		g:    g,
@@ -121,17 +115,7 @@ func (nw *Network) Engine() *Engine { return nw.eng }
 // idempotent and always returns nil (it satisfies io.Closer). The
 // engine is the single source of truth for closedness: closing via
 // Network.Close or Network.Engine().Close closes both surfaces.
-//
-// Close acquires the tracked-state mutex before closing, so it
-// linearizes against SetState, Apply, and Step: a tracked-state call
-// either completes entirely before the close or observes the closed
-// handle and fails with ErrEngineClosed — never a mix of partial
-// mutation and another sentinel. (Closing through Engine().Close
-// bypasses the mutex; racing tracked-state calls still fail with
-// ErrEngineClosed, just without the strict ordering.)
 func (nw *Network) Close() error {
-	nw.mu.Lock()
-	defer nw.mu.Unlock()
 	return nw.eng.Close()
 }
 
@@ -250,103 +234,19 @@ func (nw *Network) DetectAnomalies(ctx context.Context, states []State) (Anomaly
 	return anomalyReport("snd", states, dists)
 }
 
-// --- tracked state ---
-
-// SetState ships a full state into the handle, replacing any tracked
-// state. The state is copied; subsequent updates arrive as deltas via
-// Apply or Step.
-func (nw *Network) SetState(st State) error {
-	nw.mu.Lock()
-	defer nw.mu.Unlock()
-	// The closed check runs under the mutex, after which Close cannot
-	// slip in (it takes the same mutex): a SetState racing Close either
-	// fully installs the state before the close or fails with
-	// ErrEngineClosed. Closedness is checked before shape validation so
-	// a call racing Close reports the close, not an input sentinel.
-	if err := nw.closedErr(); err != nil {
-		return err
-	}
-	if err := validateState(nw.g, st); err != nil {
-		return err
-	}
-	nw.advanceLocked(st.Clone(), nil)
-	return nil
-}
-
-// Current returns the tracked state (nil before SetState) and its
-// version. The returned slice is a live snapshot: Apply and Step
-// replace rather than mutate it, so it stays valid and immutable after
-// later updates — treat it as read-only.
-func (nw *Network) Current() (State, uint64) {
-	nw.mu.Lock()
-	defer nw.mu.Unlock()
-	return nw.cur, nw.version
-}
-
-// Apply advances the tracked state by a sparse delta. The previous
-// state object is left intact (snapshots returned by Current remain
-// valid), and the delta is routed into the engine's ground-distance
-// provider, which keeps the new state's edge costs and shortest-path
-// trees derivable from the previous state's by O(|delta|) patching —
-// the provider's own retention window refunds the budget of states
-// that scroll out. Returns the new state snapshot.
-func (nw *Network) Apply(delta StateDelta) (State, error) {
-	nw.mu.Lock()
-	defer nw.mu.Unlock()
-	// Closed check under the mutex: see SetState.
-	if err := nw.closedErr(); err != nil {
-		return nil, err
-	}
-	next, changed, err := nw.applyLocked(delta)
-	if err != nil {
-		return nil, err
-	}
-	nw.advanceLocked(next, changed)
-	return next, nil
-}
-
-// Step advances the tracked state by delta and returns
-// SND(previous, current) — the monitoring primitive: feed each tick's
-// changes, get the propagation-aware distance the tick covered. The
-// delta is routed into the ground-distance provider, so the evaluation
-// reuses the previous tick's materialized edge costs (patched over the
-// delta's dirty edges) and repairs retained shortest-path trees
-// instead of recomputing them: Step cost scales with |delta|, and the
-// distances are bit-identical to a full SetState recompute. The state
-// advances even when the distance evaluation is cancelled; re-query
-// via Current.
-func (nw *Network) Step(ctx context.Context, delta StateDelta) (Result, error) {
-	nw.mu.Lock()
-	// Closed check under the mutex: see SetState. The distance
-	// evaluation below runs outside it; a Close arriving in between
-	// fails that evaluation with ErrEngineClosed (the state still
-	// advances, as documented).
-	if err := nw.closedErr(); err != nil {
-		nw.mu.Unlock()
-		return Result{}, err
-	}
-	prev := nw.cur
-	next, changed, err := nw.applyLocked(delta)
-	if err != nil {
-		nw.mu.Unlock()
-		return Result{}, err
-	}
-	nw.advanceLocked(next, changed)
-	nw.mu.Unlock()
-	return nw.eng.Distance(ctx, prev, next)
-}
-
-// ApplyFrom advances an externally tracked state by a sparse delta,
-// without touching the handle's own tracked state: it validates delta
-// against st, returns the advanced copy, and reports the lineage to
-// the engine's ground-distance provider exactly as Apply does — the
-// next evaluation touching the new state derives its edge costs and
-// shortest-path trees from st's by O(|delta|) patching. st is not
-// mutated and must not be mutated afterwards (the provider may hold it
-// as a diff base); treat both st and the returned state as immutable
-// snapshots. ApplyFrom is how a serving layer tracks many named states
-// on one handle: each state's owner serializes its own updates, and
-// different states may advance concurrently. Safe for concurrent use.
+// ApplyFrom advances st by a sparse delta: it validates delta against
+// st, returns the advanced copy, and reports the lineage to the
+// engine's ground-distance provider, so the next evaluation touching
+// the new state derives its edge costs and shortest-path trees from
+// st's by O(|delta|) patching (the provider's own retention window
+// refunds the budget of states that scroll out). st is not mutated and
+// must not be mutated afterwards (the provider may hold it as a diff
+// base); treat both st and the returned state as immutable snapshots.
+// The caller holds the current state: each state's owner serializes
+// its own updates, and different states may advance concurrently, so
+// a serving layer tracks many named states on one handle. A rejected
+// delta returns a nil state and an error wrapping ErrDeltaIndex. Safe
+// for concurrent use.
 func (nw *Network) ApplyFrom(st State, delta StateDelta) (State, error) {
 	if err := nw.closedErr(); err != nil {
 		return nil, err
@@ -354,9 +254,33 @@ func (nw *Network) ApplyFrom(st State, delta StateDelta) (State, error) {
 	if err := validateState(nw.g, st); err != nil {
 		return nil, err
 	}
-	next, changed, err := applyDelta(nw.g, st, delta)
-	if err != nil {
-		return nil, err
+	for i, ch := range delta {
+		if ch.User < 0 || ch.User >= nw.g.N() {
+			return nil, fmt.Errorf("snd: delta change %d addresses user %d of %d: %w: %w",
+				i, ch.User, nw.g.N(), ErrDeltaIndex, ErrStateSize)
+		}
+		if !ch.Opinion.Valid() {
+			return nil, fmt.Errorf("snd: delta change %d has opinion %d: %w: %w",
+				i, ch.Opinion, ErrDeltaIndex, ErrInvalidOpinion)
+		}
+	}
+	next := st.Clone()
+	for _, ch := range delta {
+		next[ch.User] = ch.Opinion
+	}
+	// The changed set is computed from the delta (not a full-state
+	// diff), so reporting a small tick on a huge state stays
+	// O(|delta|); entries that duplicate or revert an opinion drop out
+	// here.
+	var changed []int32
+	seen := make(map[int]bool, len(delta))
+	for _, ch := range delta {
+		if !seen[ch.User] {
+			seen[ch.User] = true
+			if next[ch.User] != st[ch.User] {
+				changed = append(changed, int32(ch.User))
+			}
+		}
 	}
 	if len(changed) > 0 {
 		nw.eng.AdvanceRef(st, next, changed)
@@ -365,17 +289,20 @@ func (nw *Network) ApplyFrom(st State, delta StateDelta) (State, error) {
 }
 
 // StepFrom is ApplyFrom plus the monitoring distance: it advances st
-// by delta and returns the new state along with SND(st, next),
-// computed on the handle's engine with full reuse of st's materialized
-// costs and repairable trees. Like Step, results are bit-identical to
-// a full recompute of the two states. Unlike Step it does not touch
-// the handle's own tracked state, so a server can drive hundreds of
-// independent named states through one Network. When the distance
-// evaluation fails (cancellation, a racing Close) the advanced state
-// is still returned alongside the error — like Step, the advance
-// survives; the caller chooses whether to keep it. A nil returned
-// state means the delta itself was rejected and nothing advanced.
-// Safe for concurrent use.
+// by delta and returns the new state along with SND(st, next) — feed
+// each tick's changes, get the propagation-aware distance the tick
+// covered. The evaluation reuses st's materialized edge costs (patched
+// over the delta's dirty edges) and repairs retained shortest-path
+// trees instead of recomputing them, so its cost scales with |delta|,
+// and the distances are bit-identical to a full recompute of the two
+// states. The caller keeps the current state:
+//
+//	cur, res, err = nw.StepFrom(ctx, cur, delta)
+//
+// When the distance evaluation fails (cancellation, a racing Close)
+// the advanced state is still returned alongside the error; the caller
+// chooses whether to keep it. A nil returned state means the delta
+// itself was rejected and nothing advanced. Safe for concurrent use.
 func (nw *Network) StepFrom(ctx context.Context, st State, delta StateDelta) (State, Result, error) {
 	next, err := nw.ApplyFrom(st, delta)
 	if err != nil {
@@ -386,64 +313,6 @@ func (nw *Network) StepFrom(ctx context.Context, st State, delta StateDelta) (St
 		return next, Result{}, err
 	}
 	return next, res, nil
-}
-
-// applyLocked validates delta against the tracked state and returns
-// the updated copy plus the users whose opinion actually changed.
-// Callers hold nw.mu.
-func (nw *Network) applyLocked(delta StateDelta) (State, []int32, error) {
-	if nw.cur == nil {
-		return nil, nil, fmt.Errorf("snd: Apply before SetState: no tracked state: %w", ErrStateSize)
-	}
-	return applyDelta(nw.g, nw.cur, delta)
-}
-
-// applyDelta validates delta against base state cur and returns the
-// advanced copy plus the users whose opinion actually changed — the
-// shared core of the tracked-state path (applyLocked) and the
-// externally tracked one (ApplyFrom). cur is read only.
-func applyDelta(g *Graph, cur State, delta StateDelta) (State, []int32, error) {
-	for i, ch := range delta {
-		if ch.User < 0 || ch.User >= g.N() {
-			return nil, nil, fmt.Errorf("snd: delta change %d addresses user %d of %d: %w: %w",
-				i, ch.User, g.N(), ErrDeltaIndex, ErrStateSize)
-		}
-		if !ch.Opinion.Valid() {
-			return nil, nil, fmt.Errorf("snd: delta change %d has opinion %d: %w: %w",
-				i, ch.Opinion, ErrDeltaIndex, ErrInvalidOpinion)
-		}
-	}
-	next := cur.Clone()
-	for _, ch := range delta {
-		next[ch.User] = ch.Opinion
-	}
-	// The changed set is computed from the delta (not a full-state
-	// diff), so a small tick on a huge state stays O(|delta|); entries
-	// that duplicate or revert an opinion drop out here.
-	var changed []int32
-	seen := make(map[int]bool, len(delta))
-	for _, ch := range delta {
-		if !seen[ch.User] {
-			seen[ch.User] = true
-			if next[ch.User] != cur[ch.User] {
-				changed = append(changed, int32(ch.User))
-			}
-		}
-	}
-	return next, changed, nil
-}
-
-// advanceLocked installs next as the tracked state and, when next
-// derives from it by a sparse delta, reports the lineage to the
-// engine's ground-distance provider (which owns retention: tracked
-// states ride its window and are refunded as they scroll out).
-// Callers hold nw.mu.
-func (nw *Network) advanceLocked(next State, changed []int32) {
-	if nw.cur != nil && len(changed) > 0 {
-		nw.eng.AdvanceRef(nw.cur, next, changed)
-	}
-	nw.cur = next
-	nw.version++
 }
 
 // validateState checks a full state's shape against the graph, using

@@ -11,14 +11,14 @@ import (
 )
 
 // TestNetworkConcurrentMixedTraffic hammers one Network from many
-// goroutines mixing the full API surface — a Step writer advancing the
-// tracked state, Distance readers, a Matrix reader — and pins every
-// result bit-identical to the sequential interleaving. The engine's
-// contract makes this checkable: Distance/Matrix/Step results are pure
-// functions of their input states, so caching, sharded-provider churn
-// (the Step writer evicts and derives window entries while readers
-// race them), the shared warm ring, and work stealing must never leak
-// into a value. Run under -race this is the contention-path coverage
+// goroutines mixing the full API surface — a StepFrom writer advancing
+// its own state lineage, Distance readers, a Matrix reader — and pins
+// every result bit-identical to the sequential interleaving. The
+// engine's contract makes this checkable: Distance/Matrix/StepFrom
+// results are pure functions of their input states, so caching,
+// sharded-provider churn (the StepFrom writer evicts and derives
+// window entries while readers race them), the shared warm ring, and
+// work stealing must never leak into a value. Run under -race this is the contention-path coverage
 // for the sharded ground provider.
 func TestNetworkConcurrentMixedTraffic(t *testing.T) {
 	const (
@@ -66,16 +66,15 @@ func TestNetworkConcurrentMixedTraffic(t *testing.T) {
 	// Sequential ground truth: step results on a single-worker handle,
 	// reader pairs and the matrix on plain Distance/Matrix calls.
 	seq := NewNetwork(g, opts, EngineConfig{Workers: 1})
-	if err := seq.SetState(base); err != nil {
-		t.Fatal(err)
-	}
 	wantStep := make([]float64, ticks)
+	seqCur := base
 	for tk, d := range deltas {
-		r, err := seq.Step(ctx, d)
+		next, r, err := seq.StepFrom(ctx, seqCur, d)
 		if err != nil {
 			t.Fatalf("sequential step %d: %v", tk, err)
 		}
 		wantStep[tk] = r.SND
+		seqCur = next
 	}
 	type pair struct{ a, b int } // trajectory indices
 	pairs := []pair{{0, 1}, {2, 5}, {1, ticks}, {4, 7}, {0, ticks}}
@@ -93,9 +92,9 @@ func TestNetworkConcurrentMixedTraffic(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Ground truth for the close storm below: a continuation of the
-	// step trajectory (seq's tracked state is trajectory[ticks] here),
-	// a Series window, an anomaly report, and an independent StepFrom
-	// lineage rooted mid-trajectory.
+	// step trajectory (seqCur equals trajectory[ticks] here), a Series
+	// window, an anomaly report, and an independent StepFrom lineage
+	// rooted mid-trajectory.
 	const ticks2 = 6
 	deltas2 := make([]StateDelta, ticks2)
 	cur2 := trajectory[ticks].Clone()
@@ -119,11 +118,12 @@ func TestNetworkConcurrentMixedTraffic(t *testing.T) {
 	}
 	wantStep2 := make([]float64, ticks2)
 	for tk, d := range deltas2 {
-		r, err := seq.Step(ctx, d)
+		next, r, err := seq.StepFrom(ctx, seqCur, d)
 		if err != nil {
 			t.Fatalf("sequential step2 %d: %v", tk, err)
 		}
 		wantStep2[tk] = r.SND
+		seqCur = next
 	}
 	wantSeries, err := seq.Series(ctx, trajectory[:5])
 	if err != nil {
@@ -147,19 +147,17 @@ func TestNetworkConcurrentMixedTraffic(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// Concurrent run: one writer stepping the tracked state, Distance
+	// Concurrent run: one writer stepping its state lineage, Distance
 	// readers replaying the pairs, a Matrix reader — all on one handle.
 	nw := NewNetwork(g, opts, EngineConfig{Workers: 4})
-	if err := nw.SetState(base); err != nil {
-		t.Fatal(err)
-	}
 	var wg sync.WaitGroup
 	errc := make(chan error, readers+2)
 	wg.Add(1)
 	go func() {
 		defer wg.Done()
+		cur := base
 		for tk, d := range deltas {
-			r, err := nw.Step(ctx, d)
+			next, r, err := nw.StepFrom(ctx, cur, d)
 			if err != nil {
 				errc <- fmt.Errorf("step %d: %v", tk, err)
 				return
@@ -168,6 +166,7 @@ func TestNetworkConcurrentMixedTraffic(t *testing.T) {
 				errc <- fmt.Errorf("step %d: SND = %v under concurrency, want %v", tk, r.SND, wantStep[tk])
 				return
 			}
+			cur = next
 		}
 	}()
 	for rd := 0; rd < readers; rd++ {
@@ -244,14 +243,14 @@ func TestNetworkConcurrentMixedTraffic(t *testing.T) {
 			}
 		}(rd)
 	}
-	// Tracked-state stepper continuing the trajectory (value-pinned
-	// until the close lands; after the first error the base state is
-	// ambiguous, so it stops).
+	// Stepper continuing the writer's trajectory (value-pinned until
+	// the close lands; after the first error it stops).
 	cwg.Add(1)
 	go func() {
 		defer cwg.Done()
+		cur := trajectory[ticks]
 		for tk, d := range deltas2 {
-			r, err := nw.Step(ctx, d)
+			next, r, err := nw.StepFrom(ctx, cur, d)
 			if stormErr(fmt.Sprintf("step %d", tk), err) {
 				return
 			}
@@ -259,6 +258,7 @@ func TestNetworkConcurrentMixedTraffic(t *testing.T) {
 				cerrc <- fmt.Errorf("close storm step %d: SND = %v, want %v", tk, r.SND, wantStep2[tk])
 				return
 			}
+			cur = next
 		}
 	}()
 	// Externally tracked StepFrom lineage (value-pinned, same rule).
@@ -317,16 +317,18 @@ func TestNetworkConcurrentMixedTraffic(t *testing.T) {
 			}
 		}
 	}()
-	// Tracked-state writer: Apply must also fail only with
-	// ErrEngineClosed once the close lands. Empty deltas keep the
-	// state content stable so the pinned stepper above stays valid
-	// (SetState would reset the trajectory under it; its error
-	// identity is asserted after the storm instead).
+	// Lineage reporter: ApplyFrom feeds the provider a one-change
+	// lineage off trajectory[0] until the close lands, and must then
+	// fail only with ErrEngineClosed.
 	cwg.Add(1)
 	go func() {
 		defer cwg.Done()
+		flip := StateDelta{{User: 0, Opinion: -trajectory[0][0]}}
+		if flip[0].Opinion == trajectory[0][0] {
+			flip[0].Opinion = Positive
+		}
 		for {
-			if _, err := nw.Apply(StateDelta{}); stormErr("apply", err) {
+			if _, err := nw.ApplyFrom(trajectory[0], flip); stormErr("apply", err) {
 				return
 			}
 		}
@@ -346,8 +348,8 @@ func TestNetworkConcurrentMixedTraffic(t *testing.T) {
 	if _, err := nw.Series(ctx, trajectory[:1]); !errors.Is(err, ErrEngineClosed) {
 		t.Errorf("Series on closed handle: %v, want ErrEngineClosed", err)
 	}
-	if err := nw.SetState(NewState(1)); !errors.Is(err, ErrEngineClosed) {
-		t.Errorf("SetState on closed handle: %v, want ErrEngineClosed", err)
+	if _, err := nw.ApplyFrom(NewState(1), nil); !errors.Is(err, ErrEngineClosed) {
+		t.Errorf("ApplyFrom on closed handle: %v, want ErrEngineClosed", err)
 	}
 	if _, _, err := nw.StepFrom(ctx, NewState(1), nil); !errors.Is(err, ErrEngineClosed) {
 		t.Errorf("StepFrom on closed handle: %v, want ErrEngineClosed", err)

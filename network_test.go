@@ -28,13 +28,13 @@ func TestNetworkStructuredErrors(t *testing.T) {
 	defer nw.Close()
 	ok := states[0]
 
-	// ErrStateSize: wrong-length state, via batch and tracked paths.
+	// ErrStateSize: wrong-length state, via batch and delta paths.
 	short := NewState(10)
 	if _, err := nw.Distance(ctx, ok, short); !errors.Is(err, ErrStateSize) {
 		t.Errorf("short state: err = %v, want ErrStateSize", err)
 	}
-	if err := nw.SetState(short); !errors.Is(err, ErrStateSize) {
-		t.Errorf("SetState short: err = %v, want ErrStateSize", err)
+	if _, err := nw.ApplyFrom(short, nil); !errors.Is(err, ErrStateSize) {
+		t.Errorf("ApplyFrom short: err = %v, want ErrStateSize", err)
 	}
 
 	// ErrInvalidOpinion: out-of-domain opinion value.
@@ -43,8 +43,8 @@ func TestNetworkStructuredErrors(t *testing.T) {
 	if _, err := nw.Distance(ctx, ok, bad); !errors.Is(err, ErrInvalidOpinion) {
 		t.Errorf("bad opinion: err = %v, want ErrInvalidOpinion", err)
 	}
-	if err := nw.SetState(bad); !errors.Is(err, ErrInvalidOpinion) {
-		t.Errorf("SetState bad opinion: err = %v, want ErrInvalidOpinion", err)
+	if _, err := nw.ApplyFrom(bad, nil); !errors.Is(err, ErrInvalidOpinion) {
+		t.Errorf("ApplyFrom bad opinion: err = %v, want ErrInvalidOpinion", err)
 	}
 
 	// ErrClusterLabels: clusters of the wrong length.
@@ -71,19 +71,11 @@ func TestNetworkStructuredErrors(t *testing.T) {
 	}
 
 	// Delta validation: out-of-range user and invalid opinion.
-	if err := nw.SetState(ok); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := nw.Apply(StateDelta{{User: g.N(), Opinion: Positive}}); !errors.Is(err, ErrStateSize) {
+	if _, err := nw.ApplyFrom(ok, StateDelta{{User: g.N(), Opinion: Positive}}); !errors.Is(err, ErrStateSize) {
 		t.Errorf("delta out of range: err = %v, want ErrStateSize", err)
 	}
-	if _, err := nw.Apply(StateDelta{{User: 0, Opinion: Opinion(-3)}}); !errors.Is(err, ErrInvalidOpinion) {
+	if _, err := nw.ApplyFrom(ok, StateDelta{{User: 0, Opinion: Opinion(-3)}}); !errors.Is(err, ErrInvalidOpinion) {
 		t.Errorf("delta bad opinion: err = %v, want ErrInvalidOpinion", err)
-	}
-	fresh := NewNetwork(g, DefaultOptions(), EngineConfig{})
-	defer fresh.Close()
-	if _, err := fresh.Apply(StateDelta{{User: 0, Opinion: Positive}}); !errors.Is(err, ErrStateSize) {
-		t.Errorf("Apply before SetState: err = %v, want ErrStateSize", err)
 	}
 
 	// ErrEngineClosed: the whole handle fails after Close.
@@ -95,14 +87,11 @@ func TestNetworkStructuredErrors(t *testing.T) {
 	if _, _, err := closed.Explain(ctx, ok, states[1]); !errors.Is(err, ErrEngineClosed) {
 		t.Errorf("closed Explain: err = %v, want ErrEngineClosed", err)
 	}
-	if err := closed.SetState(ok); !errors.Is(err, ErrEngineClosed) {
-		t.Errorf("closed SetState: err = %v, want ErrEngineClosed", err)
+	if _, err := closed.ApplyFrom(ok, nil); !errors.Is(err, ErrEngineClosed) {
+		t.Errorf("closed ApplyFrom: err = %v, want ErrEngineClosed", err)
 	}
-	if _, err := closed.Apply(nil); !errors.Is(err, ErrEngineClosed) {
-		t.Errorf("closed Apply: err = %v, want ErrEngineClosed", err)
-	}
-	if _, err := closed.Step(ctx, nil); !errors.Is(err, ErrEngineClosed) {
-		t.Errorf("closed Step: err = %v, want ErrEngineClosed", err)
+	if _, _, err := closed.StepFrom(ctx, ok, nil); !errors.Is(err, ErrEngineClosed) {
+		t.Errorf("closed StepFrom: err = %v, want ErrEngineClosed", err)
 	}
 
 	// Closing the exposed engine closes the whole handle (the engine is
@@ -112,13 +101,13 @@ func TestNetworkStructuredErrors(t *testing.T) {
 	if _, _, err := viaEngine.Explain(ctx, ok, states[1]); !errors.Is(err, ErrEngineClosed) {
 		t.Errorf("Explain after Engine().Close(): err = %v, want ErrEngineClosed", err)
 	}
-	if err := viaEngine.SetState(ok); !errors.Is(err, ErrEngineClosed) {
-		t.Errorf("SetState after Engine().Close(): err = %v, want ErrEngineClosed", err)
+	if _, err := viaEngine.ApplyFrom(ok, nil); !errors.Is(err, ErrEngineClosed) {
+		t.Errorf("ApplyFrom after Engine().Close(): err = %v, want ErrEngineClosed", err)
 	}
 }
 
 // TestNetworkCancellation checks ctx.Err() propagation through the
-// handle's batch methods and Step.
+// handle's batch methods and StepFrom.
 func TestNetworkCancellation(t *testing.T) {
 	g, states := networkTestFixture(t, 120, 4, 35)
 	nw := NewNetwork(g, DefaultOptions(), EngineConfig{})
@@ -137,20 +126,17 @@ func TestNetworkCancellation(t *testing.T) {
 	if _, err := nw.DetectAnomalies(cancelled, states); !errors.Is(err, context.Canceled) {
 		t.Errorf("DetectAnomalies: err = %v, want context.Canceled", err)
 	}
-	if err := nw.SetState(states[0]); err != nil {
-		t.Fatal(err)
+	cur, _, err := nw.StepFrom(cancelled, states[0], StateDelta{{User: 0, Opinion: Positive}})
+	if !errors.Is(err, context.Canceled) {
+		t.Errorf("StepFrom: err = %v, want context.Canceled", err)
 	}
-	if _, err := nw.Step(cancelled, StateDelta{{User: 0, Opinion: Positive}}); !errors.Is(err, context.Canceled) {
-		t.Errorf("Step: err = %v, want context.Canceled", err)
-	}
-	// Step's state advance happens regardless of the cancelled
+	// StepFrom returns the advanced state alongside the cancelled
 	// distance evaluation (documented), and the handle keeps working.
-	cur, _ := nw.Current()
-	if cur[0] != Positive {
-		t.Error("cancelled Step did not advance the tracked state")
+	if cur == nil || cur[0] != Positive {
+		t.Fatal("cancelled StepFrom did not return the advanced state")
 	}
-	if _, err := nw.Step(context.Background(), StateDelta{{User: 1, Opinion: Negative}}); err != nil {
-		t.Errorf("Step after cancellation: %v", err)
+	if _, _, err := nw.StepFrom(context.Background(), cur, StateDelta{{User: 1, Opinion: Negative}}); err != nil {
+		t.Errorf("StepFrom after cancellation: %v", err)
 	}
 }
 
@@ -163,62 +149,55 @@ func TestNetworkDeltaRoundTrip(t *testing.T) {
 	ctx := context.Background()
 	nw := NewNetwork(g, DefaultOptions(), EngineConfig{})
 	defer nw.Close()
-	if err := nw.SetState(states[0]); err != nil {
-		t.Fatal(err)
-	}
-	if cur, v := nw.Current(); v != 1 || cur.DiffCount(states[0]) != 0 {
-		t.Fatalf("after SetState: version %d, diff %d", v, cur.DiffCount(states[0]))
-	}
 	// 9 ticks of deltas exercise the provider's tracked window (states
 	// scroll through it, refunding their retained bytes).
+	cur := states[0]
 	for i := 1; i < len(states); i++ {
 		var delta StateDelta
-		prev, cur := states[i-1], states[i]
-		for u := range cur {
-			if cur[u] != prev[u] {
-				delta = append(delta, OpinionChange{User: u, Opinion: cur[u]})
+		prev, full := states[i-1], states[i]
+		for u := range full {
+			if full[u] != prev[u] {
+				delta = append(delta, OpinionChange{User: u, Opinion: full[u]})
 			}
 		}
-		got, err := nw.Step(ctx, delta)
+		next, got, err := nw.StepFrom(ctx, cur, delta)
 		if err != nil {
-			t.Fatalf("Step %d: %v", i, err)
+			t.Fatalf("StepFrom %d: %v", i, err)
 		}
-		want, err := freshDistance(g, prev, cur, DefaultOptions())
+		want, err := freshDistance(g, prev, full, DefaultOptions())
 		if err != nil {
 			t.Fatalf("full recompute %d: %v", i, err)
 		}
 		if !reflect.DeepEqual(got, want) {
-			t.Errorf("tick %d: Step %+v != full-state Distance %+v", i, got, want)
+			t.Errorf("tick %d: StepFrom %+v != full-state Distance %+v", i, got, want)
 		}
-		snapshot, version := nw.Current()
-		if version != uint64(i+1) {
-			t.Errorf("tick %d: version %d, want %d", i, version, i+1)
+		if next.DiffCount(full) != 0 {
+			t.Errorf("tick %d: stepped state diverged from full state", i)
 		}
-		if snapshot.DiffCount(cur) != 0 {
-			t.Errorf("tick %d: tracked state diverged from full state", i)
-		}
+		cur = next
 	}
 	// Quiet ticks: an empty delta is a zero-distance self-transition
-	// and must not disturb the tracked state (its cache entries stay
-	// live — eviction skips content still in the window).
+	// and must not disturb the state (its cache entries stay live —
+	// eviction skips content still in the window).
 	for i := 0; i < 6; i++ {
-		res, err := nw.Step(ctx, nil)
+		next, res, err := nw.StepFrom(ctx, cur, nil)
 		if err != nil {
-			t.Fatalf("empty Step %d: %v", i, err)
+			t.Fatalf("empty StepFrom %d: %v", i, err)
 		}
 		if res.SND != 0 || res.NDelta != 0 {
-			t.Errorf("empty Step %d: SND=%v NDelta=%d, want zeros", i, res.SND, res.NDelta)
+			t.Errorf("empty StepFrom %d: SND=%v NDelta=%d, want zeros", i, res.SND, res.NDelta)
 		}
+		cur = next
 	}
-	if cur, _ := nw.Current(); cur.DiffCount(states[len(states)-1]) != 0 {
-		t.Error("empty Steps changed the tracked state")
+	if cur.DiffCount(states[len(states)-1]) != 0 {
+		t.Error("empty StepFroms changed the state")
 	}
 
-	// Apply (without distance) also matches, and duplicate changes
+	// ApplyFrom (without distance) also matches, and duplicate changes
 	// resolve last-wins.
 	rng := rand.New(rand.NewSource(39))
 	u := rng.Intn(g.N())
-	next, err := nw.Apply(StateDelta{
+	next, err := nw.ApplyFrom(cur, StateDelta{
 		{User: u, Opinion: Negative},
 		{User: u, Opinion: Positive},
 	})
@@ -228,10 +207,12 @@ func TestNetworkDeltaRoundTrip(t *testing.T) {
 	if next[u] != Positive {
 		t.Errorf("duplicate delta entries: got %v, want last-wins Positive", next[u])
 	}
-	// Snapshots returned earlier stay valid: the final full state must
-	// still equal states[len-1] except for the applied change.
-	last, _ := nw.Current()
-	if last.DiffCount(states[len(states)-1]) > 1 {
-		t.Error("Apply mutated history it should have copied")
+	// States handed in stay valid: the input must still equal
+	// states[len-1], and the result differ from it at most in u.
+	if cur.DiffCount(states[len(states)-1]) != 0 {
+		t.Error("ApplyFrom mutated the state it should have copied")
+	}
+	if next.DiffCount(cur) > 1 {
+		t.Error("ApplyFrom changed more than the delta")
 	}
 }

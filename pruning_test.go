@@ -9,8 +9,8 @@ import (
 // TestNetworkPruningAndParallelInvariance pins, at the public Network
 // level, that the goal-pruned SSSP fan-out and intra-term work
 // stealing change no result bit: whole-series distances are identical
-// with one worker and with many, and the tracked delta path (Step)
-// matches them. The pruned-vs-full-rows comparison needs the full-row
+// with one worker and with many, and the delta path (StepFrom) matches
+// them. The pruned-vs-full-rows comparison needs the full-row
 // pipeline, which only package core can switch on; it lives in
 // TestGoalPruningMatchesFullRows there.
 func TestNetworkPruningAndParallelInvariance(t *testing.T) {
@@ -36,13 +36,11 @@ func TestNetworkPruningAndParallelInvariance(t *testing.T) {
 		nw.Close()
 	}
 
-	// The tracked delta path: Step distances must match the
-	// single-worker series over the same states.
+	// The delta path: StepFrom distances must match the single-worker
+	// series over the same states.
 	warm := NewNetwork(g, DefaultOptions(), EngineConfig{Workers: 4})
 	defer warm.Close()
-	if err := warm.SetState(states[0]); err != nil {
-		t.Fatal(err)
-	}
+	cur := states[0]
 	for i := 1; i < len(states); i++ {
 		var delta StateDelta
 		prev := states[i-1]
@@ -51,12 +49,13 @@ func TestNetworkPruningAndParallelInvariance(t *testing.T) {
 				delta = append(delta, OpinionChange{User: u, Opinion: states[i][u]})
 			}
 		}
-		res, err := warm.Step(ctx, delta)
+		next, res, err := warm.StepFrom(ctx, cur, delta)
 		if err != nil {
 			t.Fatalf("step %d: %v", i, err)
 		}
 		if res.SND != want[i-1] {
-			t.Fatalf("step %d: tracked path %v, series baseline %v", i, res.SND, want[i-1])
+			t.Fatalf("step %d: delta path %v, series baseline %v", i, res.SND, want[i-1])
 		}
+		cur = next
 	}
 }

@@ -135,12 +135,6 @@ type EngineStats = core.EngineStats
 // StatePair is one (A, B) input of Engine.Pairs.
 type StatePair = core.StatePair
 
-// NewEngine builds a concurrent SND engine over g. The returned
-// engine is safe for concurrent use; see Engine.
-func NewEngine(g *Graph, opts Options, cfg EngineConfig) *Engine {
-	return core.NewEngine(g, opts, cfg)
-}
-
 // TransportMove is one user-level shipment of an SND transport plan.
 type TransportMove = core.Move
 
@@ -152,10 +146,7 @@ type TermPlan = core.TermPlan
 // package returns is safe for concurrent Distance calls: the SND
 // measure is backed by a concurrency-safe Engine, and the baseline
 // measures are stateless.
-type Measure interface {
-	Distance(a, b State) (float64, error)
-	Name() string
-}
+type Measure = distance.Measure
 
 // HammingMeasure counts coordinate-wise opinion disagreements. The
 // measure is stateless and safe for concurrent use.
@@ -210,13 +201,6 @@ type AnomalyReport struct {
 	Scores []float64
 }
 
-// seriesMeasure is satisfied by measures that can evaluate a whole
-// adjacent-pair series at once (the engine-backed SND measure does,
-// scheduling all terms across its worker pool).
-type seriesMeasure interface {
-	Series(ctx context.Context, states []State) ([]float64, error)
-}
-
 // DetectAnomalies runs the anomaly pipeline for measure m over a state
 // series: adjacent distances, active-count normalization, min-max
 // scaling, and spike scores. Rank transitions by Scores descending to
@@ -230,7 +214,7 @@ func DetectAnomalies(states []State, m Measure) (AnomalyReport, error) {
 		return AnomalyReport{}, fmt.Errorf("snd: anomaly pipeline over %d states: %w", len(states), ErrShortSeries)
 	}
 	var dists []float64
-	if sm, ok := m.(seriesMeasure); ok {
+	if sm, ok := m.(distance.SeriesDistancer); ok {
 		var err error
 		dists, err = sm.Series(context.Background(), states)
 		if err != nil {
